@@ -583,8 +583,8 @@ let micro () =
   let cnu7 = Bench_circuits.cnu ~controls:4 in
   let toffoli_fq = Compile.compile Strategy.full_ququart toffoli in
   let cnu7_fq = Compile.compile Strategy.full_ququart cnu7 in
-  (* fig9/kernel-classes: one precompiled kernel per class, applied to a
-     reused state vector. All gates are unitary so the norm survives the
+  (* fig9/kernel-classes: one precompiled kernel per class, applied as a
+     one-lane block to a reused state vector. All gates are unitary so the norm survives the
      bechamel repetition loop; each constructor is asserted to land in the
      class it is named for, so the benchmark can't silently drift. *)
   let hh = Mat.kron Gates.h Gates.h in
@@ -633,7 +633,8 @@ let micro () =
         Vec.normalize_in_place v;
         Test.make
           ~name:("fig9/kernel-classes/" ^ cls)
-          (Staged.stage (fun () -> Waltz_sim.Kernel.apply kernel v)))
+          (Staged.stage (fun () ->
+               Waltz_sim.Kernel.apply_block kernel v.Vec.re v.Vec.im ~cap:1 ~live:1)))
       kernel_cases
   in
   (* The same kernels in lockstep over a full-width SoA block: one run does
@@ -1107,8 +1108,8 @@ let micro () =
 
 (* Fast correctness gate for `make bench-smoke` and the lint alias: every
    kernel the planner would compile for a spread of benchmark programs must
-   agree with the reference generic path on a random state (scalar and
-   batched), and a tiny simulate must be bit-identical across the
+   agree with the reference generic path on a random state (one-lane and
+   multi-lane blocks), and a tiny simulate must be bit-identical across the
    domains x batch grid. Exits non-zero on the first discrepancy, so a
    broken specialization fails `make lint` before any timed run can record
    nonsense. *)
@@ -1138,8 +1139,8 @@ let smoke () =
             Waltz_sim.State.of_vec ~dims (Waltz_sim.State.amplitudes state)
           in
           let v = Vec.copy (Waltz_sim.State.amplitudes state) in
-          Waltz_sim.Kernel.apply kernel v;
-          Waltz_sim.State.apply_generic reference ~targets:devices lifted;
+          Waltz_sim.Kernel.apply_block kernel v.Vec.re v.Vec.im ~cap:1 ~live:1;
+          Waltz_sim.State.apply reference ~targets:devices lifted;
           let vr = Waltz_sim.State.amplitudes reference in
           let diff = ref 0. in
           for i = 0 to Vec.dim v - 1 do
@@ -1154,8 +1155,8 @@ let smoke () =
               (Waltz_sim.Kernel.class_name kernel)
               !diff
           end;
-          (* The batched SoA path must not just agree — it must be
-             bit-identical to the scalar kernel on every lane, including a
+          (* A wider block must not just agree — every lane must be
+             bit-identical to the one-lane application, including a
              partial trailing block (live < cap). *)
           let blk = Waltz_sim.State_block.create ~dims ~cap:3 in
           Waltz_sim.State_block.set_live blk 2;
@@ -1181,7 +1182,7 @@ let smoke () =
           end)
         compiled.Physical.ops)
     programs;
-  Printf.printf "  kernel-vs-generic: %d plan ops checked (scalar + batched)\n" !checked;
+  Printf.printf "  kernel-vs-generic: %d plan ops checked (one-lane + batched)\n" !checked;
   let config = { Executor.model = Noise.default; trajectories = 4; base_seed = 5 } in
   let compiled = Compile.compile Strategy.full_ququart toffoli in
   let a = Executor.simulate_detailed ~config ~domains:1 ~batch:1 compiled in
@@ -1193,10 +1194,10 @@ let smoke () =
   List.iter
     (fun (domains, batch) ->
       if same (Executor.simulate_detailed ~config ~domains ~batch compiled) then
-        Printf.printf "  scalar vs domains=%d/batch=%d: bit-identical\n" domains batch
+        Printf.printf "  batch=1 vs domains=%d/batch=%d: bit-identical\n" domains batch
       else begin
         incr failures;
-        Printf.printf "  FAIL: domains=%d/batch=%d diverges from the scalar engine\n"
+        Printf.printf "  FAIL: domains=%d/batch=%d diverges from batch=1\n"
           domains batch
       end)
     [ (2, 1); (1, 2); (2, 3); (2, 4) ];

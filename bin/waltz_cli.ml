@@ -144,8 +144,7 @@ let batch_arg =
     & info [ "batch" ] ~docv:"B"
         ~doc:
           "Lockstep trajectory batch width for the SoA engine (default: \
-           \\$(b,WALTZ_BATCH) or 8; 1 = scalar engine). Results are identical at \
-           every setting.")
+           \\$(b,WALTZ_BATCH) or 8). Results are identical at every setting.")
 
 let stats_arg =
   Arg.(

@@ -21,7 +21,6 @@ type t = {
   shape : run_shape;
   program_bytes : int;
   state_bytes : int;
-  scalar_workspace_bytes : int;
   block_workspace_bytes : int;
   scratch_bytes : int;
   plan_bytes : int;
@@ -91,31 +90,23 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
   in
   let state_bytes = 2 * 8 * dim in
   (* Run-shape folding mirrors the executor's clamps exactly: the batch
-     never exceeds the trajectory count, a width of one selects the scalar
-     engine, and the parallel path only engages with more than one item and
-     more than one domain. *)
-  let batch_eff = if trajectories <= 1 then 1 else min batch trajectories in
-  let scalar_path = batch_eff <= 1 in
-  let queue_depth =
-    if scalar_path then trajectories
-    else (trajectories + batch_eff - 1) / batch_eff
-  in
+     never exceeds the trajectory count, the queue holds one item per
+     lockstep block, and the parallel path only engages with more than one
+     block and more than one domain. *)
+  let batch_eff = min batch trajectories in
+  let queue_depth = (trajectories + batch_eff - 1) / batch_eff in
   let seat_demand = if domains > 1 && queue_depth > 1 then min domains queue_depth else 1 in
-  let scalar_workspace_bytes = Executor.workspace_bytes ~dims in
   let block_workspace_bytes = Executor.block_workspace_bytes ~dims ~cap:batch_eff in
   (* Per-domain scratch arena: gather buffers scale with the widest kernel
-     subspace (scalar slots) and with subspace × lanes (batched slots);
-     damping scratch scales with device_dim and lanes. The flat constant
-     absorbs the odometer/int slots. *)
+     subspace (per-lane error-injection slots) and with subspace × lanes
+     (batched slots); damping scratch scales with device_dim and lanes. The
+     flat constant absorbs the odometer/int slots. *)
   let scratch_bytes =
     8 * ((2 * !g_max) + (2 * !g_max * batch_eff) + (2 * device_dim) + (2 * batch_eff) + 64)
   in
-  let workspace_per_domain =
-    (if scalar_path then scalar_workspace_bytes else block_workspace_bytes)
-    + scratch_bytes
-  in
   let peak_bytes =
-    program_bytes + !plan_bytes + plan_table_bytes + (seat_demand * workspace_per_domain)
+    program_bytes + !plan_bytes + plan_table_bytes
+    + (seat_demand * (block_workspace_bytes + scratch_bytes))
   in
   let cache_bytes =
     (Executor.plan_cache_capacity * (!plan_bytes + plan_table_bytes))
@@ -151,7 +142,6 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
     shape = { trajectories; batch; domains };
     program_bytes;
     state_bytes;
-    scalar_workspace_bytes;
     block_workspace_bytes;
     scratch_bytes;
     plan_bytes = !plan_bytes;
@@ -222,9 +212,6 @@ let check_observed ?(cache_blowup_ratio = 4.) t =
     if obs > limit then
       res02 "%s observed %d payload bytes, certified bound is %d" name obs limit
   in
-  bound "scalar workspace"
-    (Metrics.counter "executor.workspace.bytes")
-    (t.scalar_workspace_bytes * t.seat_demand);
   bound "block workspace"
     (Metrics.counter "executor.workspace.block_bytes")
     (t.block_workspace_bytes * t.seat_demand);
@@ -280,8 +267,7 @@ let summary t =
         total, %d seats over %d items; dispatch %s"
        t.strategy t.shape.trajectories t.shape.batch t.shape.domains t.peak_bytes
        t.plan_bytes
-       ((if t.shape.batch <= 1 then t.scalar_workspace_bytes else t.block_workspace_bytes)
-       + t.scratch_bytes)
+       (t.block_workspace_bytes + t.scratch_bytes)
        t.cache_bytes t.schedule_ns.lo t.schedule_ns.hi t.total_ns.hi t.seat_demand
        t.queue_depth (mix_to_string t.dispatch_mix))
 
@@ -289,16 +275,15 @@ let check p = [ summary (certify p) ]
 
 let dump t =
   let b = Buffer.create 512 in
-  Printf.bprintf b "resource-certificate v1\n";
+  Printf.bprintf b "resource-certificate v2\n";
   Printf.bprintf b "strategy %s devices %d dim %d n %d ops %d\n" t.strategy
     t.device_count t.device_dim t.dim t.ops;
   Printf.bprintf b "shape trajectories %d batch %d domains %d\n" t.shape.trajectories
     t.shape.batch t.shape.domains;
   Printf.bprintf b
-    "bytes program %d state %d workspace %d block %d scratch %d plan %d tables %d \
-     caches %d peak %d\n"
-    t.program_bytes t.state_bytes t.scalar_workspace_bytes t.block_workspace_bytes
-    t.scratch_bytes t.plan_bytes t.plan_table_bytes t.cache_bytes t.peak_bytes;
+    "bytes program %d state %d block %d scratch %d plan %d tables %d caches %d peak %d\n"
+    t.program_bytes t.state_bytes t.block_workspace_bytes t.scratch_bytes t.plan_bytes
+    t.plan_table_bytes t.cache_bytes t.peak_bytes;
   Printf.bprintf b "schedule_ns %h %h total_ns %h %h expected_ns %h\n" t.schedule_ns.lo
     t.schedule_ns.hi t.total_ns.lo t.total_ns.hi t.expected_ns;
   Printf.bprintf b "pool seats %d queue %d\n" t.seat_demand t.queue_depth;

@@ -4,7 +4,7 @@
     program and emits a machine-checkable {e resource certificate} for one
     (program × trajectories × batch × domains) run configuration: sound
     upper bounds on peak heap payload bytes (state planes, per-domain
-    scalar and lockstep workspaces, scratch arenas, plan-resident kernel
+    lockstep workspaces, scratch arenas, plan-resident kernel
     tables, cache residency), on modeled wall-clock (the COST makespan
     interval folded through trajectory count, batch width and domain
     count), on pool seat demand, plus the exact static kernel-class
@@ -12,7 +12,7 @@
 
     Soundness is by construction: every byte figure is computed through the
     same formulas the executor itself observes through
-    ({!Waltz_core.Executor.workspace_bytes} and friends), so the invariant
+    ({!Waltz_core.Executor.block_workspace_bytes} and friends), so the invariant
     "certified ≥ observed" cannot be broken by the two sides counting
     different things. The certificate is independent of the noise model —
     memory, dispatch mix and modeled schedule are functions of the compiled
@@ -48,9 +48,8 @@ type t = {
   shape : run_shape;
   (* memory (payload bytes) *)
   program_bytes : int;  (** the compiled program's own gate matrices/maps *)
-  state_bytes : int;  (** one scalar state vector (two planes) *)
-  scalar_workspace_bytes : int;  (** per participating domain, scalar path *)
-  block_workspace_bytes : int;  (** per participating domain, lockstep path *)
+  state_bytes : int;  (** one state vector (two planes) *)
+  block_workspace_bytes : int;  (** per participating domain, at the clamped width *)
   scratch_bytes : int;  (** per-domain scratch arena bound *)
   plan_bytes : int;  (** lifted matrices + kernel tables, observed-comparable *)
   plan_table_bytes : int;  (** support/leakage/damping table bound *)
@@ -62,7 +61,7 @@ type t = {
   expected_ns : float;
   (* pool *)
   seat_demand : int;  (** seats incl. the caller the run can usefully occupy *)
-  queue_depth : int;  (** items published: trajectories, or lockstep blocks *)
+  queue_depth : int;  (** items published: one per lockstep block *)
   (* dispatch *)
   dispatch_mix : (string * int) list;
       (** static ops per kernel class, every class listed, catalog order *)

@@ -24,7 +24,9 @@ val max_devices : device_dim:int -> int
 
 val simulate : ?config:config -> ?domains:int -> ?batch:int -> Physical.t -> result
 (** Raises [Invalid_argument] if the compiled circuit exceeds
-    [max_devices].
+    [max_devices] or the trajectory count is negative. Zero trajectories
+    is a plan-only call: the execution plan is built (or found in the plan
+    cache), no trajectory runs, and the statistics are NaN.
 
     Trajectories fan out across [domains] OCaml domains (default: the
     [WALTZ_DOMAINS] environment knob, else the machine's recommended domain
@@ -35,9 +37,9 @@ val simulate : ?config:config -> ?domains:int -> ?batch:int -> Physical.t -> res
 
     Within a domain, [batch] trajectories run in lockstep over a
     structure-of-arrays state block (default: the [WALTZ_BATCH] environment
-    knob, else {!default_batch}; [1] runs the scalar engine). Each lane
-    keeps its own RNG stream and every batched sweep performs the scalar
-    engine's floating-point operations in the same per-lane order, so the
+    knob, else {!default_batch}; [1] runs one-lane blocks). Each lane keeps
+    its own RNG stream and every batched sweep performs the same per-lane
+    floating-point operations in the same order at every width, so the
     statistics are also bit-identical at every batch width — the
     determinism suite enforces the full [batch] × [domains] grid. *)
 
@@ -60,8 +62,9 @@ val simulate_detailed :
 
 val run_ideal : Physical.t -> Waltz_sim.State.t -> Waltz_sim.State.t
 (** Applies the compiled ops without noise to a copy of the given physical
-    state (exposed for tests: compiled circuits must reproduce the logical
-    unitary). *)
+    state, through the plan's compiled kernels as a one-lane block (used by
+    the exact executor, the equivalence verifier and the tests: compiled
+    circuits must reproduce the logical unitary). *)
 
 (** {1 Internals shared with the exact (density-matrix) executor} *)
 
@@ -88,16 +91,11 @@ val initial_allowed : Physical.t -> int list array
 (** {1 Byte accounting shared with the resource certificates}
 
     The executor observes its own allocations through these formulas
-    (counters [executor.workspace.bytes], [executor.workspace.block_bytes]
-    and [executor.plan.bytes], flushed when a per-domain workspace or a plan
-    is built), and [Waltz_analysis.Resource] certifies through the same
+    (counters [executor.workspace.block_bytes] and [executor.plan.bytes],
+    flushed when a per-domain workspace or a plan is built), and [Waltz_analysis.Resource] certifies through the same
     ones, so the soundness invariant "certified >= observed" cannot be
     broken by the two sides counting different things. All figures are
     array payload bytes (8 per float or int word), headers excluded. *)
-
-val workspace_bytes : dims:int array -> int
-(** Payload bytes of one domain's scalar trajectory workspace (the
-    input/ideal/noisy state triple) for a register shape. *)
 
 val block_workspace_bytes : dims:int array -> cap:int -> int
 (** Payload bytes of one domain's lockstep workspace at batch width [cap]

@@ -80,14 +80,10 @@ val equal_up_to_phase : ?tol:float -> t -> t -> bool
 
 val is_unitary : ?tol:float -> t -> bool
 
-val is_diagonal : t -> bool
-(** True for square matrices whose off-diagonal entries are exactly zero
-    (no tolerance — used to select exact fast paths, so a near-diagonal
-    matrix must not qualify). *)
-
 val diagonal_entries : t -> (float array * float array) option
-(** The (re, im) diagonal of a square, exactly-diagonal matrix; [None]
-    otherwise. Same exact-zero discipline as {!is_diagonal}. *)
+(** The (re, im) diagonal of a square matrix whose off-diagonal entries are
+    exactly zero; [None] otherwise. No tolerance — it selects an exact
+    kernel class, so a near-diagonal matrix must not qualify. *)
 
 val monomial_structure : t -> (int array * float array * float array) option
 (** [Some (src, pre, pim)] when the square matrix has exactly one nonzero

@@ -34,7 +34,7 @@ let strides_of dims =
   strides
 
 (* Subspace offset of each of the g target-digit combinations; identical
-   construction to State.offsets_of so kernels and the generic path index
+   construction to State.offsets_into so kernels and the generic path index
    the same amplitudes in the same order. *)
 let offsets_of ~dims ~strides tgt g =
   let nt = Array.length tgt in
@@ -153,7 +153,8 @@ let footprint_bytes t =
   ints (Array.length t.tgt) + ints (Array.length t.offsets) + iter_bytes + body_bytes
 
 (* Enumerate bases in ascending order; [f] must not re-enter the same
-   scratch slots. The closure is allocated once per [apply], not per base. *)
+   scratch slots. The closure is allocated once per [apply_block], not per
+   base. *)
 let iterate t f =
   match t.iter with
   | Single { st; block } ->
@@ -194,149 +195,15 @@ let iterate t f =
       done
     done
 
-let apply t (v : Vec.t) =
-  if Vec.dim v <> t.n then invalid_arg "Kernel.apply: state dimension mismatch";
-  let vre = v.Vec.re and vim = v.Vec.im in
-  let offsets = t.offsets and g = t.g in
-  match t.body with
-  | Diagonal { dre; dim } when g = 4 ->
-    (* Unrolled ququart-size phase sweep: offsets and entries in locals,
-       same per-amplitude expressions as the generic branch. *)
-    let o0 = offsets.(0) and o1 = offsets.(1) and o2 = offsets.(2) and o3 = offsets.(3) in
-    let d0 = dre.(0) and e0 = dim.(0) and d1 = dre.(1) and e1 = dim.(1)
-    and d2 = dre.(2) and e2 = dim.(2) and d3 = dre.(3) and e3 = dim.(3) in
-    iterate t (fun base ->
-        let i0 = base + o0 and i1 = base + o1 and i2 = base + o2 and i3 = base + o3 in
-        let r0 = vre.(i0) and m0 = vim.(i0) in
-        vre.(i0) <- (d0 *. r0) -. (e0 *. m0);
-        vim.(i0) <- (d0 *. m0) +. (e0 *. r0);
-        let r1 = vre.(i1) and m1 = vim.(i1) in
-        vre.(i1) <- (d1 *. r1) -. (e1 *. m1);
-        vim.(i1) <- (d1 *. m1) +. (e1 *. r1);
-        let r2 = vre.(i2) and m2 = vim.(i2) in
-        vre.(i2) <- (d2 *. r2) -. (e2 *. m2);
-        vim.(i2) <- (d2 *. m2) +. (e2 *. r2);
-        let r3 = vre.(i3) and m3 = vim.(i3) in
-        vre.(i3) <- (d3 *. r3) -. (e3 *. m3);
-        vim.(i3) <- (d3 *. m3) +. (e3 *. r3))
-  | Diagonal { dre; dim } ->
-    iterate t (fun base ->
-        for j = 0 to g - 1 do
-          let idx = base + offsets.(j) in
-          let re = vre.(idx) and im = vim.(idx) in
-          vre.(idx) <- (dre.(j) *. re) -. (dim.(j) *. im);
-          vim.(idx) <- (dre.(j) *. im) +. (dim.(j) *. re)
-        done)
-  | Monomial { src; pre; pim } ->
-    let scratch = Scratch.get () in
-    let gre = Scratch.floats scratch 0 g and gim = Scratch.floats scratch 1 g in
-    iterate t (fun base ->
-        for j = 0 to g - 1 do
-          let idx = base + offsets.(j) in
-          gre.(j) <- vre.(idx);
-          gim.(j) <- vim.(idx)
-        done;
-        for i = 0 to g - 1 do
-          let j = src.(i) in
-          let re = gre.(j) and im = gim.(j) in
-          let idx = base + offsets.(i) in
-          vre.(idx) <- (pre.(i) *. re) -. (pim.(i) *. im);
-          vim.(idx) <- (pre.(i) *. im) +. (pim.(i) *. re)
-        done)
-  | Controlled { k; aoff; bre; bim } ->
-    let scratch = Scratch.get () in
-    let gre = Scratch.floats scratch 0 k and gim = Scratch.floats scratch 1 k in
-    iterate t (fun base ->
-        for j = 0 to k - 1 do
-          let idx = base + aoff.(j) in
-          gre.(j) <- vre.(idx);
-          gim.(j) <- vim.(idx)
-        done;
-        for i = 0 to k - 1 do
-          let acc_re = ref 0. and acc_im = ref 0. in
-          let row = i * k in
-          for j = 0 to k - 1 do
-            let a = bre.(row + j) and b = bim.(row + j) in
-            acc_re := !acc_re +. (a *. gre.(j)) -. (b *. gim.(j));
-            acc_im := !acc_im +. (a *. gim.(j)) +. (b *. gre.(j))
-          done;
-          let idx = base + aoff.(i) in
-          vre.(idx) <- !acc_re;
-          vim.(idx) <- !acc_im
-        done)
-  | Dense { mre; mim } when g = 4 ->
-    (* The dominant dense shape on four-level devices — one ququart (or a
-       qubit pair) — fully unrolled: amplitudes and the 4x4 matrix live in
-       locals, no scratch gather. The accumulation chains are the generic
-       branch's j-ascending order written out, so results are bit-identical
-       to it. *)
-    let o0 = offsets.(0) and o1 = offsets.(1) and o2 = offsets.(2) and o3 = offsets.(3) in
-    let a00 = mre.(0) and b00 = mim.(0) and a01 = mre.(1) and b01 = mim.(1)
-    and a02 = mre.(2) and b02 = mim.(2) and a03 = mre.(3) and b03 = mim.(3)
-    and a10 = mre.(4) and b10 = mim.(4) and a11 = mre.(5) and b11 = mim.(5)
-    and a12 = mre.(6) and b12 = mim.(6) and a13 = mre.(7) and b13 = mim.(7)
-    and a20 = mre.(8) and b20 = mim.(8) and a21 = mre.(9) and b21 = mim.(9)
-    and a22 = mre.(10) and b22 = mim.(10) and a23 = mre.(11) and b23 = mim.(11)
-    and a30 = mre.(12) and b30 = mim.(12) and a31 = mre.(13) and b31 = mim.(13)
-    and a32 = mre.(14) and b32 = mim.(14) and a33 = mre.(15) and b33 = mim.(15) in
-    iterate t (fun base ->
-        let i0 = base + o0 and i1 = base + o1 and i2 = base + o2 and i3 = base + o3 in
-        let r0 = vre.(i0) and m0 = vim.(i0) and r1 = vre.(i1) and m1 = vim.(i1)
-        and r2 = vre.(i2) and m2 = vim.(i2) and r3 = vre.(i3) and m3 = vim.(i3) in
-        vre.(i0) <-
-          0. +. (a00 *. r0) -. (b00 *. m0) +. (a01 *. r1) -. (b01 *. m1)
-          +. (a02 *. r2) -. (b02 *. m2) +. (a03 *. r3) -. (b03 *. m3);
-        vim.(i0) <-
-          0. +. (a00 *. m0) +. (b00 *. r0) +. (a01 *. m1) +. (b01 *. r1)
-          +. (a02 *. m2) +. (b02 *. r2) +. (a03 *. m3) +. (b03 *. r3);
-        vre.(i1) <-
-          0. +. (a10 *. r0) -. (b10 *. m0) +. (a11 *. r1) -. (b11 *. m1)
-          +. (a12 *. r2) -. (b12 *. m2) +. (a13 *. r3) -. (b13 *. m3);
-        vim.(i1) <-
-          0. +. (a10 *. m0) +. (b10 *. r0) +. (a11 *. m1) +. (b11 *. r1)
-          +. (a12 *. m2) +. (b12 *. r2) +. (a13 *. m3) +. (b13 *. r3);
-        vre.(i2) <-
-          0. +. (a20 *. r0) -. (b20 *. m0) +. (a21 *. r1) -. (b21 *. m1)
-          +. (a22 *. r2) -. (b22 *. m2) +. (a23 *. r3) -. (b23 *. m3);
-        vim.(i2) <-
-          0. +. (a20 *. m0) +. (b20 *. r0) +. (a21 *. m1) +. (b21 *. r1)
-          +. (a22 *. m2) +. (b22 *. r2) +. (a23 *. m3) +. (b23 *. r3);
-        vre.(i3) <-
-          0. +. (a30 *. r0) -. (b30 *. m0) +. (a31 *. r1) -. (b31 *. m1)
-          +. (a32 *. r2) -. (b32 *. m2) +. (a33 *. r3) -. (b33 *. m3);
-        vim.(i3) <-
-          0. +. (a30 *. m0) +. (b30 *. r0) +. (a31 *. m1) +. (b31 *. r1)
-          +. (a32 *. m2) +. (b32 *. r2) +. (a33 *. m3) +. (b33 *. r3))
-  | Dense { mre; mim } ->
-    let scratch = Scratch.get () in
-    let gre = Scratch.floats scratch 0 g and gim = Scratch.floats scratch 1 g in
-    iterate t (fun base ->
-        for j = 0 to g - 1 do
-          let idx = base + offsets.(j) in
-          gre.(j) <- vre.(idx);
-          gim.(j) <- vim.(idx)
-        done;
-        for i = 0 to g - 1 do
-          let acc_re = ref 0. and acc_im = ref 0. in
-          let row = i * g in
-          for j = 0 to g - 1 do
-            let a = mre.(row + j) and b = mim.(row + j) in
-            acc_re := !acc_re +. (a *. gre.(j)) -. (b *. gim.(j));
-            acc_im := !acc_im +. (a *. gim.(j)) +. (b *. gre.(j))
-          done;
-          let idx = base + offsets.(i) in
-          vre.(idx) <- !acc_re;
-          vim.(idx) <- !acc_im
-        done)
-
 (* Batched (structure-of-arrays) application: [live] trajectory lanes stored
    contiguously per amplitude with layout stride [cap] (amplitude [idx] of
    lane [k] lives at [idx * cap + k]). Every index pattern — bases, subspace
    offsets, matrix rows — is computed once and swept across all lanes in a
-   dense inner float loop, so the per-trajectory index arithmetic of [apply]
-   amortizes over the whole batch and the inner loops vectorize. Per lane,
-   the floating-point operations are the same as [apply] in the same order,
-   so each lane's result is bit-identical to a scalar application. *)
+   dense inner float loop, so the index arithmetic amortizes over the whole
+   batch and the inner loops vectorize. Per lane, the floating-point
+   operations and their order do not depend on [cap] or [live], so each
+   lane's result is bit-identical to a one-lane application ([cap = 1],
+   which is exactly a plain state vector's layout). *)
 let apply_block t bre' bim' ~cap ~live =
   if live < 1 || live > cap then invalid_arg "Kernel.apply_block: bad lane count";
   if Array.length bre' <> t.n * cap || Array.length bim' <> t.n * cap then
@@ -344,7 +211,8 @@ let apply_block t bre' bim' ~cap ~live =
   let offsets = t.offsets and g = t.g in
   match t.body with
   | Diagonal { dre; dim } when g = 4 ->
-    (* Unrolled counterpart of [apply]'s 4-entry phase sweep. *)
+    (* Unrolled ququart-size phase sweep: offsets and entries in locals,
+       same per-amplitude expressions as the generic branch. *)
     let o0 = offsets.(0) and o1 = offsets.(1) and o2 = offsets.(2) and o3 = offsets.(3) in
     let d0 = dre.(0) and e0 = dim.(0) and d1 = dre.(1) and e1 = dim.(1)
     and d2 = dre.(2) and e2 = dim.(2) and d3 = dre.(3) and e3 = dim.(3) in
@@ -376,6 +244,26 @@ let apply_block t bre' bim' ~cap ~live =
             bim'.(p + k) <- (a *. im) +. (b *. re)
           done
         done)
+  | Monomial { src; pre; pim } when live = 1 ->
+    (* One lane ([--batch 1], [Executor.run_ideal]): the lane loops would
+       each run once per entry, so gather and scatter scalars directly. Same
+       per-amplitude expressions as the lane-swept branch below. *)
+    let scratch = Scratch.get () in
+    let gre = Scratch.floats scratch 4 g and gim = Scratch.floats scratch 5 g in
+    iterate t (fun base ->
+        for j = 0 to g - 1 do
+          let p = (base + offsets.(j)) * cap in
+          gre.(j) <- bre'.(p);
+          gim.(j) <- bim'.(p)
+        done;
+        for i = 0 to g - 1 do
+          let j = src.(i) in
+          let re = gre.(j) and im = gim.(j) in
+          let a = pre.(i) and b = pim.(i) in
+          let p = (base + offsets.(i)) * cap in
+          bre'.(p) <- (a *. re) -. (b *. im);
+          bim'.(p) <- (a *. im) +. (b *. re)
+        done)
   | Monomial { src; pre; pim } ->
     let scratch = Scratch.get () in
     let gre = Scratch.floats scratch 4 (g * live)
@@ -400,8 +288,8 @@ let apply_block t bre' bim' ~cap ~live =
         done)
   | Controlled { k = kdim; aoff; bre; bim } ->
     (* Matvec accumulators stay in registers: the lane loop sits outside
-       the column loop (same per-lane j order as [apply], so bit-identical),
-       and the gathered columns are walked with a stride-[live] cursor. *)
+       the column loop (j ascending per lane, whatever the width), and the
+       gathered columns are walked with a stride-[live] cursor. *)
     let scratch = Scratch.get () in
     let gre = Scratch.floats scratch 4 (kdim * live)
     and gim = Scratch.floats scratch 5 (kdim * live) in
@@ -431,9 +319,12 @@ let apply_block t bre' bim' ~cap ~live =
           done
         done)
   | Dense { mre; mim } when g = 4 ->
-    (* Unrolled counterpart of [apply]'s 4x4 fast path: per base, the four
-       plane positions are computed once and every lane runs the same
-       straight-line matvec on locals — no scratch traffic at all. *)
+    (* The dominant dense shape on four-level devices — one ququart (or a
+       qubit pair) — fully unrolled: per base, the four plane positions are
+       computed once and every lane runs the same straight-line matvec on
+       locals, no scratch traffic at all. The accumulation chains are the
+       generic branch's j-ascending order written out, so results are
+       bit-identical to it. *)
     let o0 = offsets.(0) and o1 = offsets.(1) and o2 = offsets.(2) and o3 = offsets.(3) in
     let a00 = mre.(0) and b00 = mim.(0) and a01 = mre.(1) and b01 = mim.(1)
     and a02 = mre.(2) and b02 = mim.(2) and a03 = mre.(3) and b03 = mim.(3)

@@ -7,9 +7,10 @@
     identity outside a small control subspace. [compile] classifies a lifted
     unitary once, against a fixed register shape, into the cheapest kernel
     class and precomputes every index the per-trajectory application needs
-    (subspace offsets, spectator iteration structure), so the per-shot cost
-    is one dispatch and zero allocation — gather buffers come from the
-    per-domain {!Waltz_runtime.Scratch} arena.
+    (subspace offsets, spectator iteration structure), so the per-block
+    cost is one dispatch and zero allocation — gather buffers come from the
+    per-domain {!Waltz_runtime.Scratch} arena. {!apply_block} is the only
+    apply path: a single state vector is a one-lane block.
 
     Classes, in classification order:
 
@@ -28,10 +29,11 @@
     matrix entries, so a near-diagonal or near-monomial matrix can never be
     misclassified, and every class performs the same floating-point
     products as the generic path (terms that are exactly zero excepted) —
-    results agree with [State.apply_generic] to the last bit in practice.
+    results agree with {!State.apply} to the last bit in practice.
 
     A compiled kernel is immutable and safe to share read-only across
-    domains; [apply] is safe to call concurrently on distinct states. *)
+    domains; [apply_block] is safe to call concurrently on distinct
+    blocks. *)
 
 open Waltz_linalg
 
@@ -44,19 +46,17 @@ val compile : dims:int array -> targets:int list -> Mat.t -> t
     [Invalid_argument] on out-of-range/duplicate targets or a dimension
     mismatch, mirroring [State.apply]. *)
 
-val apply : t -> Vec.t -> unit
-(** In-place application to a state vector of the register the kernel was
-    compiled for. Raises [Invalid_argument] on a length mismatch. *)
-
 val apply_block : t -> float array -> float array -> cap:int -> live:int -> unit
 (** [apply_block t re im ~cap ~live] applies the kernel in lockstep to the
     first [live] lanes of a structure-of-arrays state block: amplitude [idx]
     of lane [k] lives at [idx * cap + k] of the [re]/[im] planes (see
     {!State_block}). Each index pattern is computed once and swept across
     all lanes in a dense inner float loop; per lane the floating-point
-    operations match {!apply} exactly, so every lane's result is
-    bit-identical to a scalar application. Raises [Invalid_argument] on a
-    plane-length mismatch or [live] outside [1, cap]. *)
+    operations and their order are independent of [cap] and [live], so
+    every lane's result is bit-identical to a one-lane application. With
+    [~cap:1 ~live:1] the planes are exactly a state vector's [re]/[im]
+    arrays. Raises [Invalid_argument] on a plane-length mismatch or [live]
+    outside [1, cap]. *)
 
 val class_name : t -> string
 (** One of ["diagonal"], ["monomial"], ["controlled_block"],

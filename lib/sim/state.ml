@@ -77,24 +77,6 @@ let fill_random_supported s rng ~allowed =
   done;
   Vec.normalize_in_place v
 
-(* Refill on a precomputed ascending support-index list. The draw order (re
-   then im per listed index) is exactly [fill_random_supported]'s when
-   [support] enumerates that call's supported indices in ascending order, so
-   the RNG stream — and hence the state — is bit-identical; the support test
-   itself is hoisted to whoever built the list (once per plan, not once per
-   trajectory). *)
-let fill_random_on s rng ~support =
-  let v = s.vec in
-  let n = Vec.dim v in
-  Array.fill v.Vec.re 0 n 0.;
-  Array.fill v.Vec.im 0 n 0.;
-  for i = 0 to Array.length support - 1 do
-    let idx = support.(i) in
-    v.Vec.re.(idx) <- Rng.gaussian rng;
-    v.Vec.im.(idx) <- Rng.gaussian rng
-  done;
-  Vec.normalize_in_place v
-
 let random_supported rng ~dims ~allowed =
   if Array.length allowed <> Array.length dims then invalid_arg "State.random_supported";
   let nw = Array.length dims in
@@ -108,12 +90,6 @@ let random_supported rng ~dims ~allowed =
   s
 
 let copy s = { s with vec = Vec.copy s.vec }
-
-let assign ~dst ~src =
-  if dst.dims <> src.dims then invalid_arg "State.assign: dimension mismatch";
-  let n = Vec.dim src.vec in
-  Array.blit src.vec.Vec.re 0 dst.vec.Vec.re 0 n;
-  Array.blit src.vec.Vec.im 0 dst.vec.Vec.im 0 n
 
 let dims s = Array.copy s.dims
 let dim_total s = Vec.dim s.vec
@@ -183,7 +159,11 @@ let iter_bases s tgt kernel =
     done
   done
 
-let apply_generic_on s tgt g m =
+(* The reference gather/multiply/scatter: per base, gather the g
+   amplitudes of the target subspace, multiply by the full matrix with j
+   ascending, scatter back. *)
+let apply s ~targets m =
+  let tgt, g = check_targets s ~targets m in
   let scratch = Scratch.get () in
   let offsets = Scratch.ints scratch 1 g in
   offsets_into offsets s tgt g;
@@ -191,7 +171,6 @@ let apply_generic_on s tgt g m =
   let gre = Scratch.floats scratch 0 g and gim = Scratch.floats scratch 1 g in
   let mre = m.Mat.re and mim = m.Mat.im in
   iter_bases s tgt (fun base ->
-      (* Gather, multiply, scatter. *)
       for j = 0 to g - 1 do
         let idx = base + offsets.(j) in
         gre.(j) <- vre.(idx);
@@ -210,74 +189,11 @@ let apply_generic_on s tgt g m =
         vim.(idx) <- !acc_im
       done)
 
-(* Fast path: a diagonal matrix only scales each amplitude, so the
-   gather/multiply/scatter collapses to one complex product per index. *)
-let apply_diag_on s tgt g m =
-  let scratch = Scratch.get () in
-  let dre = Scratch.floats scratch 0 g and dim' = Scratch.floats scratch 1 g in
-  for j = 0 to g - 1 do
-    dre.(j) <- m.Mat.re.((j * g) + j);
-    dim'.(j) <- m.Mat.im.((j * g) + j)
-  done;
-  let offsets = Scratch.ints scratch 1 g in
-  offsets_into offsets s tgt g;
-  let vre = s.vec.Vec.re and vim = s.vec.Vec.im in
-  iter_bases s tgt (fun base ->
-      for j = 0 to g - 1 do
-        let idx = base + offsets.(j) in
-        let re = vre.(idx) and im = vim.(idx) in
-        vre.(idx) <- (dre.(j) *. re) -. (dim'.(j) *. im);
-        vim.(idx) <- (dre.(j) *. im) +. (dim'.(j) *. re)
-      done)
-
-(* Fast path: a single target wire needs no odometer — the bases with digit
-   zero on the wire are [block * b + inner] for a contiguous inner range. *)
-let apply_single_on s w m =
-  let d = s.dims.(w) and st = s.strides.(w) in
-  let n = Vec.dim s.vec in
-  let vre = s.vec.Vec.re and vim = s.vec.Vec.im in
-  let mre = m.Mat.re and mim = m.Mat.im in
-  let scratch = Scratch.get () in
-  let gre = Scratch.floats scratch 0 d and gim = Scratch.floats scratch 1 d in
-  let block = d * st in
-  for blk = 0 to (n / block) - 1 do
-    let b0 = blk * block in
-    for inner = 0 to st - 1 do
-      let base = b0 + inner in
-      for j = 0 to d - 1 do
-        let idx = base + (j * st) in
-        gre.(j) <- vre.(idx);
-        gim.(j) <- vim.(idx)
-      done;
-      for i = 0 to d - 1 do
-        let acc_re = ref 0. and acc_im = ref 0. in
-        let row = i * d in
-        for j = 0 to d - 1 do
-          let a = mre.(row + j) and b = mim.(row + j) in
-          acc_re := !acc_re +. (a *. gre.(j)) -. (b *. gim.(j));
-          acc_im := !acc_im +. (a *. gim.(j)) +. (b *. gre.(j))
-        done;
-        let idx = base + (i * st) in
-        vre.(idx) <- !acc_re;
-        vim.(idx) <- !acc_im
-      done
-    done
-  done
-
-let apply_generic s ~targets m =
-  let tgt, g = check_targets s ~targets m in
-  apply_generic_on s tgt g m
-
-let apply s ~targets m =
-  let tgt, g = check_targets s ~targets m in
-  if Mat.is_diagonal m then apply_diag_on s tgt g m
-  else if Array.length tgt = 1 then apply_single_on s tgt.(0) m
-  else apply_generic_on s tgt g m
-
-(* Marginal populations with the block/inner loop shape of apply_single_on:
-   no per-index division, and each pops.(level) accumulates its addends in
-   the same (ascending-index) order as the old flat scan, so the sums are
-   bit-identical. [pops] must have length >= d. *)
+(* Marginal populations over a blocked loop (blocks of d * stride, then
+   each level's contiguous inner range): no per-index division, and each
+   pops.(level) accumulates its addends in the same (ascending-index)
+   order as a flat scan, so the sums are bit-identical to it. [pops] must
+   have length >= d. *)
 let populations_into pops s ~wire =
   let d = s.dims.(wire) and st = s.strides.(wire) in
   Array.fill pops 0 d 0.;

@@ -36,39 +36,25 @@ val fill_random_supported : t -> Rng.t -> allowed:bool array array -> unit
     trajectories carries nothing over; the RNG draw order is identical to
     {!random_supported}. *)
 
-val fill_random_on : t -> Rng.t -> support:int array -> unit
-(** Like {!fill_random_supported}, but over a precomputed ascending list of
-    supported amplitude indices — the per-index support test is paid once by
-    whoever builds the list instead of once per trajectory. Bit-identical to
-    {!fill_random_supported} when [support] enumerates its supported
-    indices. *)
-
 val copy : t -> t
-
-val assign : dst:t -> src:t -> unit
-(** Copies [src]'s amplitudes into [dst] (same wire dimensions required) —
-    the reuse-friendly counterpart of {!copy}. *)
 
 val dims : t -> int array
 
 val dim_total : t -> int
 
 val amplitudes : t -> Vec.t
-(** The underlying vector (not copied — do not mutate). *)
+(** The underlying vector, not copied: writes to it are writes to the
+    state (the executor sweeps compiled kernels over it in place). *)
 
 val apply : t -> targets:int list -> Mat.t -> unit
 (** In-place application of a unitary (or Kraus operator) on the listed
     wires; the matrix dimension must equal the product of the target wire
     dimensions, first target most significant. Does not renormalize.
 
-    Dispatches to fast paths for exactly-diagonal matrices (pure scaling, no
-    gather/scatter — CZ/CCZ/Rz-heavy schedules hit this constantly) and for
-    single-wire gates (no odometer over the spectator wires). *)
-
-val apply_generic : t -> targets:int list -> Mat.t -> unit
-(** The reference gather/multiply/scatter path, with no fast-path dispatch.
-    Exposed so tests can check the specialized paths against it; [apply]
-    should be preferred everywhere else. *)
+    The reference gather/multiply/scatter path, with no structural
+    specialization: the compiled {!Kernel} classes are checked against it.
+    Repeated applications of one matrix belong in {!Kernel.compile} and
+    {!Kernel.apply_block}. *)
 
 val populations : t -> wire:int -> float array
 (** Marginal probability of each level of one wire. *)

@@ -140,11 +140,11 @@ let fill_random_supported t rngs ~allowed =
     normalize_lane t k
   done
 
-(* Refill on a precomputed ascending support-index list — the SoA
-   counterpart of [State.fill_random_on]. Per lane the draws happen in the
-   same order as [fill_random_supported] with that lane's RNG, so the
-   streams are bit-identical; the support sweep itself is gone from the
-   per-block cost. *)
+(* Refill on a precomputed ascending support-index list. Per lane the
+   draws happen in the same order as [fill_random_supported] with that
+   lane's RNG, so the streams are bit-identical; the support sweep itself
+   is paid once by whoever builds the list (once per plan, not once per
+   block). *)
 let fill_random_on t rngs ~support =
   if Array.length rngs < t.live then
     invalid_arg "State_block.fill_random_on: rng count mismatch";
@@ -346,12 +346,12 @@ let iter_bases t tgt kernel =
     done
   done
 
-(* Scalar gate application to one lane, mirroring [State.apply]'s dispatch
-   and floating-point order exactly (diagonal / single-wire / generic) at
-   lane positions [idx * cap + k]. Used for the rare divergent branches —
-   per-lane error injections — where lanes apply different operators and
-   lockstep would be wrong. Reuses the scalar scratch slots (floats 0/1,
-   ints 0/1/2); never nested inside a batched kernel sweep. *)
+(* Gate application to one lane: [State.apply]'s gather/multiply/scatter,
+   in the same floating-point order, at lane positions [idx * cap + k].
+   Used for the rare divergent branches — per-lane error injections —
+   where lanes apply different operators and lockstep would be wrong.
+   Reuses [State.apply]'s scratch slots (floats 0/1, ints 0/1/2); never
+   nested inside a batched kernel sweep. *)
 let apply_lane t k ~targets m =
   if k < 0 || k >= t.live then invalid_arg "State_block.apply_lane";
   let nw = Array.length t.dims in
@@ -369,90 +369,35 @@ let apply_lane t k ~targets m =
   let vre = t.re and vim = t.im in
   let mre = m.Mat.re and mim = m.Mat.im in
   let scratch = Scratch.get () in
-  if Mat.is_diagonal m then begin
-    let dre = Scratch.floats scratch 0 g and dim' = Scratch.floats scratch 1 g in
-    for j = 0 to g - 1 do
-      dre.(j) <- mre.((j * g) + j);
-      dim'.(j) <- mim.((j * g) + j)
+  let offsets = Scratch.ints scratch 1 g in
+  for j = 0 to g - 1 do
+    let rem = ref j and off = ref 0 in
+    for l = nt - 1 downto 0 do
+      let w = tgt.(l) in
+      off := !off + (!rem mod t.dims.(w) * t.strides.(w));
+      rem := !rem / t.dims.(w)
     done;
-    let offsets = Scratch.ints scratch 1 g in
-    for j = 0 to g - 1 do
-      let rem = ref j and off = ref 0 in
-      for l = nt - 1 downto 0 do
-        let w = tgt.(l) in
-        off := !off + (!rem mod t.dims.(w) * t.strides.(w));
-        rem := !rem / t.dims.(w)
+    offsets.(j) <- !off
+  done;
+  let gre = Scratch.floats scratch 0 g and gim = Scratch.floats scratch 1 g in
+  iter_bases t tgt (fun base ->
+      for j = 0 to g - 1 do
+        let p = ((base + offsets.(j)) * cap) + k in
+        gre.(j) <- vre.(p);
+        gim.(j) <- vim.(p)
       done;
-      offsets.(j) <- !off
-    done;
-    iter_bases t tgt (fun base ->
+      for i = 0 to g - 1 do
+        let acc_re = ref 0. and acc_im = ref 0. in
+        let row = i * g in
         for j = 0 to g - 1 do
-          let p = ((base + offsets.(j)) * cap) + k in
-          let re = vre.(p) and im = vim.(p) in
-          vre.(p) <- (dre.(j) *. re) -. (dim'.(j) *. im);
-          vim.(p) <- (dre.(j) *. im) +. (dim'.(j) *. re)
-        done)
-  end
-  else if nt = 1 then begin
-    let w = tgt.(0) in
-    let d = t.dims.(w) and st = t.strides.(w) in
-    let gre = Scratch.floats scratch 0 d and gim = Scratch.floats scratch 1 d in
-    let block = d * st in
-    for blk = 0 to (t.n / block) - 1 do
-      let b0 = blk * block in
-      for inner = 0 to st - 1 do
-        let base = b0 + inner in
-        for j = 0 to d - 1 do
-          let p = ((base + (j * st)) * cap) + k in
-          gre.(j) <- vre.(p);
-          gim.(j) <- vim.(p)
+          let a = mre.(row + j) and b = mim.(row + j) in
+          acc_re := !acc_re +. (a *. gre.(j)) -. (b *. gim.(j));
+          acc_im := !acc_im +. (a *. gim.(j)) +. (b *. gre.(j))
         done;
-        for i = 0 to d - 1 do
-          let acc_re = ref 0. and acc_im = ref 0. in
-          let row = i * d in
-          for j = 0 to d - 1 do
-            let a = mre.(row + j) and b = mim.(row + j) in
-            acc_re := !acc_re +. (a *. gre.(j)) -. (b *. gim.(j));
-            acc_im := !acc_im +. (a *. gim.(j)) +. (b *. gre.(j))
-          done;
-          let p = ((base + (i * st)) * cap) + k in
-          vre.(p) <- !acc_re;
-          vim.(p) <- !acc_im
-        done
-      done
-    done
-  end
-  else begin
-    let offsets = Scratch.ints scratch 1 g in
-    for j = 0 to g - 1 do
-      let rem = ref j and off = ref 0 in
-      for l = nt - 1 downto 0 do
-        let w = tgt.(l) in
-        off := !off + (!rem mod t.dims.(w) * t.strides.(w));
-        rem := !rem / t.dims.(w)
-      done;
-      offsets.(j) <- !off
-    done;
-    let gre = Scratch.floats scratch 0 g and gim = Scratch.floats scratch 1 g in
-    iter_bases t tgt (fun base ->
-        for j = 0 to g - 1 do
-          let p = ((base + offsets.(j)) * cap) + k in
-          gre.(j) <- vre.(p);
-          gim.(j) <- vim.(p)
-        done;
-        for i = 0 to g - 1 do
-          let acc_re = ref 0. and acc_im = ref 0. in
-          let row = i * g in
-          for j = 0 to g - 1 do
-            let a = mre.(row + j) and b = mim.(row + j) in
-            acc_re := !acc_re +. (a *. gre.(j)) -. (b *. gim.(j));
-            acc_im := !acc_im +. (a *. gim.(j)) +. (b *. gre.(j))
-          done;
-          let p = ((base + offsets.(i)) * cap) + k in
-          vre.(p) <- !acc_re;
-          vim.(p) <- !acc_im
-        done)
-  end
+        let p = ((base + offsets.(i)) * cap) + k in
+        vre.(p) <- !acc_re;
+        vim.(p) <- !acc_im
+      done)
 
 (* |⟨a_k|b_k⟩|² per lane, into [out]. Per lane the accumulation matches
    [Vec.overlap2]'s ascending-index order. *)

@@ -8,16 +8,17 @@
     and sweeps all lanes in a dense, vectorizable inner loop.
 
     The lockstep contract: per lane, every operation here performs the same
-    floating-point operations in the same order as the scalar {!State}
-    counterpart, and every random draw comes from that lane's own RNG in
-    scalar order. A block run is therefore bit-identical to running its
-    lanes one at a time — the determinism suite enforces this at every
-    batch width and [--domains] setting.
+    floating-point operations in the same order whatever the capacity and
+    live count — the same as the {!State} counterpart where there is one —
+    and every random draw comes from that lane's own RNG. A block run is
+    therefore bit-identical to running its lanes as one-lane blocks — the
+    determinism suite enforces this at every batch width and [--domains]
+    setting.
 
     Divergent branches (a damping jump on some lanes, a sampled Pauli error
     on others) are handled with a per-lane mask: the common all-no-jump
     case stays a single shared sweep, and divergent windows fall back to a
-    masked combined sweep ({!damp_with}) or a per-lane scalar application
+    masked combined sweep ({!damp_with}) or a single-lane application
     ({!apply_lane}) without breaking the surrounding lockstep.
 
     Blocks are mutable workspaces; like {!State}, a block must not be
@@ -64,22 +65,22 @@ val write_lane : t -> int -> Vec.t -> unit
 
 val fill_random_supported : t -> Rng.t array -> allowed:bool array array -> unit
 (** Haar-random refill of every live lane on the allowed support, lane [k]
-    drawing from [rngs.(k)] in exactly the scalar
+    drawing from [rngs.(k)] in exactly the
     {!State.fill_random_supported} order. *)
 
 val fill_random_on : t -> Rng.t array -> support:int array -> unit
 (** Like {!fill_random_supported}, over a precomputed ascending list of
-    supported amplitude indices (see {!State.fill_random_on}) — bit-identical
-    streams, no per-block support sweep. *)
+    supported amplitude indices — bit-identical streams when [support]
+    enumerates the supported indices, no per-block support sweep. *)
 
 val apply_kernel : t -> Kernel.t -> unit
 (** Lockstep application of a compiled kernel to all live lanes
     ({!Kernel.apply_block}). *)
 
 val apply_lane : t -> int -> targets:int list -> Mat.t -> unit
-(** Scalar application of a unitary to one lane, mirroring {!State.apply}'s
-    dispatch and floating-point order bit-exactly. For divergent per-lane
-    branches (error injection); never lockstep. *)
+(** Application of a unitary to one lane, {!State.apply}'s generic
+    gather/multiply/scatter in the same floating-point order, bit-exactly.
+    For divergent per-lane branches (error injection); never lockstep. *)
 
 val populations_into : float array -> t -> wire:int -> unit
 (** Marginal level populations of one wire for every live lane, into a

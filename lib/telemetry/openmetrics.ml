@@ -11,7 +11,7 @@
    lint without external tooling. *)
 
 type summary = {
-  s_name : string;  (* raw dotted metric name, e.g. "executor.trajectory_us" *)
+  s_name : string;  (* raw dotted metric name, e.g. "executor.block_us" *)
   s_count : int;
   s_sum : float;
   s_p50 : float;

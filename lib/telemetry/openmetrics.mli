@@ -3,7 +3,7 @@
     used by [waltz_cli metrics-check] and `make metrics-smoke`. *)
 
 type summary = {
-  s_name : string;  (** raw dotted metric name, e.g. "executor.trajectory_us" *)
+  s_name : string;  (** raw dotted metric name, e.g. "executor.block_us" *)
   s_count : int;
   s_sum : float;
   s_p50 : float;

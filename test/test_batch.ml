@@ -1,9 +1,10 @@
-(* The batched SoA trajectory engine: every batched kernel class must agree
-   with the scalar reference, and the lockstep executor must be
-   *bit-identical* to the scalar engine at every batch width × domain count
-   — including windows where part of the batch diverges into the error
-   branch. The lockstep contract is per-lane: lane k of any block performs
-   the scalar trajectory k's floating-point operations in the same order,
+(* The SoA trajectory engine: every batched kernel class must agree with
+   the generic State.apply reference, every lane of a wide block must be
+   bit-identical to a one-lane block, and the executor's statistics must be
+   *bit-identical* at every batch width × domain count — including windows
+   where part of the batch diverges into the error branch. The lockstep
+   contract is per-lane: lane k of any block performs trajectory k's
+   floating-point operations in the same order as a one-lane block,
    drawing from the same split RNG stream. *)
 open Waltz_linalg
 open Waltz_circuit
@@ -42,7 +43,7 @@ let random_controlled r g =
 let gate_dim dims targets = List.fold_left (fun acc w -> acc * dims.(w)) 1 targets
 
 (* Fill [live] lanes of a fresh block with independent random states and
-   return the matching scalar states. *)
+   return the matching single states. *)
 let random_block r ~dims ~cap ~live =
   let blk = State_block.create ~dims ~cap in
   State_block.set_live blk live;
@@ -54,8 +55,8 @@ let random_block r ~dims ~cap ~live =
   in
   (blk, lanes)
 
-(* One batched application vs per-lane scalar references: bit-identical to
-   the scalar kernel path, and within 1e-12 of the generic path. *)
+(* One batched application vs per-lane references: bit-identical to a
+   one-lane block application, and within 1e-12 of the generic path. *)
 let check_block_agrees r ~dims ~targets m =
   let kernel = Kernel.compile ~dims ~targets m in
   let cls = Kernel.class_name kernel in
@@ -65,19 +66,19 @@ let check_block_agrees r ~dims ~targets m =
   State_block.apply_kernel blk kernel;
   Array.iteri
     (fun k s ->
-      let scalar = Vec.copy (State.amplitudes s) in
-      Kernel.apply kernel scalar;
+      let one = Vec.copy (State.amplitudes s) in
+      Kernel.apply_block kernel one.Vec.re one.Vec.im ~cap:1 ~live:1;
       let generic = State.of_vec ~dims (State.amplitudes s) in
-      State.apply_generic generic ~targets m;
+      State.apply generic ~targets m;
       let got = State_block.read_lane blk k in
       let gen = State.amplitudes generic in
       for idx = 0 to Vec.dim got - 1 do
         if
           not
-            (Float.equal got.Vec.re.(idx) scalar.re.(idx)
-            && Float.equal got.Vec.im.(idx) scalar.im.(idx))
+            (Float.equal got.Vec.re.(idx) one.re.(idx)
+            && Float.equal got.Vec.im.(idx) one.im.(idx))
         then
-          Alcotest.failf "batched %s lane %d not bit-identical to scalar kernel at %d"
+          Alcotest.failf "batched %s lane %d not bit-identical to a one-lane block at %d"
             cls k idx;
         if
           Float.abs (got.Vec.re.(idx) -. gen.Vec.re.(idx)) > 1e-12
@@ -127,7 +128,7 @@ let test_class_coverage () =
     [ "diagonal"; "monomial"; "controlled_block"; "single_wire"; "two_wire"; "generic" ]
 
 (* State_block.fill_random_supported: lane k must see exactly the gaussian
-   stream a scalar State.fill_random_supported sees with the same seed. *)
+   stream State.fill_random_supported sees with the same seed. *)
 let test_fill_bit_identity () =
   let dims = [| 4; 4; 2 |] in
   let allowed = [| [| true; true; true; false |]; [| true; false; true; false |]; [| true; true |] |] in
@@ -149,7 +150,7 @@ let test_fill_bit_identity () =
   done
 
 (* State_block.damp_with with lambdas large enough that roughly half the
-   lanes jump: the divergent masked sweep must still match the scalar step
+   lanes jump: the divergent masked sweep must still match State.damp_with
    lane-by-lane, bit for bit, and report the jump count. *)
 let test_damp_divergence () =
   let dims = [| 4; 2 |] in
@@ -183,9 +184,9 @@ let test_damp_divergence () =
   check_int "reported jump count" !scalar_jumps jumps;
   check_bool "divergence actually exercised" true (jumps > 0 && jumps < live)
 
-(* apply_lane (the divergent error-branch path) must mirror State.apply's
-   dispatch bit-exactly on diagonal, single-wire-dense and generic
-   matrices, while leaving the other lanes untouched. *)
+(* apply_lane (the divergent error-branch path) must mirror State.apply
+   bit-exactly on diagonal, single-wire-dense and multi-wire matrices,
+   while leaving the other lanes untouched. *)
 let test_apply_lane () =
   let dims = [| 4; 2; 4 |] in
   let r = rng 644 in
@@ -213,7 +214,8 @@ let test_apply_lane () =
       ([ 2; 1 ], random_diag r 8) ]
 
 (* The acceptance bar: simulation statistics bit-identical across the full
-   batch × domains grid, on circuits exercising both engines end to end. *)
+   batch × domains grid, against the one-lane-block (batch=1) sequential
+   reference. *)
 let grid_circuits =
   lazy
     [ ("toffoli", Circuit.of_gates ~n:3 [ Gate.make Gate.Ccx [ 0; 1; 2 ] ]);
@@ -226,7 +228,7 @@ let check_grid ~model ~trajectories () =
       List.iter
         (fun (strategy : Strategy.t) ->
           let compiled = Compile.compile strategy circuit in
-          let scalar = Executor.simulate_detailed ~config ~domains:1 ~batch:1 compiled in
+          let reference = Executor.simulate_detailed ~config ~domains:1 ~batch:1 compiled in
           List.iter
             (fun batch ->
               List.iter
@@ -237,12 +239,12 @@ let check_grid ~model ~trajectories () =
                       Alcotest.failf "%s/%s batch=%d domains=%d %s: %.17g <> %.17g" cname
                         strategy.Strategy.name batch domains label a b
                   in
-                  eq "mean_fidelity" scalar.Executor.summary.Executor.mean_fidelity
+                  eq "mean_fidelity" reference.Executor.summary.Executor.mean_fidelity
                     got.Executor.summary.Executor.mean_fidelity;
-                  eq "sem" scalar.Executor.summary.Executor.sem
+                  eq "sem" reference.Executor.summary.Executor.sem
                     got.Executor.summary.Executor.sem;
-                  eq "mean_leakage" scalar.Executor.mean_leakage got.Executor.mean_leakage;
-                  eq "mean_error_draws" scalar.Executor.mean_error_draws
+                  eq "mean_leakage" reference.Executor.mean_leakage got.Executor.mean_leakage;
+                  eq "mean_error_draws" reference.Executor.mean_error_draws
                     got.Executor.mean_error_draws)
                 [ 1; 2 ])
             [ 1; 2; 7; 32 ])
@@ -275,7 +277,7 @@ let test_grid_divergent_model () =
   check_bool "error branch exercised" true (d.Executor.mean_error_draws > 0.)
 
 let suite =
-  [ case "every batched kernel class agrees with the scalar paths" test_kernel_classes;
+  [ case "every batched kernel class agrees with one-lane blocks" test_kernel_classes;
     case "generators cover all six kernel classes" test_class_coverage;
     case "block random fill is bit-identical per lane" test_fill_bit_identity;
     case "divergent damping matches scalar lane-by-lane" test_damp_divergence;

@@ -71,9 +71,9 @@ let () =
           in
           compare "domains=1" (Executor.simulate_detailed ~config ~domains:1 compiled);
           compare "domains=3" (Executor.simulate_detailed ~config ~domains:3 compiled);
-          (* The lockstep SoA engine must be bit-identical to the scalar
-             engine at every batch width × domain count (the env default
-             above already ran at WALTZ_BATCH or width 8). *)
+          (* The lockstep SoA engine must be bit-identical at every batch
+             width × domain count, one-lane blocks (batch=1) included (the
+             env default above already ran at WALTZ_BATCH or width 8). *)
           List.iter
             (fun batch ->
               compare

@@ -64,10 +64,35 @@ let test_sem_reported () =
   check_int "trajectory count" 10 r.Executor.trajectories;
   check_bool "sem non-negative" true (r.Executor.sem >= 0.)
 
+(* Zero trajectories is a plan-only call (the plan is built, no block
+   runs, nothing raises); a negative count is a typed error. *)
+let test_trajectory_count_guard () =
+  let module Telemetry = Waltz_telemetry.Telemetry in
+  let compiled = Compile.compile Strategy.mixed_radix_ccz toffoli in
+  (* A model no other case uses, so the plan cannot already be cached. *)
+  let model = { Noise.default with Noise.ww_error_scale = 1.375 } in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let d =
+    Fun.protect ~finally:Telemetry.disable (fun () ->
+        Executor.simulate_detailed
+          ~config:{ Executor.model; trajectories = 0; base_seed = 1 }
+          ~batch:8 compiled)
+  in
+  check_int "plan built" 1 (Telemetry.Metrics.counter "executor.plan_cache.miss");
+  check_int "no block ran" 0 (Telemetry.Metrics.counter "executor.batch.blocks");
+  check_int "zero trajectories reported" 0 d.Executor.summary.Executor.trajectories;
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Executor.simulate: trajectories must be >= 0") (fun () ->
+      ignore
+        (Executor.simulate ~config:{ Executor.model; trajectories = -1; base_seed = 1 }
+           compiled))
+
 let suite =
   [ case "fidelity in range" test_fidelity_in_range;
     case "deterministic" test_deterministic;
     case "noise hurts" test_noise_hurts;
     case "matches eps roughly" test_matches_eps_roughly;
     case "memory guard" test_memory_guard;
-    case "sem reported" test_sem_reported ]
+    case "sem reported" test_sem_reported;
+    case "trajectory count guard" test_trajectory_count_guard ]

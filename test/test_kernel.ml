@@ -1,5 +1,6 @@
-(* Plan-time kernel classification and specialized apply paths: every class
-   must agree with the reference gather/multiply/scatter path to 1e-12, and
+(* Plan-time kernel classification and specialized apply paths: every class,
+   applied as a one-lane block, must agree with the reference
+   gather/multiply/scatter path (State.apply) to 1e-12, and
    the structure tests must be exact — a matrix that is *almost* diagonal or
    *almost* monomial has to take a dense path, not a specialized one. *)
 open Waltz_linalg
@@ -42,8 +43,9 @@ let max_abs_diff a b =
   done;
   !d
 
-(* One agreement check: kernel-apply on a raw vector vs the reference
-   State.apply_generic on the same random state. *)
+(* One agreement check: a one-lane block application on a raw vector (the
+   [cap = 1] layout is the vector's own) vs the reference State.apply on
+   the same random state. *)
 let check_agrees ?expect_class r ~dims ~targets m =
   let kernel = Kernel.compile ~dims ~targets m in
   (match expect_class with
@@ -52,11 +54,11 @@ let check_agrees ?expect_class r ~dims ~targets m =
   let state = State.random r ~dims in
   let reference = State.of_vec ~dims (State.amplitudes state) in
   let v = Vec.copy (State.amplitudes state) in
-  Kernel.apply kernel v;
-  State.apply_generic reference ~targets m;
+  Kernel.apply_block kernel v.Vec.re v.Vec.im ~cap:1 ~live:1;
+  State.apply reference ~targets m;
   let diff = max_abs_diff v (State.amplitudes reference) in
   if diff > 1e-12 then
-    Alcotest.failf "kernel %s disagrees with apply_generic by %g"
+    Alcotest.failf "kernel %s disagrees with State.apply by %g"
       (Kernel.class_name kernel) diff
 
 (* Every (dims, targets) shape the executor produces: 1 to 3 targets over

@@ -1,7 +1,6 @@
 (* Coverage for the parallel trajectory engine: the Domain worker pool,
-   bit-identical statistics across domain counts, the State.apply fast
-   paths, and the plan-level caches. *)
-open Waltz_linalg
+   bit-identical statistics across domain counts, and the plan-level
+   caches. *)
 open Waltz_circuit
 open Waltz_noise
 open Waltz_core
@@ -74,47 +73,6 @@ let test_determinism_grid () =
             (a.Executor.mean_error_draws = b.Executor.mean_error_draws))
         [ Strategy.qubit_only; Strategy.mixed_radix_ccz; Strategy.full_ququart ])
     [ toffoli; cnu5 ]
-
-(* ---------------- State.apply fast paths ---------------- *)
-
-let random_square rng_ g =
-  Mat.init g g (fun _ _ -> Cplx.c (Rng.gaussian rng_) (Rng.gaussian rng_))
-
-let random_diag rng_ g =
-  Mat.diag (Array.init g (fun _ -> Cplx.c (Rng.gaussian rng_) (Rng.gaussian rng_)))
-
-let check_apply_agrees name ~dims ~targets m =
-  let open Waltz_sim in
-  let r = rng 31 in
-  let fast = State.random r ~dims in
-  let slow = State.copy fast in
-  State.apply fast ~targets m;
-  State.apply_generic slow ~targets m;
-  let fa = State.amplitudes fast and sa = State.amplitudes slow in
-  let worst = ref 0. in
-  for idx = 0 to Vec.dim fa - 1 do
-    worst :=
-      Float.max !worst
-        (Float.max
-           (Float.abs (fa.Vec.re.(idx) -. sa.Vec.re.(idx)))
-           (Float.abs (fa.Vec.im.(idx) -. sa.Vec.im.(idx))))
-  done;
-  if !worst > 1e-12 then
-    Alcotest.failf "%s: fast path differs from generic by %g" name !worst
-
-let test_apply_fast_paths () =
-  let r = rng 17 in
-  let dims = [| 2; 4; 4 |] in
-  check_apply_agrees "diag 1-wire" ~dims ~targets:[ 1 ] (random_diag r 4);
-  check_apply_agrees "diag 2-wire" ~dims ~targets:[ 1; 2 ] (random_diag r 16);
-  check_apply_agrees "diag all wires" ~dims ~targets:[ 0; 1; 2 ] (random_diag r 32);
-  check_apply_agrees "dense 1-wire (last)" ~dims ~targets:[ 2 ] (random_square r 4);
-  check_apply_agrees "dense 1-wire (first)" ~dims ~targets:[ 0 ] (random_square r 2);
-  check_apply_agrees "dense 2-wire" ~dims ~targets:[ 0; 2 ] (random_square r 8);
-  check_apply_agrees "dense 2-wire reversed" ~dims ~targets:[ 2; 0 ] (random_square r 8);
-  (* Real gates from the set: CZ (diagonal) and H (dense). *)
-  check_apply_agrees "cz" ~dims:[| 2; 2; 2 |] ~targets:[ 0; 2 ] Waltz_qudit.Gates.cz;
-  check_apply_agrees "h" ~dims:[| 2; 2; 2 |] ~targets:[ 1 ] Waltz_qudit.Gates.h
 
 (* ---------------- plan-level caches ---------------- *)
 
@@ -196,7 +154,6 @@ let suite =
     case "pool exception propagates" test_pool_exception_propagates;
     case "default domains sane" test_default_domains_positive;
     case "determinism across domains" test_determinism_grid;
-    case "apply fast paths agree" test_apply_fast_paths;
     case "lift cache matches uncached" test_lift_cache_matches_uncached;
     case "lift collision falls back to matrix equality" test_lift_collision_fallback;
     case "damping cache matches direct" test_damping_cache_matches_direct ]

@@ -141,14 +141,17 @@ let executor_counters () =
       match Telemetry.Metrics.histogram "executor.block_us" with
       | None -> Alcotest.fail "block duration histogram missing"
       | Some h -> check_int "one duration sample per block" 1 h.Telemetry.Metrics.count);
-  (* Scalar engine (batch=1): the per-trajectory histogram remains. *)
+  (* batch=1 runs one-lane blocks: one block and one block-duration sample
+     per trajectory. *)
   with_telemetry (fun () ->
       ignore (simulate ~batch:1 ~domains:1 toffoli);
-      check_int "trajectory count (scalar)" 6
+      check_int "trajectory count (batch=1)" 6
         (Telemetry.Metrics.counter "executor.trajectories");
-      match Telemetry.Metrics.histogram "executor.trajectory_us" with
-      | None -> Alcotest.fail "trajectory duration histogram missing"
-      | Some h -> check_int "one duration sample per trajectory" 6 h.Telemetry.Metrics.count)
+      check_int "one block per trajectory" 6
+        (Telemetry.Metrics.counter "executor.batch.blocks");
+      match Telemetry.Metrics.histogram "executor.block_us" with
+      | None -> Alcotest.fail "block duration histogram missing (batch=1)"
+      | Some h -> check_int "one duration sample per one-lane block" 6 h.Telemetry.Metrics.count)
 
 let trace_valid ~domains () =
   let json =
