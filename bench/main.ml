@@ -583,6 +583,8 @@ let micro () =
   let cnu7 = Bench_circuits.cnu ~controls:4 in
   let toffoli_fq = Compile.compile Strategy.full_ququart toffoli in
   let cnu7_fq = Compile.compile Strategy.full_ququart cnu7 in
+  (* fig9/plan-build: 17 qubits on full-ququart hardware, 9 devices. *)
+  let plan_circuit = Bench_circuits.by_total_qubits Bench_circuits.Cnu 17 in
   (* fig9/kernel-classes: one precompiled kernel per class, applied as a
      one-lane block to a reused state vector. All gates are unitary so the norm survives the
      bechamel repetition loop; each constructor is asserted to land in the
@@ -724,6 +726,15 @@ let micro () =
                (Executor.simulate
                   ~config:{ Executor.default_config with Executor.trajectories = 2 }
                   mix_program)));
+      (* A plan-only call at 9 ququarts. The program cache is off here, so
+         each run compiles a new program and the plan cache misses: every
+         run prices one full plan build (plus one compile). *)
+      Test.make ~name:"fig9/plan-build"
+        (Staged.stage (fun () ->
+             ignore
+               (Executor.simulate
+                  ~config:{ Executor.default_config with Executor.trajectories = 0 }
+                  (Compile.compile Strategy.full_ququart plan_circuit))));
       Test.make ~name:"fig9/trajectory-throughput"
         (Staged.stage (fun () ->
              ignore

@@ -72,15 +72,13 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
       (fun cls -> (cls, Option.value ~default:0 (Hashtbl.find_opt mix cls)))
       kernel_classes
   in
-  (* Plan-side lookup tables (initial-support and leakage sweeps, damping
+  (* Plan-side lookup tables (support and leakage level tables, damping
      specs, dispatch cells): each bound covers the corresponding structure
-     in the executor's [plan] record with room to spare. *)
+     in the executor's [plan] record with room to spare. None grows with
+     the amplitude count. *)
   let plan_table_bytes =
-    (8 * dim) (* l_ok membership table *)
-    + (8 * dim) (* plan_support index list (<= dim entries) *)
-    + (2 * 8 * device_count * device_dim) (* allowed-level tables, both maps *)
+    (2 * 8 * device_count * device_dim) (* allowed-level tables, both maps *)
     + (2 * 8 * device_dim * (nops + device_count)) (* damp lambdas+scales *)
-    + (8 * device_count) (* leakage strides *)
     + (16 * nops) (* dispatch tally pairs *)
   in
   let program_bytes =

@@ -55,33 +55,19 @@ type plan_op = {
   pre_damp : damp_spec list;  (** idle windows closing when this op starts *)
 }
 
-(* Population outside the computational subspace defined by a placement map:
-   a device's allowed levels depend on how many qubits it holds. The tables
-   and strides depend only on the compiled program, so they are resolved
-   once per plan and shared by every trajectory. *)
-type leakage_tables = {
-  l_allowed : bool array array;
-  l_strides : int array;
-  l_dim : int;  (** device_dim *)
-  l_ok : bool array;
-      (** per-index membership, [l_ok.(idx)] = every device digit allowed —
-          folds the per-device digit chain into one table lookup at plan
-          time so the per-trajectory sweep is branch + multiply only *)
-}
-
 (* The per-trajectory schedule: idle-window bookkeeping is identical for
    every trajectory, so start times, damping lambdas and Pauli radices are
-   all resolved once per plan and only read from the worker domains. *)
+   all resolved once per plan and only read from the worker domains. No
+   field grows with the amplitude count: the input support and the leakage
+   subspace are Cartesian products of per-device level sets, held as
+   device × level tables and walked by [State.iter_supported]. *)
 type plan = {
   plan_dims : int array;  (** register shape the kernels were compiled for *)
   plan_ops : plan_op list;
   final_damp : damp_spec list;  (** windows closing at the end *)
   plan_allowed : bool array array;  (** initial-map support tables *)
-  plan_support : int array;
-      (** ascending amplitude indices inside the initial-map support — the
-          flattened form of [plan_allowed], fed to the Haar refill so no
-          trajectory re-runs the per-index support test *)
-  plan_leak : leakage_tables;  (** final-map leakage tables *)
+  plan_leak : bool array array;
+      (** final-map support tables: population outside them is leakage *)
   plan_dispatch : (Telemetry.Metrics.cell * int) array;
       (** per kernel class: (dispatch counter cell, ops of that class). The
           dispatch tally per trajectory or block is a static function of
@@ -192,55 +178,17 @@ let allowed_of_map ~device_dim ~device_count map =
   end;
   allowed
 
-(* Per-device bool lookup tables (level -> allowed), replacing List.mem in
-   the O(dim_total · devices) scans. *)
-let allowed_table ~device_dim allowed =
-  Array.map (fun levels -> Array.init device_dim (fun l -> List.mem l levels)) allowed
-
-(* Flatten wire-major level tables into the ascending list of amplitude
-   indices whose every wire digit is allowed — one O(n * wires) sweep at
-   plan time replacing the same sweep per trajectory. *)
-let support_indices ~dims allowed =
-  let nw = Array.length dims in
-  let strides = Array.make nw 1 in
-  for w = nw - 2 downto 0 do
-    strides.(w) <- strides.(w + 1) * dims.(w + 1)
-  done;
-  let n = Array.fold_left ( * ) 1 dims in
-  let out = ref [] in
-  for idx = n - 1 downto 0 do
-    let ok = ref true in
-    for w = 0 to nw - 1 do
-      if not allowed.(w).(idx / strides.(w) mod dims.(w)) then ok := false
-    done;
-    if !ok then out := idx :: !out
-  done;
-  Array.of_list !out
-
 let initial_allowed (compiled : Physical.t) =
   allowed_of_map ~device_dim:compiled.Physical.device_dim
     ~device_count:compiled.Physical.device_count compiled.Physical.initial_map
 
-let leakage_tables_of ~map (compiled : Physical.t) =
+(* Per-device bool lookup tables (level -> allowed) under a placement map,
+   the form [State.iter_supported] walks. *)
+let allowed_table (compiled : Physical.t) map =
   let device_dim = compiled.Physical.device_dim in
-  let device_count = compiled.Physical.device_count in
-  let strides = Array.make device_count 1 in
-  for d = device_count - 2 downto 0 do
-    strides.(d) <- strides.(d + 1) * device_dim
-  done;
-  let l_allowed =
-    allowed_table ~device_dim (allowed_of_map ~device_dim ~device_count map)
-  in
-  let n = if device_count = 0 then 1 else strides.(0) * device_dim in
-  let l_ok =
-    Array.init n (fun idx ->
-        let ok = ref true in
-        for d = 0 to device_count - 1 do
-          if not l_allowed.(d).(idx / strides.(d) mod device_dim) then ok := false
-        done;
-        !ok)
-  in
-  { l_allowed; l_strides = strides; l_dim = device_dim; l_ok }
+  Array.map
+    (fun levels -> Array.init device_dim (fun l -> List.mem l levels))
+    (allowed_of_map ~device_dim ~device_count:compiled.Physical.device_count map)
 
 (* Payload-byte accounting shared with the static resource certificates
    (Waltz_analysis.Resource): the executor reports what it actually
@@ -250,7 +198,7 @@ let leakage_tables_of ~map (compiled : Physical.t) =
    array payload bytes (8 per float or int word), headers excluded. *)
 let block_workspace_bytes ~dims ~cap =
   let n = Array.fold_left ( * ) 1 dims in
-  (3 * 2 * 8 * n * cap) + (3 * 8 * cap)
+  (3 * 2 * 8 * n * cap) + (2 * 8 * cap)
 
 let plan_op_bytes ~lifted ~kernel =
   (2 * 8 * lifted.Mat.rows * lifted.Mat.cols) + Kernel.footprint_bytes kernel
@@ -322,7 +270,6 @@ let plan_uncached ~model (compiled : Physical.t) =
      globals, so pre-filling here keeps every later trajectory, on every
      domain, contention-free without a per-simulate warm pass). *)
   List.iter (fun d -> ignore (Noise.pauli_set ~d)) [ 2; device_dim ];
-  let plan_allowed = allowed_table ~device_dim (initial_allowed compiled) in
   let plan_dispatch =
     (* Cells are interned per class name, so physical equality groups ops
        by kernel class. *)
@@ -338,9 +285,8 @@ let plan_uncached ~model (compiled : Physical.t) =
   { plan_dims;
     plan_ops;
     final_damp;
-    plan_allowed;
-    plan_support = support_indices ~dims:plan_dims plan_allowed;
-    plan_leak = leakage_tables_of ~map:compiled.Physical.final_map compiled;
+    plan_allowed = allowed_table compiled compiled.Physical.initial_map;
+    plan_leak = allowed_table compiled compiled.Physical.final_map;
     plan_dispatch }
 
 (* Cross-call plan cache. Repeated [simulate] calls on one compiled program
@@ -442,27 +388,6 @@ let run_ideal (compiled : Physical.t) state =
   Array.iter (fun (c, n) -> Telemetry.Metrics.cell_incr ~by:n c) plan.plan_dispatch;
   out
 
-(* Per-lane leakage: the support test per index is shared across lanes,
-   and each lane accumulates its inside-subspace weight in ascending index
-   order — the same addends in the same order at every batch width. *)
-let leakage_block_with tables blk ~inside out =
-  let ok = tables.l_ok in
-  let cap = State_block.capacity blk and live = State_block.live blk in
-  let re = State_block.re blk and im = State_block.im blk in
-  Array.fill inside 0 live 0.;
-  for idx = 0 to State_block.dim_total blk - 1 do
-    if ok.(idx) then begin
-      let p = idx * cap in
-      for k = 0 to live - 1 do
-        inside.(k) <-
-          inside.(k) +. (re.(p + k) *. re.(p + k)) +. (im.(p + k) *. im.(p + k))
-      done
-    end
-  done;
-  for k = 0 to live - 1 do
-    out.(k) <- 1. -. inside.(k)
-  done
-
 type detailed = { summary : result; mean_leakage : float; mean_error_draws : float }
 
 (* Per-domain batched workspace: the input/ideal/noisy block triple plus
@@ -478,7 +403,6 @@ type block_workspace = {
   bnoisy : State_block.t;
   bover : float array;  (* per-lane |⟨ideal|noisy⟩|² *)
   bleak : float array;  (* per-lane leakage *)
-  binside : float array;  (* leakage accumulator *)
   bowner : Sanitize.Arena.token;  (* sanitizer ownership witness *)
 }
 
@@ -500,7 +424,6 @@ let block_workspace_for dims ~cap =
         bnoisy = State_block.create ~dims ~cap;
         bover = Array.make cap 0.;
         bleak = Array.make cap 0.;
-        binside = Array.make cap 0.;
         bowner = Sanitize.Arena.create "executor.block_workspace" }
     in
     Telemetry.Metrics.incr ~by:(block_workspace_bytes ~dims ~cap)
@@ -548,8 +471,6 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
     Telemetry.Metrics.set_gauge "executor.schedule_ns"
       (Physical.total_duration compiled);
   let dims = plan.plan_dims in
-  let support = plan.plan_support in
-  let leak_tables = plan.plan_leak in
   let domains =
     match domains with Some d -> max 1 d | None -> Pool.default_domains ()
   in
@@ -577,7 +498,7 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
     let rngs =
       Array.init live (fun i -> Rng.make ~seed:(config.base_seed + (7919 * (b0 + i))))
     in
-    State_block.fill_random_on ws.binput rngs ~support;
+    State_block.fill_random_supported ws.binput rngs ~allowed:plan.plan_allowed;
     State_block.assign ~dst:ws.bideal ~src:ws.binput;
     (* Per op, one dispatch on the plan-time kernel class. Dispatch counters
        are flushed per block from [plan_dispatch], so the apply loops carry
@@ -616,7 +537,7 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
       plan.plan_ops;
     damp_block plan.final_damp;
     State_block.overlap2_into ws.bover ws.bideal ws.bnoisy;
-    leakage_block_with leak_tables ws.bnoisy ~inside:ws.binside ws.bleak;
+    State_block.leakage_into ws.bleak ws.bnoisy ~allowed:plan.plan_leak;
     (Array.init live (fun k -> (ws.bover.(k), ws.bleak.(k), draws.(k))), !diverged, !windows)
   in
   (* Telemetry does not touch any lane's RNG stream or the reduction order,

@@ -21,7 +21,7 @@
     - int slot 0: spectator-wire odometer counters
     - int slot 1: [State.apply] subspace offsets
     - int slot 2: spectator-wire list for base enumeration
-    - int slot 3: [State_block.fill_random_supported] support table
+    - int slot 3: free
     - int slot 4: [State_block.damp_with] per-lane jump choices
 
     Buffers hold stale data from previous uses; every user must write

@@ -25,69 +25,63 @@ let of_vec ~dims v =
 let random rng ~dims =
   of_vec ~dims (Vec.gaussian (fun () -> Rng.gaussian rng) (total dims))
 
-let random_in_levels rng ~dims ~levels =
-  if Array.length levels <> Array.length dims then invalid_arg "State.random_in_levels";
+(* The supported indices form a Cartesian product of per-wire level sets,
+   so a nested walk over each wire's allowed levels, adding [level *
+   stride], visits exactly them in ascending order (wire 0 is most
+   significant) with no per-index division and no amplitude-sized table.
+   The last wire has stride 1 and calls [f] directly. *)
+let iter_supported ~dims ~allowed f =
+  let nw = Array.length dims in
+  if Array.length allowed <> nw then invalid_arg "State.iter_supported";
+  Array.iteri
+    (fun w table ->
+      if Array.length table <> dims.(w) then
+        invalid_arg "State.iter_supported: level table size mismatch")
+    allowed;
   let strides = strides_of dims in
-  let n = total dims in
-  let v = Vec.create n in
-  let in_support idx =
-    let ok = ref true in
-    for w = 0 to Array.length dims - 1 do
-      if idx / strides.(w) mod dims.(w) >= levels.(w) then ok := false
-    done;
-    !ok
+  let last = nw - 1 in
+  let rec walk w base =
+    let table = allowed.(w) in
+    if w = last then
+      for l = 0 to dims.(w) - 1 do
+        if table.(l) then f (base + l)
+      done
+    else
+      let st = strides.(w) in
+      for l = 0 to dims.(w) - 1 do
+        if table.(l) then walk (w + 1) (base + (l * st))
+      done
   in
-  for idx = 0 to n - 1 do
-    if in_support idx then begin
-      v.Vec.re.(idx) <- Rng.gaussian rng;
-      v.Vec.im.(idx) <- Rng.gaussian rng
-    end
-  done;
-  Vec.normalize_in_place v;
-  { dims = Array.copy dims; strides; vec = v }
+  if nw = 0 then f 0 else walk 0 0
 
 (* In-place refill with a Haar-random state supported on the allowed levels
    (bool tables, wire-major). Overwrites every amplitude, so a reused buffer
    carries nothing across trajectories; the RNG draw order (re then im per
    supported index, ascending) matches the allocating constructors exactly. *)
 let fill_random_supported s rng ~allowed =
-  let nw = Array.length s.dims in
-  if Array.length allowed <> nw then invalid_arg "State.fill_random_supported";
-  Array.iteri
-    (fun w table ->
-      if Array.length table <> s.dims.(w) then
-        invalid_arg "State.fill_random_supported: level table size mismatch")
-    allowed;
   let v = s.vec in
   let n = Vec.dim v in
   Array.fill v.Vec.re 0 n 0.;
   Array.fill v.Vec.im 0 n 0.;
-  let in_support idx =
-    let ok = ref true in
-    for w = 0 to nw - 1 do
-      if not allowed.(w).(idx / s.strides.(w) mod s.dims.(w)) then ok := false
-    done;
-    !ok
-  in
-  for idx = 0 to n - 1 do
-    if in_support idx then begin
+  iter_supported ~dims:s.dims ~allowed (fun idx ->
       v.Vec.re.(idx) <- Rng.gaussian rng;
-      v.Vec.im.(idx) <- Rng.gaussian rng
-    end
-  done;
+      v.Vec.im.(idx) <- Rng.gaussian rng);
   Vec.normalize_in_place v
+
+(* A fresh state filled on the support [level_ok w l] describes. *)
+let random_on rng ~dims level_ok =
+  let s = { dims = Array.copy dims; strides = strides_of dims; vec = Vec.create (total dims) } in
+  fill_random_supported s rng
+    ~allowed:(Array.mapi (fun w d -> Array.init d (level_ok w)) dims);
+  s
+
+let random_in_levels rng ~dims ~levels =
+  if Array.length levels <> Array.length dims then invalid_arg "State.random_in_levels";
+  random_on rng ~dims (fun w l -> l < levels.(w))
 
 let random_supported rng ~dims ~allowed =
   if Array.length allowed <> Array.length dims then invalid_arg "State.random_supported";
-  let nw = Array.length dims in
-  (* Per-wire membership tables replace the List.mem scan in the O(n·w)
-     support test. *)
-  let ok_level =
-    Array.init nw (fun w -> Array.init dims.(w) (fun l -> List.mem l allowed.(w)))
-  in
-  let s = { dims = Array.copy dims; strides = strides_of dims; vec = Vec.create (total dims) } in
-  fill_random_supported s rng ~allowed:ok_level;
-  s
+  random_on rng ~dims (fun w l -> List.mem l allowed.(w))
 
 let copy s = { s with vec = Vec.copy s.vec }
 

@@ -29,6 +29,13 @@ val random_supported : Rng.t -> dims:int array -> allowed:int list array -> t
 (** Haar-random state supported on an explicit list of allowed levels per
     wire (e.g. [{0; 2}] for a lone qubit stored in slot 0 of a ququart). *)
 
+val iter_supported : dims:int array -> allowed:bool array array -> (int -> unit) -> unit
+(** [iter_supported ~dims ~allowed f] calls [f idx], in ascending order,
+    for every amplitude index whose wire digits are all allowed
+    ([allowed.(w).(l)] true when level [l] of wire [w] is in the support).
+    A nested walk over each wire's allowed levels: no per-index division
+    and no table sized by the amplitude count. *)
+
 val fill_random_supported : t -> Rng.t -> allowed:bool array array -> unit
 (** In-place variant of {!random_supported} taking precomputed per-wire
     level tables ([allowed.(w).(l)] true when level [l] of wire [w] is in

@@ -44,8 +44,6 @@ let dims t = Array.copy t.dims
 let dim_total t = t.n
 let capacity t = t.cap
 let live t = t.live
-let re t = t.re
-let im t = t.im
 
 let set_live t l =
   if l < 1 || l > t.cap then invalid_arg "State_block.set_live";
@@ -100,66 +98,44 @@ let normalize_lane t k =
     t.im.(p) <- t.im.(p) *. s
   done
 
-(* Per-lane Haar-random refill on the allowed support. The support test is
-   hoisted out of the lane loop into a shared table (it depends only on the
-   index), but each lane draws from its own RNG in the exact scalar order:
-   re then im per supported index, ascending — so lane [k] sees the same
-   gaussian sequence as a scalar [State.fill_random_supported] with
-   [rngs.(k)]. *)
+(* Per-lane Haar-random refill on the allowed support, in one
+   [State.iter_supported] walk shared by all lanes. Lanes draw from their
+   own RNGs, so interleaving them per index leaves each stream in the
+   exact scalar order: re then im per supported index, ascending — lane
+   [k] sees the same gaussian sequence as a scalar
+   [State.fill_random_supported] with [rngs.(k)]. *)
 let fill_random_supported t rngs ~allowed =
-  let nw = Array.length t.dims in
-  if Array.length allowed <> nw then invalid_arg "State_block.fill_random_supported";
-  Array.iteri
-    (fun w table ->
-      if Array.length table <> t.dims.(w) then
-        invalid_arg "State_block.fill_random_supported: level table size mismatch")
-    allowed;
   if Array.length rngs < t.live then
     invalid_arg "State_block.fill_random_supported: rng count mismatch";
-  let len = t.n * t.cap in
-  Array.fill t.re 0 len 0.;
-  Array.fill t.im 0 len 0.;
-  let scratch = Scratch.get () in
-  let support = Scratch.ints scratch 3 t.n in
-  for idx = 0 to t.n - 1 do
-    let ok = ref true in
-    for w = 0 to nw - 1 do
-      if not allowed.(w).(idx / t.strides.(w) mod t.dims.(w)) then ok := false
-    done;
-    support.(idx) <- (if !ok then 1 else 0)
-  done;
-  for k = 0 to t.live - 1 do
-    let rng = rngs.(k) in
-    for idx = 0 to t.n - 1 do
-      if support.(idx) = 1 then begin
-        let p = (idx * t.cap) + k in
-        t.re.(p) <- Rng.gaussian rng;
-        t.im.(p) <- Rng.gaussian rng
-      end
-    done;
+  let cap = t.cap and live = t.live in
+  let re = t.re and im = t.im in
+  Array.fill re 0 (t.n * cap) 0.;
+  Array.fill im 0 (t.n * cap) 0.;
+  State.iter_supported ~dims:t.dims ~allowed (fun idx ->
+      let p = idx * cap in
+      for k = 0 to live - 1 do
+        re.(p + k) <- Rng.gaussian rngs.(k);
+        im.(p + k) <- Rng.gaussian rngs.(k)
+      done);
+  for k = 0 to live - 1 do
     normalize_lane t k
   done
 
-(* Refill on a precomputed ascending support-index list. Per lane the
-   draws happen in the same order as [fill_random_supported] with that
-   lane's RNG, so the streams are bit-identical; the support sweep itself
-   is paid once by whoever builds the list (once per plan, not once per
-   block). *)
-let fill_random_on t rngs ~support =
-  if Array.length rngs < t.live then
-    invalid_arg "State_block.fill_random_on: rng count mismatch";
-  let len = t.n * t.cap in
-  Array.fill t.re 0 len 0.;
-  Array.fill t.im 0 len 0.;
-  let ns = Array.length support in
-  for k = 0 to t.live - 1 do
-    let rng = rngs.(k) in
-    for i = 0 to ns - 1 do
-      let p = (support.(i) * t.cap) + k in
-      t.re.(p) <- Rng.gaussian rng;
-      t.im.(p) <- Rng.gaussian rng
-    done;
-    normalize_lane t k
+(* Per-lane population outside the allowed support: the inside weight
+   accumulates in [out] over the supported indices in ascending order, so
+   each lane sums the same addends in the same order at every width. *)
+let leakage_into out t ~allowed =
+  if Array.length out < t.live then invalid_arg "State_block.leakage_into";
+  let cap = t.cap and live = t.live in
+  let re = t.re and im = t.im in
+  Array.fill out 0 live 0.;
+  State.iter_supported ~dims:t.dims ~allowed (fun idx ->
+      let p = idx * cap in
+      for k = 0 to live - 1 do
+        out.(k) <- out.(k) +. (re.(p + k) *. re.(p + k)) +. (im.(p + k) *. im.(p + k))
+      done);
+  for k = 0 to live - 1 do
+    out.(k) <- 1. -. out.(k)
   done
 
 (* Marginal level populations of one wire for every lane: [pops] has layout

@@ -42,12 +42,6 @@ val capacity : t -> int
 val live : t -> int
 (** Lanes currently in use; operations touch lanes [0, live). *)
 
-val re : t -> float array
-val im : t -> float array
-(** The underlying planes (not copied — amplitude [idx] of lane [k] at
-    [idx * capacity + k]). For read-only sweeps like the executor's
-    per-lane leakage; do not resize. *)
-
 val set_live : t -> int -> unit
 (** Shrink/grow the live lane count (within [1, capacity]) — the trailing
     partial block of a trajectory run reuses full-capacity planes. *)
@@ -67,11 +61,6 @@ val fill_random_supported : t -> Rng.t array -> allowed:bool array array -> unit
 (** Haar-random refill of every live lane on the allowed support, lane [k]
     drawing from [rngs.(k)] in exactly the
     {!State.fill_random_supported} order. *)
-
-val fill_random_on : t -> Rng.t array -> support:int array -> unit
-(** Like {!fill_random_supported}, over a precomputed ascending list of
-    supported amplitude indices — bit-identical streams when [support]
-    enumerates the supported indices, no per-block support sweep. *)
 
 val apply_kernel : t -> Kernel.t -> unit
 (** Lockstep application of a compiled kernel to all live lanes
@@ -97,6 +86,11 @@ val damp_with :
 val overlap2_into : float array -> t -> t -> unit
 (** Per-lane fidelity |⟨a_k|b_k⟩|² into a buffer of length [>= live]; both
     blocks must share shape, capacity and live count. *)
+
+val leakage_into : float array -> t -> allowed:bool array array -> unit
+(** Per-lane leakage, [1 − Σ |amp|²] over the supported indices
+    ({!State.iter_supported} on [allowed]), into a buffer of length
+    [>= live]. Each lane sums in ascending index order at every width. *)
 
 val lane_norm2 : t -> int -> float
 (** Norm² of one lane (ascending-index accumulation, as {!Vec.norm}²). *)

@@ -149,6 +149,78 @@ let test_fill_bit_identity () =
     done
   done
 
+(* Random register shapes (1-9 wires, radix 2 and 4 mixed) with random
+   level tables: level 0 always allowed, and about a third of the wires
+   fully allowed, as a two-qubit ququart is. *)
+let random_support ?(max_wires = 9) r =
+  let nw = 1 + Rng.int r max_wires in
+  let dims = Array.init nw (fun _ -> if Rng.int r 2 = 0 then 2 else 4) in
+  let allowed =
+    Array.map
+      (fun d ->
+        let full = Rng.int r 3 = 0 in
+        Array.init d (fun l -> l = 0 || full || Rng.int r 2 = 0))
+      dims
+  in
+  (dims, allowed)
+
+(* Reference: the ascending per-index digit filter. *)
+let reference_ok ~dims ~allowed =
+  let nw = Array.length dims in
+  let strides = Array.make nw 1 in
+  for w = nw - 2 downto 0 do
+    strides.(w) <- strides.(w + 1) * dims.(w + 1)
+  done;
+  Array.init (Array.fold_left ( * ) 1 dims) (fun idx ->
+      let ok = ref true in
+      for w = 0 to nw - 1 do
+        if not allowed.(w).(idx / strides.(w) mod dims.(w)) then ok := false
+      done;
+      !ok)
+
+let test_iter_supported =
+  qcheck ~count:60 "iter_supported equals the ascending digit filter"
+    QCheck.(int_range 0 99_999)
+    (fun seed ->
+      let dims, allowed = random_support (rng seed) in
+      let ok = reference_ok ~dims ~allowed in
+      let want = List.filter (fun idx -> ok.(idx)) (List.init (Array.length ok) Fun.id) in
+      let got = ref [] in
+      State.iter_supported ~dims ~allowed (fun idx -> got := idx :: !got);
+      List.rev !got = want)
+
+(* Per-lane leakage over the enumerator must be bit-identical to a
+   per-index membership-table sweep, at every width. Registers
+   stay at <= 6 wires so the blocks stay small. *)
+let test_leakage_reference () =
+  let r = rng 4242 in
+  for _ = 1 to 20 do
+    let dims, allowed = random_support ~max_wires:6 r in
+    let ok = reference_ok ~dims ~allowed in
+    List.iter
+      (fun cap ->
+        let live = max 1 (cap - Rng.int r 2) in
+        let blk, lanes = random_block r ~dims ~cap ~live in
+        let got = Array.make cap nan in
+        State_block.leakage_into got blk ~allowed;
+        Array.iteri
+          (fun k s ->
+            let v = State.amplitudes s in
+            let inside = ref 0. in
+            Array.iteri
+              (fun idx member ->
+                if member then
+                  inside :=
+                    !inside +. (v.Vec.re.(idx) *. v.Vec.re.(idx))
+                    +. (v.Vec.im.(idx) *. v.Vec.im.(idx)))
+              ok;
+            if not (Float.equal got.(k) (1. -. !inside)) then
+              Alcotest.failf "leakage lane %d cap %d: %.17g <> %.17g" k cap got.(k)
+                (1. -. !inside))
+          lanes)
+      [ 1; 5; 8 ]
+  done
+
 (* State_block.damp_with with lambdas large enough that roughly half the
    lanes jump: the divergent masked sweep must still match State.damp_with
    lane-by-lane, bit for bit, and report the jump count. *)
@@ -280,6 +352,8 @@ let suite =
   [ case "every batched kernel class agrees with one-lane blocks" test_kernel_classes;
     case "generators cover all six kernel classes" test_class_coverage;
     case "block random fill is bit-identical per lane" test_fill_bit_identity;
+    test_iter_supported;
+    case "block leakage matches the per-index table sweep" test_leakage_reference;
     case "divergent damping matches scalar lane-by-lane" test_damp_divergence;
     case "apply_lane mirrors State.apply bit-exactly" test_apply_lane;
     case "batch×domains grid bit-identical (default model)" test_grid_default_model;

@@ -88,6 +88,32 @@ let test_trajectory_count_guard () =
         (Executor.simulate ~config:{ Executor.model; trajectories = -1; base_seed = 1 }
            compiled))
 
+(* A plan holds nothing that grows with the register: a plan-only call at
+   the 11-ququart ceiling (4^11 amplitudes) allocates fewer words than one
+   amplitude-sized table would hold. Deterministic allocation counts, not
+   timing. *)
+let test_plan_at_ceiling () =
+  let circuit =
+    Circuit.of_gates ~n:22
+      (List.init 21 (fun q -> Gate.make Gate.Cx [ q; q + 1 ])
+      @ [ Gate.make Gate.Ccx [ 0; 11; 21 ] ])
+  in
+  let compiled = Compile.compile Strategy.full_ququart circuit in
+  check_int "11 devices" 11 compiled.Physical.device_count;
+  (* A model no other case uses, so the plan cache misses. *)
+  let model = { Noise.default with Noise.ww_error_scale = 1.4375 } in
+  (* [Gc.minor_words] counts the live minor heap too, which the minor
+     figure of [Gc.quick_stat] does not. *)
+  let words () = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
+  let before = words () in
+  ignore
+    (Executor.simulate ~config:{ Executor.model; trajectories = 0; base_seed = 1 } compiled);
+  let allocated = words () -. before in
+  let amplitudes = 4. ** 11. in
+  check_bool
+    (Printf.sprintf "plan-only call allocated %.0f words < 4^11" allocated)
+    true (allocated < amplitudes)
+
 let suite =
   [ case "fidelity in range" test_fidelity_in_range;
     case "deterministic" test_deterministic;
@@ -95,4 +121,5 @@ let suite =
     case "matches eps roughly" test_matches_eps_roughly;
     case "memory guard" test_memory_guard;
     case "sem reported" test_sem_reported;
-    case "trajectory count guard" test_trajectory_count_guard ]
+    case "trajectory count guard" test_trajectory_count_guard;
+    case "plan-only call at the 11-device ceiling" test_plan_at_ceiling ]
