@@ -58,7 +58,7 @@ lint:
 sanitize-smoke:
 	dune exec bin/waltz_cli.exe -- sanitize -n 6 --trajectories 4 \
 	  --format sarif -o /tmp/waltz_sanitize.sarif
-	dune exec bin/waltz_cli.exe -- sarif-check /tmp/waltz_sanitize.sarif
+	dune exec bin/waltz_cli.exe -- check /tmp/waltz_sanitize.sarif
 	dune exec bin/waltz_cli.exe -- sanitize --fixtures
 	dune exec bin/waltz_cli.exe -- sanitize --fuzz 40
 
@@ -67,7 +67,7 @@ sanitize-smoke:
 trace-smoke:
 	dune exec bin/waltz_cli.exe -- simulate -c cuccaro -n 5 --trajectories 5 \
 	  --trace /tmp/waltz_trace.json --stats
-	dune exec bin/waltz_cli.exe -- trace-check /tmp/waltz_trace.json
+	dune exec bin/waltz_cli.exe -- check /tmp/waltz_trace.json
 
 # Metrics smoke outside the dune sandbox: run an instrumented compile +
 # simulate, export the telemetry catalog as OpenMetrics text, then validate
@@ -75,14 +75,14 @@ trace-smoke:
 metrics-smoke:
 	dune exec bin/waltz_cli.exe -- metrics -c cuccaro -n 5 --trajectories 5 \
 	  -o /tmp/waltz_metrics.txt
-	dune exec bin/waltz_cli.exe -- metrics-check /tmp/waltz_metrics.txt
+	dune exec bin/waltz_cli.exe -- check /tmp/waltz_metrics.txt
 
 # Flight-recorder smoke: run with the recorder armed, dump the per-domain
 # rings on demand, then validate the Chrome trace side of the dump.
 flight-smoke:
 	dune exec bin/waltz_cli.exe -- flight-dump -c cuccaro -n 5 \
 	  --trajectories 16 --batch 4 --domains 2 -o /tmp/waltz_flight
-	dune exec bin/waltz_cli.exe -- trace-check \
+	dune exec bin/waltz_cli.exe -- check \
 	  $$(ls -t /tmp/waltz_flight/waltz-flight-*.trace.json | head -1)
 
 # Analysis smoke outside the dune sandbox: compile + run the fixpoint
@@ -90,7 +90,7 @@ flight-smoke:
 analyze-smoke:
 	dune exec bin/waltz_cli.exe -- analyze -c cuccaro -n 6 -s mr-ccz \
 	  --format sarif -o /tmp/waltz_analysis.sarif
-	dune exec bin/waltz_cli.exe -- sarif-check /tmp/waltz_analysis.sarif
+	dune exec bin/waltz_cli.exe -- check /tmp/waltz_analysis.sarif
 	dune exec bin/waltz_cli.exe -- analyze -c cuccaro -n 6 -s full-ququart
 
 # Resource-certification smoke (also inside `make lint` via the @lint

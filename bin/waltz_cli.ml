@@ -178,7 +178,11 @@ let with_telemetry ~stats ~trace f =
     match trace with
     | Some path ->
       Telemetry.Trace.write path;
-      Printf.printf "wrote trace %s\n" path
+      Printf.printf "wrote trace %s\n" path;
+      let dropped = Recorder.dropped () in
+      if dropped > 0 then
+        Printf.printf "  (ring wraparound dropped the oldest %d events, capacity %d per domain)\n"
+          dropped (Recorder.capacity ())
     | None -> ()
   end;
   rc
@@ -552,29 +556,6 @@ let analyze_cmd =
       $ qasm_arg $ optimize_arg $ format_arg $ passes_arg $ output_arg $ stats_arg
       $ trace_arg)
 
-(* ---- sarif-check ---- *)
-
-let sarif_check_cmd =
-  let run file =
-    match Waltz_analysis.Sarif.validate (read_file file) with
-    | Ok results ->
-      Printf.printf "%s: valid SARIF 2.1.0 (%d results)\n" file results;
-      0
-    | Error msg ->
-      Printf.eprintf "%s: INVALID SARIF: %s\n" file msg;
-      1
-  in
-  let file =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"SARIF file written by analyze --format sarif.")
-  in
-  Cmd.v
-    (Cmd.info "sarif-check"
-       ~doc:"Validate a SARIF 2.1.0 file written by analyze --format sarif")
-    Term.(const run $ file)
-
 (* ---- budget ---- *)
 
 let budget_cmd =
@@ -921,57 +902,70 @@ let report_cmd =
       "compile" "route" "choreo" "plan" "sim" "lift-hit" "damp-hit";
     Printf.printf "%-10s %-18s %9s %9s %9s %9s %9s %9s %9s\n" "" "" "(ms)" "(ms)" "(ms)"
       "(ms)" "(ms)" "" "";
-    List.iter
-      (fun family ->
-        let circuit = Waltz_benchmarks.Bench_circuits.by_total_qubits family n in
-        List.iter
-          (fun (strategy : Strategy.t) ->
-            (* Per-cell deltas against the running totals, so one enabled
-               window serves both the table and an optional whole-grid
-               [--trace]. *)
-            let spans_before = List.length (Telemetry.Span.all ()) in
-            let counters_before = Telemetry.Metrics.counters () in
-            let compiled = Compile.compile strategy circuit in
-            if trajectories > 0 then
-              ignore
-                (Executor.simulate
-                   ~config:{ Executor.model = Noise.default; trajectories; base_seed = 2023 }
-                   ?domains compiled);
-            let fresh =
-              List.filteri (fun i _ -> i >= spans_before) (Telemetry.Span.all ())
-            in
-            let agg = Telemetry.Span.aggregate_of fresh in
-            let total name =
-              match
-                List.find_opt (fun a -> a.Telemetry.Span.agg_name = name) agg
-              with
-              | Some a -> a.Telemetry.Span.total_us /. 1000.
-              | None -> 0.
-            in
-            let delta name =
-              Telemetry.Metrics.counter name
-              - Option.value ~default:0 (List.assoc_opt name counters_before)
-            in
-            let rate hit miss =
-              let h = delta hit and m = delta miss in
-              if h + m = 0 then 0. else 100. *. float_of_int h /. float_of_int (h + m)
-            in
-            Printf.printf "%-10s %-18s %9.2f %9.2f %9.2f %9.2f %9.2f %8.1f%% %8.1f%%\n"
-              (Waltz_benchmarks.Bench_circuits.family_name family)
-              strategy.Strategy.name (total "compile") (total "compile/route")
-              (total "compile/choreograph") (total "executor/plan")
-              (total "executor/simulate")
-              (rate "executor.lift_gate.hit" "executor.lift_gate.miss")
-              (rate "noise.damping_cache.hit" "noise.damping_cache.miss"))
-          strategies)
-      Waltz_benchmarks.Bench_circuits.all_families;
+    let cells () =
+      List.iter
+        (fun family ->
+          let circuit = Waltz_benchmarks.Bench_circuits.by_total_qubits family n in
+          List.iter
+            (fun (strategy : Strategy.t) ->
+              (* Per-cell span totals come from the cell's time window over
+                 the rings and counters are deltas against the running
+                 totals, so one enabled window serves both the table and an
+                 optional whole-grid [--trace]. *)
+              let counters_before = Telemetry.Metrics.counters () in
+              let (), agg =
+                Telemetry.Span.aggregate_during (fun () ->
+                    let compiled = Compile.compile strategy circuit in
+                    if trajectories > 0 then
+                      ignore
+                        (Executor.simulate
+                           ~config:
+                             { Executor.model = Noise.default; trajectories; base_seed = 2023 }
+                           ?domains compiled))
+              in
+              let total name =
+                match
+                  List.find_opt (fun a -> a.Telemetry.Span.agg_name = name) agg
+                with
+                | Some a -> a.Telemetry.Span.total_us /. 1000.
+                | None -> 0.
+              in
+              let delta name =
+                Telemetry.Metrics.counter name
+                - Option.value ~default:0 (List.assoc_opt name counters_before)
+              in
+              let rate hit miss =
+                let h = delta hit and m = delta miss in
+                if h + m = 0 then 0. else 100. *. float_of_int h /. float_of_int (h + m)
+              in
+              Printf.printf "%-10s %-18s %9.2f %9.2f %9.2f %9.2f %9.2f %8.1f%% %8.1f%%\n"
+                (Waltz_benchmarks.Bench_circuits.family_name family)
+                strategy.Strategy.name (total "compile") (total "compile/route")
+                (total "compile/choreograph") (total "executor/plan")
+                (total "executor/simulate")
+                (rate "executor.lift_gate.hit" "executor.lift_gate.miss")
+                (rate "noise.damping_cache.hit" "noise.damping_cache.miss"))
+            strategies)
+        Waltz_benchmarks.Bench_circuits.all_families
+    in
+    let cells = try Ok (cells ()) with Telemetry.Span.Overwritten lost -> Error lost in
     Telemetry.disable ();
-    (match trace with
-    | Some path ->
-      Telemetry.Trace.write path;
-      Printf.printf "wrote trace %s\n" path
-    | None -> ());
-    0
+    match cells with
+    | Error lost ->
+      Printf.eprintf
+        "report: the flight-recorder rings overwrote %d events of one cell (capacity %d \
+         per domain); its span totals would be short\n"
+        lost (Recorder.capacity ());
+      1
+    | Ok () ->
+      Printf.printf "flight-recorder events dropped: %d (ring capacity %d per domain)\n"
+        (Recorder.dropped ()) (Recorder.capacity ());
+      (match trace with
+      | Some path ->
+        Telemetry.Trace.write path;
+        Printf.printf "wrote trace %s\n" path
+      | None -> ());
+      0
   in
   let run n trajectories domains trace baseline current threshold =
     match baseline with
@@ -1010,29 +1004,6 @@ let report_cmd =
     Term.(
       const run $ n_arg $ trajectories_arg $ domains_arg $ trace_arg $ baseline_arg
       $ current_arg $ threshold_arg)
-
-(* ---- trace-check ---- *)
-
-let trace_check_cmd =
-  let run file =
-    match Telemetry.Trace.validate (read_file file) with
-    | Ok (events, tracks) ->
-      Printf.printf "%s: valid trace (%d span events, %d tracks)\n" file events tracks;
-      0
-    | Error msg ->
-      Printf.eprintf "%s: INVALID trace: %s\n" file msg;
-      1
-  in
-  let file =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Trace file written by --trace.")
-  in
-  Cmd.v
-    (Cmd.info "trace-check"
-       ~doc:"Validate a Chrome trace_event JSON file written by --trace")
-    Term.(const run $ file)
 
 (* ---- metrics ---- *)
 
@@ -1091,26 +1062,61 @@ let metrics_cmd =
       const run $ family_arg $ n_arg $ cx_fraction_arg $ strategy_arg $ trajectories_arg
       $ domains_arg $ batch_arg $ format $ output_file_arg)
 
-let metrics_check_cmd =
+(* ---- check ---- *)
+
+(* One validator front end for every artifact the CLI writes, chosen from
+   the content: a JSON object with [traceEvents] is a Chrome trace (--trace,
+   flight-dump), one with [runs] is SARIF (analyze/budget/sanitize --format
+   sarif), other text opening with '{' or '[' is rejected as JSON (a
+   truncated trace gets the parser's error), and anything else is judged as
+   an OpenMetrics exposition (metrics). *)
+let check_cmd =
   let run file =
-    match Openmetrics.validate (read_file file) with
-    | Ok (samples, families) ->
-      Printf.printf "%s: valid openmetrics (%d samples, %d families)\n" file samples
-        families;
+    let text = read_file file in
+    let trimmed = String.trim text in
+    let json = trimmed <> "" && (trimmed.[0] = '{' || trimmed.[0] = '[') in
+    let kind, verdict =
+      match Waltz_telemetry.Json.parse text with
+      | Ok doc when Waltz_telemetry.Json.member "traceEvents" doc <> None ->
+        ( "trace",
+          Result.map
+            (fun (events, tracks) ->
+              Printf.sprintf "%d span events, %d tracks" events tracks)
+            (Telemetry.Trace.validate text) )
+      | Ok doc when Waltz_telemetry.Json.member "runs" doc <> None ->
+        ( "SARIF 2.1.0",
+          Result.map (Printf.sprintf "%d results") (Waltz_analysis.Sarif.validate text) )
+      | Ok _ when json -> ("JSON", Error "neither a trace (traceEvents) nor SARIF (runs)")
+      | Error msg when json -> ("JSON", Error msg)
+      | _ ->
+        ( "openmetrics",
+          Result.map
+            (fun (samples, families) ->
+              Printf.sprintf "%d samples, %d families" samples families)
+            (Openmetrics.validate text) )
+    in
+    match verdict with
+    | Ok summary ->
+      Printf.printf "%s: valid %s (%s)\n" file kind summary;
       0
     | Error msg ->
-      Printf.eprintf "%s: INVALID openmetrics: %s\n" file msg;
+      Printf.eprintf "%s: INVALID %s: %s\n" file kind msg;
       1
   in
   let file =
     Arg.(
       required
       & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Exposition written by waltz_cli metrics.")
+      & info [] ~docv:"FILE"
+          ~doc:
+            "A Chrome trace (--trace, flight-dump), a SARIF report (--format sarif) or an \
+             OpenMetrics exposition (metrics).")
   in
   Cmd.v
-    (Cmd.info "metrics-check"
-       ~doc:"Validate an OpenMetrics exposition written by waltz_cli metrics")
+    (Cmd.info "check"
+       ~doc:
+         "Validate a trace, SARIF or OpenMetrics file written by this tool; the kind \
+          is detected from the content")
     Term.(const run $ file)
 
 (* ---- flight-dump ---- *)
@@ -1170,8 +1176,8 @@ let profile_cmd =
       prerr_endline "profile: refusing to profile itself";
       2
     | args ->
-      (* Span stacks are only maintained while telemetry (or the flight
-         recorder) is on; enable it for the child's duration. *)
+      (* Span stacks live in the flight-recorder rings, which record only
+         while armed; enable telemetry for the child's duration. *)
       Telemetry.reset ();
       Telemetry.enable ();
       let sampler = Profiler.start ?hz () in
@@ -1298,10 +1304,8 @@ let () =
   let group =
     Cmd.group info
       [ compile_cmd; estimate_cmd; simulate_cmd; sweep_cmd; breakdown_cmd; verify_cmd;
-        analyze_cmd; sarif_check_cmd; budget_cmd; sanitize_cmd; report_cmd;
-        trace_check_cmd;
-        metrics_cmd; metrics_check_cmd; flight_dump_cmd; profile_cmd; rb_cmd;
-        pulse_cmd ]
+        analyze_cmd; budget_cmd; sanitize_cmd; report_cmd; metrics_cmd; check_cmd;
+        flight_dump_cmd; profile_cmd; rb_cmd; pulse_cmd ]
   in
   dispatch_ref := (fun argv -> Cmd.eval' ~argv group);
   exit (Cmd.eval' group)

@@ -1,22 +1,9 @@
 module Diagnostic = Waltz_verify.Diagnostic
 module Rules = Waltz_verify.Rules
 
-(* ---- writer ---- *)
+module Json = Waltz_telemetry.Json
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* ---- writer ---- *)
 
 let level_of = function
   | Diagnostic.Error -> "error"
@@ -34,18 +21,18 @@ let owned_rules families =
 let rule_json (r : Rules.info) =
   Printf.sprintf
     "{\"id\":\"%s\",\"shortDescription\":{\"text\":\"%s\"},\"help\":{\"text\":\"%s\"},\"defaultConfiguration\":{\"level\":\"%s\"}}"
-    (escape r.Rules.id) (escape r.Rules.title) (escape r.Rules.grounding)
+    (Json.escape r.Rules.id) (Json.escape r.Rules.title) (Json.escape r.Rules.grounding)
     (level_of r.Rules.severity)
 
 let result_json ~rule_index (d : Diagnostic.t) =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "{\"ruleId\":\"%s\"" (escape d.Diagnostic.rule));
+  Buffer.add_string buf (Printf.sprintf "{\"ruleId\":\"%s\"" (Json.escape d.Diagnostic.rule));
   (match rule_index d.Diagnostic.rule with
   | Some i -> Buffer.add_string buf (Printf.sprintf ",\"ruleIndex\":%d" i)
   | None -> ());
   Buffer.add_string buf (Printf.sprintf ",\"level\":\"%s\"" (level_of d.Diagnostic.severity));
   Buffer.add_string buf
-    (Printf.sprintf ",\"message\":{\"text\":\"%s\"}" (escape d.Diagnostic.message));
+    (Printf.sprintf ",\"message\":{\"text\":\"%s\"}" (Json.escape d.Diagnostic.message));
   (match d.Diagnostic.op_index with
   | Some i ->
     Buffer.add_string buf
@@ -54,7 +41,7 @@ let result_json ~rule_index (d : Diagnostic.t) =
          i)
   | None -> ());
   (match d.Diagnostic.fix with
-  | Some fix -> Buffer.add_string buf (Printf.sprintf ",\"properties\":{\"fix\":\"%s\"}" (escape fix))
+  | Some fix -> Buffer.add_string buf (Printf.sprintf ",\"properties\":{\"fix\":\"%s\"}" (Json.escape fix))
   | None -> ());
   Buffer.add_char buf '}';
   Buffer.contents buf
@@ -73,14 +60,14 @@ let to_sarif ?(families = analysis_families)
     "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{";
   Buffer.add_string buf
     (Printf.sprintf "\"tool\":{\"driver\":{\"name\":\"%s\",\"informationUri\":\"%s\",\"rules\":["
-       (escape driver_name) (escape driver_uri));
+       (Json.escape driver_name) (Json.escape driver_uri));
   Buffer.add_string buf (String.concat "," (List.map rule_json rules));
   Buffer.add_string buf "]}},\"columnKind\":\"utf16CodeUnits\",";
   Buffer.add_string buf
     (Printf.sprintf "\"properties\":{\"opsChecked\":%d,\"passes\":[%s]},"
        report.Diagnostic.ops_checked
        (String.concat ","
-          (List.map (fun p -> Printf.sprintf "\"%s\"" (escape p)) report.Diagnostic.passes_run)));
+          (List.map (fun p -> Printf.sprintf "\"%s\"" (Json.escape p)) report.Diagnostic.passes_run)));
   Buffer.add_string buf "\"results\":[";
   Buffer.add_string buf
     (String.concat ","
@@ -93,7 +80,7 @@ let to_json (report : Diagnostic.report) =
   Buffer.add_string buf
     (Printf.sprintf "{\"passes\":[%s],\"ops_checked\":%d,\"errors\":%d,\"warnings\":%d,\"diagnostics\":["
        (String.concat ","
-          (List.map (fun p -> Printf.sprintf "\"%s\"" (escape p)) report.Diagnostic.passes_run))
+          (List.map (fun p -> Printf.sprintf "\"%s\"" (Json.escape p)) report.Diagnostic.passes_run))
        report.Diagnostic.ops_checked
        (Diagnostic.error_count report) (Diagnostic.warning_count report));
   Buffer.add_string buf
@@ -103,215 +90,56 @@ let to_json (report : Diagnostic.report) =
             let b = Buffer.create 128 in
             Buffer.add_string b
               (Printf.sprintf "{\"rule\":\"%s\",\"severity\":\"%s\""
-                 (escape d.Diagnostic.rule)
+                 (Json.escape d.Diagnostic.rule)
                  (Diagnostic.severity_label d.Diagnostic.severity));
             (match d.Diagnostic.op_index with
             | Some i -> Buffer.add_string b (Printf.sprintf ",\"op_index\":%d" i)
             | None -> ());
             (match d.Diagnostic.fix with
-            | Some fix -> Buffer.add_string b (Printf.sprintf ",\"fix\":\"%s\"" (escape fix))
+            | Some fix -> Buffer.add_string b (Printf.sprintf ",\"fix\":\"%s\"" (Json.escape fix))
             | None -> ());
             Buffer.add_string b
-              (Printf.sprintf ",\"message\":\"%s\"}" (escape d.Diagnostic.message));
+              (Printf.sprintf ",\"message\":\"%s\"}" (Json.escape d.Diagnostic.message));
             Buffer.contents b)
           report.Diagnostic.diagnostics));
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
-(* ---- self-contained JSON parser (cf. Telemetry.Trace.validate) ---- *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+(* ---- schema checks ---- *)
 
 exception Bad of string
 
-let parse (s : string) =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some '"' -> Buffer.add_char buf '"'; advance ()
-        | Some '\\' -> Buffer.add_char buf '\\'; advance ()
-        | Some '/' -> Buffer.add_char buf '/'; advance ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-        | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance ()
-        | Some 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "truncated \\u escape";
-          let hex = String.sub s !pos 4 in
-          let code =
-            try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-          in
-          pos := !pos + 4;
-          (* Keep it simple: encode the code point as UTF-8. *)
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else if code < 0x800 then begin
-            Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-          end
-          else begin
-            Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-            Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-          end
-        | _ -> fail "bad escape");
-        go ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_literal lit value =
-    if !pos + String.length lit <= n && String.sub s !pos (String.length lit) = lit then begin
-      pos := !pos + String.length lit;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" lit)
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        elements []
-      end
-    | Some 't' -> parse_literal "true" (Bool true)
-    | Some 'f' -> parse_literal "false" (Bool false)
-    | Some 'n' -> parse_literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing characters";
-  v
-
-(* ---- schema checks ---- *)
-
-let field obj k = match obj with Obj kvs -> List.assoc_opt k kvs | _ -> None
-
 let validate (text : string) =
   try
-    let doc = parse text in
+    let doc = match Json.parse text with Ok doc -> doc | Error msg -> raise (Bad msg) in
     let str_field ctx obj k =
-      match field obj k with
-      | Some (Str s) when s <> "" -> s
-      | Some (Str _) -> raise (Bad (Printf.sprintf "%s: empty \"%s\"" ctx k))
+      match Json.member k obj with
+      | Some (Json.Str s) when s <> "" -> s
+      | Some (Json.Str _) -> raise (Bad (Printf.sprintf "%s: empty \"%s\"" ctx k))
       | _ -> raise (Bad (Printf.sprintf "%s: missing string \"%s\"" ctx k))
     in
-    (match field doc "version" with
-    | Some (Str "2.1.0") -> ()
+    (match Json.member "version" doc with
+    | Some (Json.Str "2.1.0") -> ()
     | _ -> raise (Bad "version must be \"2.1.0\""));
     let runs =
-      match field doc "runs" with
-      | Some (Arr (_ :: _ as runs)) -> runs
+      match Json.member "runs" doc with
+      | Some (Json.Arr (_ :: _ as runs)) -> runs
       | _ -> raise (Bad "runs must be a non-empty array")
     in
     let check_run run =
       let driver =
-        match field run "tool" with
+        match Json.member "tool" run with
         | Some tool -> (
-          match field tool "driver" with
+          match Json.member "driver" tool with
           | Some d -> d
           | None -> raise (Bad "run.tool.driver missing"))
         | None -> raise (Bad "run.tool missing")
       in
       ignore (str_field "driver" driver "name");
       let rule_ids =
-        match field driver "rules" with
+        match Json.member "rules" driver with
         | None -> []
-        | Some (Arr rules) ->
+        | Some (Json.Arr rules) ->
           let ids = List.map (fun r -> str_field "rule" r "id") rules in
           let sorted = List.sort_uniq compare ids in
           if List.length sorted <> List.length ids then
@@ -320,8 +148,8 @@ let validate (text : string) =
         | Some _ -> raise (Bad "driver.rules must be an array")
       in
       let results =
-        match field run "results" with
-        | Some (Arr results) -> results
+        match Json.member "results" run with
+        | Some (Json.Arr results) -> results
         | None -> []
         | Some _ -> raise (Bad "run.results must be an array")
       in
@@ -338,17 +166,17 @@ let validate (text : string) =
                (Bad
                   (Printf.sprintf "%s: ruleId %s not in the registered rule catalog" ctx
                      rule_id)));
-          (match field result "ruleIndex" with
-          | Some (Num f) ->
+          (match Json.member "ruleIndex" result with
+          | Some (Json.Num f) ->
             let idx = int_of_float f in
             if idx < 0 || idx >= List.length rule_ids || List.nth rule_ids idx <> rule_id
             then raise (Bad (Printf.sprintf "%s: ruleIndex disagrees with ruleId" ctx))
           | Some _ -> raise (Bad (Printf.sprintf "%s: ruleIndex must be a number" ctx))
           | None -> ());
-          (match field result "level" with
-          | Some (Str ("error" | "warning" | "note" | "none")) -> ()
+          (match Json.member "level" result with
+          | Some (Json.Str ("error" | "warning" | "note" | "none")) -> ()
           | _ -> raise (Bad (Printf.sprintf "%s: bad level" ctx)));
-          match field result "message" with
+          match Json.member "message" result with
           | Some msg -> ignore (str_field ctx msg "text")
           | None -> raise (Bad (Printf.sprintf "%s: message missing" ctx)))
         results;

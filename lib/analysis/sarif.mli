@@ -6,10 +6,10 @@
     ["op[i]"], fixes as a result property). Output is deterministic: fixed
     key order, no timestamps.
 
-    The validator is a from-scratch JSON parser plus the schema checks CI
-    relies on (version, driver name, unique rule ids, results referencing
-    declared rules with well-formed levels and messages) — mirroring the
-    self-contained trace validator in [Waltz_telemetry.Telemetry.Trace]. *)
+    The validator parses with [Waltz_telemetry.Json] (the parser behind the
+    trace validator too) and runs the schema checks CI relies on (version,
+    driver name, unique rule ids, results referencing declared rules with
+    well-formed levels and messages). *)
 
 module Diagnostic = Waltz_verify.Diagnostic
 

@@ -380,7 +380,7 @@ let itoffoli_3q layout ~hint (gate : Gate.t) =
    communication overhead split the way Qompress reports it — SWAP movement
    (routing) vs ENC/DEC encode-decode choreography. *)
 let record_op_counts ops =
-  if Telemetry.enabled () then begin
+  if Telemetry.metrics_enabled () then begin
     Telemetry.Metrics.incr ~by:(List.length ops) "compile.ops";
     List.iter
       (fun (op : Physical.op) ->

@@ -560,31 +560,24 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
     if not (Telemetry.active ()) then
       let samples, _, _ = run_block_raw j in
       samples
-    else if not (Telemetry.enabled ()) then begin
-      (* Always-on plane (metrics and/or armed flight recorder, no span
-         collection): hand-inlined so the per-block cost is two unboxed
-         clock reads, the ring stores and the counter flush — no closure,
-         tuple or boxed-float allocation on the way. *)
+    else begin
+      (* Hand-inlined span: two unboxed clock reads shared by the ring
+         events and the duration histogram, then the counter flush — no
+         closure, tuple or boxed-float allocation on the way. *)
+      let armed = Recorder.armed () in
       let start_us = Clock.now_us () in
-      Recorder.record_begin_at "trajectory-block" start_us;
+      if armed then Recorder.begin_at "trajectory-block" [] start_us;
       match run_block_raw j with
       | samples, diverged, windows ->
         let end_us = Clock.now_us () in
-        Recorder.record_end_at "trajectory-block" end_us;
+        if armed then Recorder.end_at "trajectory-block" end_us;
         if Telemetry.metrics_enabled () then
           flush_block_metrics samples ~diverged ~windows (end_us -. start_us);
         samples
       | exception exn ->
         let bt = Printexc.get_raw_backtrace () in
-        Recorder.record_end_at "trajectory-block" (Clock.now_us ());
+        if armed then Recorder.end_at "trajectory-block" (Clock.now_us ());
         Printexc.raise_with_backtrace exn bt
-    end
-    else begin
-      let (samples, diverged, windows), dur =
-        Telemetry.Span.with_timed ~name:"trajectory-block" (fun () -> run_block_raw j)
-      in
-      if Telemetry.metrics_enabled () then flush_block_metrics samples ~diverged ~windows dur;
-      samples
     end
   in
   let nblocks = (config.trajectories + batch - 1) / batch in
@@ -612,23 +605,14 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
 let simulate_detailed ?(config = default_config) ?domains ?batch (compiled : Physical.t) =
   if config.trajectories < 0 then
     invalid_arg "Executor.simulate: trajectories must be >= 0";
-  (* The span (args and string building included) is only worth
-     constructing under full telemetry; the always-on metrics+recorder
-     plane gets the per-block spans from [run_block] — on a short simulate
-     an extra wrapper span is measurable against the <= 5 % overhead
-     budget. The flight-recorder bracket dumps the per-domain rings when a
-     trajectory raises (then re-raises); disarmed it is exactly the body. *)
-  if not (Telemetry.enabled ()) then
-    Recorder.with_crash_dump ~label:"simulate" (fun () ->
-        simulate_detailed_body ~config ?domains ?batch compiled)
-  else
-    Telemetry.Span.with_ ~name:"executor/simulate"
-      ~args:
-        [ ("strategy", compiled.Physical.strategy.Strategy.name);
-          ("trajectories", string_of_int config.trajectories) ]
-      (fun () ->
-        Recorder.with_crash_dump ~label:"simulate" (fun () ->
-            simulate_detailed_body ~config ?domains ?batch compiled))
+  (* The span carries no args: building and keeping them per call would cost
+     more than its ring events, against the <= 5 % overhead budget of the
+     always-on plane (the compile span before it names the strategy). The
+     flight-recorder bracket dumps the per-domain rings when a trajectory
+     raises (then re-raises); disarmed it is exactly the body. *)
+  Telemetry.Span.with_ ~name:"executor/simulate" (fun () ->
+      Recorder.with_crash_dump ~label:"simulate" (fun () ->
+          simulate_detailed_body ~config ?domains ?batch compiled))
 
 let simulate ?config ?domains ?batch compiled =
   (match config with

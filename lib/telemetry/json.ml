@@ -1,6 +1,7 @@
-(* Minimal self-contained JSON support for the observability plane: enough
-   of a parser to validate exported traces / metrics / bench records, and an
-   escaper for the writers. No external dependencies, by design. *)
+(* Minimal self-contained JSON support: enough of a parser to validate
+   exported traces, SARIF reports and bench records (strings decoded to
+   UTF-8), and an escaper for the writers. No external dependencies, by
+   design. *)
 
 type t =
   | Null
@@ -30,6 +31,24 @@ let parse s =
     | Some c' when c' = c -> advance ()
     | _ -> fail (Printf.sprintf "expected %c" c)
   in
+  (* With [pos] on the 'u' of a \uXXXX escape: its four hex digits as a
+     code point, leaving [pos] on the last digit. *)
+  let hex4 () =
+    if !pos + 4 >= n then fail "truncated \\u escape";
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - 48
+      | 'a' .. 'f' -> Char.code c - 87
+      | 'A' .. 'F' -> Char.code c - 55
+      | _ -> fail "bad \\u escape"
+    in
+    let code = ref 0 in
+    for _ = 1 to 4 do
+      advance ();
+      code := (!code lsl 4) lor digit s.[!pos]
+    done;
+    !code
+  in
   let parse_string () =
     expect '"';
     let b = Buffer.create 16 in
@@ -49,10 +68,9 @@ let parse s =
         | Some 'b' -> Buffer.add_char b '\b'
         | Some 'f' -> Buffer.add_char b '\012'
         | Some 'u' ->
-          if !pos + 4 >= n then fail "truncated \\u escape";
-          (* Decoded code points are irrelevant to validation. *)
-          pos := !pos + 4;
-          Buffer.add_char b '?'
+          (* A surrogate half is no code point of its own: U+FFFD. *)
+          let code = hex4 () in
+          Buffer.add_utf_8_uchar b (if Uchar.is_valid code then Uchar.of_int code else Uchar.rep)
         | _ -> fail "bad escape");
         advance ();
         go ()

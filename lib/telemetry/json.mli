@@ -1,5 +1,5 @@
-(** Minimal self-contained JSON parsing and escaping for the observability
-    plane (trace validation, OpenMetrics export, bench regression records).
+(** Minimal self-contained JSON parsing and escaping (trace and SARIF
+    validation, OpenMetrics export, bench regression records).
     Deliberately dependency-free. *)
 
 type t =
@@ -11,7 +11,9 @@ type t =
   | Obj of (string * t) list
 
 val parse : string -> (t, string) result
-(** Full-document parse; rejects trailing garbage. *)
+(** Full-document parse; rejects trailing garbage. String escapes are
+    decoded to UTF-8: [\uXXXX] needs four hex digits, and a UTF-16
+    surrogate half decodes to U+FFFD. *)
 
 val escape : string -> string
 (** Escapes a string for embedding inside JSON double quotes. *)

@@ -1,6 +1,6 @@
 (** OpenMetrics / Prometheus text exposition: rendering from telemetry
     snapshots and a self-contained validator (the [Trace.validate] pattern)
-    used by [waltz_cli metrics-check] and `make metrics-smoke`. *)
+    used by [waltz_cli check] and `make metrics-smoke`. *)
 
 type summary = {
   s_name : string;  (** raw dotted metric name, e.g. "executor.block_us" *)

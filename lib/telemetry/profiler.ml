@@ -1,15 +1,16 @@
-(* Sampling profiler: a ticker domain periodically snapshots every live
-   domain's open-span stack ([Telemetry.Span.live_stacks]) and accumulates
-   flamegraph-compatible folded stacks — "frame;frame;frame count" lines,
-   root first — so "where do trajectory nanoseconds go" is answerable
-   without external tooling.
+(* Sampling profiler: a ticker domain periodically snapshots every
+   recording domain's open-span stack ([Recorder.open_stacks]) and
+   accumulates flamegraph-compatible folded stacks — "frame;frame;frame
+   count" lines, root first — so "where do trajectory nanoseconds go" is
+   answerable without external tooling.
 
    Sampling is deliberately unsynchronized with the profiled domains (the
-   stacks are owned single-writer refs read racily); a sample that tears a
-   stack mid-update merely lands one tick in a neighboring frame, which is
-   noise a sampling profiler already carries. The sample table is private
-   to the ticker until [stop] joins it, so no lock is needed — the fork and
-   join edges are marked for the concurrency sanitizer. *)
+   stacks are single-writer arrays in the rings, read racily); a sample
+   that tears a stack mid-update merely lands one tick in a neighboring
+   frame, which is noise a sampling profiler already carries. The sample
+   table is private to the ticker until [stop] joins it, so no lock is
+   needed — the fork and join edges are marked for the concurrency
+   sanitizer. *)
 
 module Sanitize = Waltz_sanitizer.Sanitize
 
@@ -24,13 +25,11 @@ let hz_from_env () =
   end
   | None -> default_hz
 
-let track_frame track = if track = 0 then "main" else Printf.sprintf "domain-%d" track
-
 (* Pure folding of one sampled stack: innermost-first spans become a
    root-first semicolon-joined key under the domain frame. An idle domain
    (empty stack) folds to just its domain frame. *)
 let folded_key ~track ~stack =
-  String.concat ";" (track_frame track :: List.rev stack)
+  String.concat ";" (Recorder.track_name track :: List.rev stack)
 
 type t = {
   samples : (string, int) Hashtbl.t;  (* written only by the ticker *)
@@ -49,7 +48,7 @@ let start ?hz () =
     Domain.spawn (fun () ->
         Sanitize.Domains.spawned token;
         while Atomic.get running do
-          let stacks = Telemetry.Span.live_stacks () in
+          let stacks = Recorder.open_stacks () in
           Sanitize.Shared.write "profiler.samples";
           List.iter
             (fun (track, stack) ->

@@ -1,7 +1,8 @@
-(** Sampling profiler: a ticker domain samples every live domain's open
-    span stack at a configurable rate and folds the samples into
-    flamegraph-compatible "frame;frame;frame count" lines (root first,
-    leading frame [main] or [domain-<id>]).
+(** Sampling profiler: a ticker domain samples every recording domain's
+    open-span stack ({!Recorder.open_stacks}, so spans show up only while
+    the recorder is armed) at a configurable rate and folds the samples
+    into flamegraph-compatible "frame;frame;frame count" lines (root
+    first, leading frame [main] or [domain-<id>]).
 
     Stacks are read without synchronizing with the profiled domains — the
     standard sampling-profiler contract: an individual sample may be
@@ -18,7 +19,7 @@ val stop : t -> (string * int) list
 
 val folded_key : track:int -> stack:string list -> string
 (** Pure: folds one sampled stack (innermost-first, as
-    [Telemetry.Span.live_stacks] returns) into its semicolon-joined
+    {!Recorder.open_stacks} returns) into its semicolon-joined
     root-first key. *)
 
 val to_lines : (string * int) list -> string list

@@ -1,48 +1,42 @@
 (* Process-wide tracing and metrics for the Waltz pipeline.
 
-   Everything is guarded by one enable flag: with telemetry off, every entry
-   point is a single branch on an [Atomic.t] and performs no allocation, so
-   instrumented hot paths cost nothing in production. With it on, spans
-   capture monotonic wall time with a per-domain parent stack, and counters,
-   gauges and histogram sketches accumulate under one mutex (instrumented
-   code records at most once per coarse unit of work — a pipeline phase, a
-   trajectory, a cache probe during planning — so contention is negligible).
-
-   The same instrumentation points also feed the flight recorder
-   ([Recorder]): when it is armed, span begin/end and counter events are
-   additionally written into the recording domain's lock-free ring buffer,
-   independently of whether metrics accumulation is on. *)
+   Each datum has one store. Spans live only in the flight recorder's
+   per-domain rings ([Recorder]): [Span.with_] writes a Begin/End pair
+   there when the recorder is armed, and every span reader (aggregates,
+   the report, the Chrome trace) pairs ring events. Counters live only in
+   interned atomic cells and histograms only in per-domain sketch series;
+   the string-keyed [Metrics.incr]/[observe] write through the same
+   handles. Disabled, every entry point is a single branch on an
+   [Atomic.t] and performs no allocation, so instrumented hot paths cost
+   nothing in production. *)
 
 module Sanitize = Waltz_sanitizer.Sanitize
 
-(* Two tiers of enablement:
-   - [metrics_flag]: counters, gauges and histogram sketches accumulate.
-     Together with an armed flight recorder this is the always-on plane a
-     daemon runs with; its hot-path cost is bounded by preallocated handles
-     (see [Metrics.cell] / [Metrics.series]).
-   - [enabled_flag]: full telemetry — everything above plus completed-span
-     collection for the Chrome trace exporter and the profiler's live
-     stacks. Heavier (one allocation and a mutex push per span), meant for
-     --stats/--trace/profile runs. [enable] turns both tiers on. *)
-let enabled_flag = Atomic.make false
+(* [metrics_flag]: counters, gauges and histogram sketches accumulate.
+   Spans follow the recorder's own arm flag. [enable] turns on both;
+   [disable] disarms the recorder again only if [enable] was what armed
+   it, so a standing arm (WALTZ_FLIGHT=1, an explicit [Recorder.arm])
+   outlives a --stats bracket. *)
 let metrics_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
-
-let enable () =
-  Atomic.set enabled_flag true;
-  Atomic.set metrics_flag true
-
-let disable () =
-  Atomic.set enabled_flag false;
-  Atomic.set metrics_flag false
+let armed_by_enable = Atomic.make false
 
 let metrics_enabled () = Atomic.get metrics_flag
 let enable_metrics () = Atomic.set metrics_flag true
 
-(* True when any instrumented path should run: full telemetry, the metrics
-   tier, or the flight recorder. *)
-let active () =
-  Atomic.get enabled_flag || Atomic.get metrics_flag || Recorder.armed ()
+let enable () =
+  Atomic.set metrics_flag true;
+  if not (Recorder.armed ()) then begin
+    Atomic.set armed_by_enable true;
+    Recorder.arm ()
+  end
+
+let disable () =
+  Atomic.set metrics_flag false;
+  if Atomic.exchange armed_by_enable false then Recorder.disarm ()
+
+(* True when any instrumented path should run: the metrics tier or the
+   flight recorder. *)
+let active () = Atomic.get metrics_flag || Recorder.armed ()
 
 let now_us () = Clock.now_us ()
 
@@ -52,7 +46,7 @@ let state_mutex = Mutex.create ()
 
 (* Sanitizer shims wrap every state_mutex section; the shared-site marks at
    each mutation/read let the race detector check that all traffic on the
-   span list, counter table and histogram table is ordered by this lock. *)
+   cell, series and gauge tables is ordered by this lock. *)
 let lock_state () =
   Mutex.lock state_mutex;
   Sanitize.Lock.acquire "telemetry.state_mutex"
@@ -62,108 +56,33 @@ let unlock_state () =
   Mutex.unlock state_mutex
 
 module Span = struct
-  type t = {
+  type t = Recorder.span = {
     name : string;
-    track : int;  (** the recording domain's id *)
+    track : int;
     start_us : float;
     dur_us : float;
-    depth : int;  (** open ancestors on this domain's stack at start *)
+    depth : int;
     parent : string option;
     args : (string * string) list;
   }
 
-  (* Completed spans, newest first. *)
-  let completed : t list ref = ref []
-
-  (* Track -> that domain's open-span stack (innermost first). Registered
-     when a domain first opens a span; the profiler snapshots it from its
-     ticker domain. The stack refs themselves are written only by their
-     owning domain and read racily by the profiler — a sampling profiler
-     tolerates an occasionally torn stack, so those reads take no lock. *)
-  let stacks_tbl : (int, string list ref) Hashtbl.t = Hashtbl.create 8
-
-  (* Per-domain stack of open span names (innermost first). *)
-  let stack_key : string list ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        let stack = ref [] in
-        let track = (Domain.self () :> int) in
-        lock_state ();
-        Sanitize.Shared.write "telemetry.stacks";
-        Hashtbl.replace stacks_tbl track stack;
-        unlock_state ();
-        stack)
-
-  let live_stacks () =
-    lock_state ();
-    Sanitize.Shared.read "telemetry.stacks";
-    let l = Hashtbl.fold (fun track stack acc -> (track, !stack) :: acc) stacks_tbl [] in
-    unlock_state ();
-    List.sort (fun (a, _) (b, _) -> compare a b) l
-
-  (* The instrumented body shared by [with_] and [with_timed], entered only
-     when some plane is on. Exactly two clock reads: the start timestamp is
-     shared with the flight-recorder Begin event, the end one with the End
-     event, the span duration and (in the executor) the histogram observe.
-     Stack bookkeeping only happens under full telemetry — that is what the
-     profiler samples — so the always-on metrics+recorder tier stays at
-     ring stores and clock reads. *)
-  let finish_span ~record ~name ~args ~start_us ~stack_info end_us =
-    Recorder.record_end_at name end_us;
-    match stack_info with
-    | None -> ()
-    | Some (stack, depth, parent) ->
-      (match !stack with _ :: rest -> stack := rest | [] -> ());
-      if record then begin
-        let span =
-          { name; track = (Domain.self () :> int); start_us;
-            dur_us = end_us -. start_us; depth; parent; args }
-        in
-        lock_state ();
-        Sanitize.Shared.write "telemetry.spans";
-        completed := span :: !completed;
-        unlock_state ()
-      end
-
-  let instrumented ~args ~name f =
-    let record = Atomic.get enabled_flag in
-    let stack_info =
-      if not record then None
-      else begin
-        let stack = Domain.DLS.get stack_key in
-        let parent = match !stack with [] -> None | p :: _ -> Some p in
-        let depth = List.length !stack in
-        stack := name :: !stack;
-        Some (stack, depth, parent)
-      end
-    in
-    let start_us = Clock.now_us () in
-    Recorder.record_begin_at name start_us;
-    match f () with
-    | v ->
-      let end_us = Clock.now_us () in
-      finish_span ~record ~name ~args ~start_us ~stack_info end_us;
-      (v, end_us -. start_us)
-    | exception exn ->
-      let bt = Printexc.get_raw_backtrace () in
-      finish_span ~record ~name ~args ~start_us ~stack_info (Clock.now_us ());
-      Printexc.raise_with_backtrace exn bt
-
+  (* Exactly two clock reads when armed; the End is written even if the
+     recorder is disarmed meanwhile, so the domain's stack stays balanced. *)
   let with_ ?(args = []) ~name f =
-    if not (Atomic.get enabled_flag) && not (Recorder.armed ()) then f ()
-    else fst (instrumented ~args ~name f)
+    if not (Recorder.armed ()) then f ()
+    else begin
+      Recorder.begin_at name args (Clock.now_us ());
+      match f () with
+      | v ->
+        Recorder.end_at name (Clock.now_us ());
+        v
+      | exception exn ->
+        let bt = Printexc.get_raw_backtrace () in
+        Recorder.end_at name (Clock.now_us ());
+        Printexc.raise_with_backtrace exn bt
+    end
 
-  (* Like [with_], but always measures (one clock-read pair, shared with
-     all recording) and returns the duration — instrumented hot paths feed
-     it straight into a histogram [series] without re-reading the clock.
-     Call only from a path already gated on [active]. *)
-  let with_timed ?(args = []) ~name f = instrumented ~args ~name f
-
-  let all () =
-    lock_state ();
-    Sanitize.Shared.read "telemetry.spans";
-    let spans = List.rev !completed in
-    unlock_state ();
-    spans
+  let all = Recorder.spans
 
   type aggregate = { agg_name : string; count : int; total_us : float; max_us : float }
 
@@ -184,21 +103,33 @@ module Span = struct
            | c -> c)
 
   let aggregate () = aggregate_of (all ())
+
+  exception Overwritten of int
+
+  (* The spans are read before the overwrite check, so a window event
+     missing from them was overwritten by a write the check counts. *)
+  let aggregate_during f =
+    let mark = Recorder.mark () in
+    let t0 = Clock.now_us () in
+    let v = f () in
+    let t1 = Clock.now_us () in
+    let spans = all () in
+    let lost = Recorder.overwritten_since mark in
+    if lost > 0 then raise (Overwritten lost);
+    let inside s = s.start_us >= t0 && s.start_us +. s.dur_us <= t1 in
+    (v, aggregate_of (List.filter inside spans))
 end
 
 module Metrics = struct
-  let counters_tbl : (string, int) Hashtbl.t = Hashtbl.create 32
-  let hists_tbl : (string, Sketch.t) Hashtbl.t = Hashtbl.create 16
   let gauges_tbl : (string, float) Hashtbl.t = Hashtbl.create 8
 
-  (* Preallocated hot-path handles. A [cell] is one atomic int interned by
-     name at instrumentation-setup time (the executor stores them in its
-     compiled plan): incrementing is a flag check plus one fetch-and-add,
-     with no string hashing, locking or flight-recorder event — the price
-     of admission for per-gate-application counting inside a microsecond
-     trajectory. A [series] is one histogram sketch behind its own mutex,
-     same contract for [observe]. Both are merged into every read/export
-     next to their string-keyed siblings. *)
+  (* The counter and histogram stores. A [cell] is one atomic int interned
+     by name (the executor interns its handles at setup time and stores
+     them in its compiled plan): incrementing is a flag check plus one
+     fetch-and-add, with no string hashing, locking or flight-recorder
+     event — the price of admission for per-gate-application counting
+     inside a microsecond trajectory. [incr] interns the cell on each call
+     instead, fine once per pipeline phase. *)
   type cell = int Atomic.t
 
   let cells_tbl : (string, cell) Hashtbl.t = Hashtbl.create 16
@@ -233,7 +164,6 @@ module Metrics = struct
      which post-run reporting tolerates. The epoch makes [reset] lazy:
      bumping it orphans every shard, and writers re-register on next use. *)
   type series = {
-    se_name : string;
     se_epoch : int Atomic.t;
     mutable se_shards : (int * Sketch.t) list;  (* (epoch, shard) *)
     se_dls : (int * Sketch.t) ref Domain.DLS.key;
@@ -254,7 +184,7 @@ module Metrics = struct
       | Some s -> s
       | None ->
         let s =
-          { se_name = name; se_epoch = Atomic.make 0; se_shards = [];
+          { se_epoch = Atomic.make 0; se_shards = [];
             se_dls = Domain.DLS.new_key (fun () -> ref dummy_shard) }
         in
         Hashtbl.add series_tbl name s;
@@ -289,30 +219,10 @@ module Metrics = struct
     end
 
   let incr ?(by = 1) name =
-    if Atomic.get metrics_flag then begin
-      lock_state ();
-      Sanitize.Shared.write "telemetry.counters";
-      let cur = Option.value ~default:0 (Hashtbl.find_opt counters_tbl name) in
-      Hashtbl.replace counters_tbl name (cur + by);
-      unlock_state ()
-    end;
+    if Atomic.get metrics_flag then cell_add (cell name) by;
     Recorder.record_count name by
 
-  let observe name v =
-    if Atomic.get metrics_flag then begin
-      lock_state ();
-      Sanitize.Shared.write "telemetry.hists";
-      let h =
-        match Hashtbl.find_opt hists_tbl name with
-        | Some h -> h
-        | None ->
-          let h = Sketch.create () in
-          Hashtbl.add hists_tbl name h;
-          h
-      in
-      Sketch.observe h v;
-      unlock_state ()
-    end
+  let observe name v = if Atomic.get metrics_flag then series_observe (series name) v
 
   let set_gauge name v =
     if Atomic.get metrics_flag then begin
@@ -324,28 +234,23 @@ module Metrics = struct
 
   let counter name =
     lock_state ();
-    Sanitize.Shared.read "telemetry.counters";
-    let v = Option.value ~default:0 (Hashtbl.find_opt counters_tbl name) in
-    let v =
-      match Hashtbl.find_opt cells_tbl name with
-      | Some c -> v + Atomic.get c
-      | None -> v
-    in
+    Sanitize.Shared.read "telemetry.cells";
+    let c = Hashtbl.find_opt cells_tbl name in
     unlock_state ();
-    v
+    match c with Some c -> Atomic.get c | None -> 0
 
   let counters () =
     lock_state ();
-    Sanitize.Shared.read "telemetry.counters";
-    let tbl = Hashtbl.copy counters_tbl in
-    Hashtbl.iter
-      (fun name c ->
-        let v = Atomic.get c in
-        if v <> 0 then
-          Hashtbl.replace tbl name (v + Option.value ~default:0 (Hashtbl.find_opt tbl name)))
-      cells_tbl;
+    Sanitize.Shared.read "telemetry.cells";
+    let l =
+      Hashtbl.fold
+        (fun name c acc ->
+          let v = Atomic.get c in
+          if v <> 0 then (name, v) :: acc else acc)
+        cells_tbl []
+    in
     unlock_state ();
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+    List.sort compare l
 
   let gauge name =
     lock_state ();
@@ -372,12 +277,6 @@ module Metrics = struct
     buckets : (float * int) list;  (** non-empty sketch bins as (upper bound, count) *)
   }
 
-  let snapshot h =
-    { count = Sketch.count h; sum = Sketch.sum h; min = Sketch.min_value h;
-      max = Sketch.max_value h; p50 = Sketch.quantile h 0.5;
-      p90 = Sketch.quantile h 0.9; p99 = Sketch.quantile h 0.99;
-      buckets = Sketch.nonempty_buckets h }
-
   (* Merge a series' live shards. Shard contents are read without
      synchronizing with their owning domains (see the [series] comment). *)
   let series_sketch s =
@@ -390,39 +289,31 @@ module Metrics = struct
     unlock_state ();
     List.fold_left Sketch.merge (Sketch.create ()) shards
 
+  let snapshot s =
+    let h = series_sketch s in
+    if Sketch.count h = 0 then None
+    else
+      Some
+        { count = Sketch.count h; sum = Sketch.sum h; min = Sketch.min_value h;
+          max = Sketch.max_value h; p50 = Sketch.quantile h 0.5;
+          p90 = Sketch.quantile h 0.9; p99 = Sketch.quantile h 0.99;
+          buckets = Sketch.nonempty_buckets h }
+
   let histogram name =
     lock_state ();
-    Sanitize.Shared.read "telemetry.hists";
-    let direct = Hashtbl.find_opt hists_tbl name in
-    let se = Hashtbl.find_opt series_tbl name in
+    Sanitize.Shared.read "telemetry.series";
+    let s = Hashtbl.find_opt series_tbl name in
     unlock_state ();
-    match (direct, se) with
-    | None, None -> None
-    | Some h, None -> Some (snapshot h)
-    | None, Some s ->
-      let h = series_sketch s in
-      if Sketch.count h = 0 then None else Some (snapshot h)
-    | Some h, Some s -> Some (snapshot (Sketch.merge h (series_sketch s)))
+    Option.bind s snapshot
 
   let histograms () =
     lock_state ();
-    Sanitize.Shared.read "telemetry.hists";
-    let tbl = Hashtbl.copy hists_tbl in
-    let all_series = Hashtbl.fold (fun _ s acc -> s :: acc) series_tbl [] in
+    Sanitize.Shared.read "telemetry.series";
+    let all = Hashtbl.fold (fun name s acc -> (name, s) :: acc) series_tbl [] in
     unlock_state ();
-    List.iter
-      (fun s ->
-        let h = series_sketch s in
-        if Sketch.count h > 0 then
-          let merged =
-            match Hashtbl.find_opt tbl s.se_name with
-            | Some direct -> Sketch.merge direct h
-            | None -> h
-          in
-          Hashtbl.replace tbl s.se_name merged)
-      all_series;
-    List.sort (fun (a, _) (b, _) -> compare a b)
-      (Hashtbl.fold (fun k h acc -> (k, snapshot h) :: acc) tbl [])
+    List.sort
+      (fun (a, _) (b, _) -> compare a b)
+      (List.filter_map (fun (name, s) -> Option.map (fun h -> (name, h)) (snapshot s)) all)
 
   let hit_rate ~hit ~miss =
     let h = counter hit and m = counter miss in
@@ -430,14 +321,11 @@ module Metrics = struct
 end
 
 let reset () =
+  Recorder.reset ();
   lock_state ();
-  Sanitize.Shared.write "telemetry.spans";
-  Sanitize.Shared.write "telemetry.counters";
-  Sanitize.Shared.write "telemetry.hists";
+  Sanitize.Shared.write "telemetry.cells";
+  Sanitize.Shared.write "telemetry.series";
   Sanitize.Shared.write "telemetry.gauges";
-  Span.completed := [];
-  Hashtbl.reset Metrics.counters_tbl;
-  Hashtbl.reset Metrics.hists_tbl;
   Hashtbl.reset Metrics.gauges_tbl;
   (* Handles survive reset (instrumented code holds them) — only their
      contents are cleared. *)
@@ -544,69 +432,16 @@ module Report = struct
     end;
     if spans = [] && counters = [] && gauges = [] && hists = [] then
       Buffer.add_string b "(no telemetry recorded; is the instrumented path enabled?)\n";
+    Buffer.add_string b
+      (Printf.sprintf "flight-recorder events dropped: %d (ring capacity %d per domain)\n"
+         (Recorder.dropped ()) (Recorder.capacity ()));
     Buffer.contents b
 end
 
 (* ---- Chrome trace_event export and validation ---- *)
 
 module Trace = struct
-  let escape = Json.escape
-
-  let track_name track = if track = 0 then "main" else Printf.sprintf "domain-%d" track
-
-  let to_json () =
-    let spans = Span.all () in
-    (* One track per domain: sort by (tid, ts); ties put the enclosing span
-       first so the file is well-nested in order. *)
-    let spans =
-      List.sort
-        (fun (a : Span.t) (b : Span.t) ->
-          match compare a.Span.track b.Span.track with
-          | 0 -> begin
-            match compare a.Span.start_us b.Span.start_us with
-            | 0 -> compare b.Span.dur_us a.Span.dur_us
-            | c -> c
-          end
-          | c -> c)
-        spans
-    in
-    let tracks =
-      List.sort_uniq compare (List.map (fun (s : Span.t) -> s.Span.track) spans)
-    in
-    let b = Buffer.create 4096 in
-    Buffer.add_string b "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-    let first = ref true in
-    let event s =
-      if not !first then Buffer.add_char b ',';
-      first := false;
-      Buffer.add_string b "\n";
-      Buffer.add_string b s
-    in
-    List.iter
-      (fun track ->
-        event
-          (Printf.sprintf
-             "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-             track (track_name track)))
-      tracks;
-    List.iter
-      (fun (s : Span.t) ->
-        let args =
-          match s.Span.args with
-          | [] -> ""
-          | kvs ->
-            ",\"args\":{"
-            ^ String.concat ","
-                (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)) kvs)
-            ^ "}"
-        in
-        event
-          (Printf.sprintf
-             "{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"waltz\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f%s}"
-             (escape s.Span.name) s.Span.track s.Span.start_us s.Span.dur_us args))
-      spans;
-    Buffer.add_string b "\n]}\n";
-    Buffer.contents b
+  let to_json = Recorder.trace_json
 
   let write path =
     let oc = open_out path in

@@ -1,109 +1,102 @@
 (** Zero-dependency tracing and metrics for the Waltz pipeline.
 
-    One process-wide enable flag guards every entry point: with telemetry
-    disabled (the default) each instrumented call is a single branch on an
-    [Atomic.t] with no allocation, so the hot paths pay nothing. Recording
-    never touches RNG streams or reorders work, so instrumented runs are
-    bit-identical to uninstrumented ones.
-
-    Spans are hierarchical (a per-domain parent stack) and timestamped with
-    a monotonized wall clock; counters, gauges and histogram sketches
-    accumulate under a single mutex and are safe to update from worker
-    domains. Histograms are bounded log-bucketed quantile sketches
-    ({!Sketch}) — fixed memory however long the process runs. The same
-    span/counter entry points also feed the {!Recorder} flight-recorder
-    rings when that is armed, independently of this module's flag. See
-    doc/OBSERVABILITY.md for the metric catalog and naming scheme. *)
-
-val enabled : unit -> bool
-(** Full telemetry: spans, metrics, live stacks. *)
+    Each datum has one store. Spans live in the {!Recorder} flight-recorder
+    rings and are recorded while the recorder is armed; counters live in
+    interned atomic cells and histograms in bounded per-domain sketch
+    series ({!Sketch} — fixed memory however long the process runs), both
+    accumulating while the metrics tier is on. With both off (the default)
+    each instrumented call is a single branch on an [Atomic.t] with no
+    allocation, so the hot paths pay nothing. Recording never touches RNG
+    streams or reorders work, so instrumented runs are bit-identical to
+    uninstrumented ones. See doc/OBSERVABILITY.md for the metric catalog
+    and naming scheme. *)
 
 val enable : unit -> unit
-(** Turns on full telemetry (spans + metrics). *)
+(** Turns on the metrics tier and arms the flight recorder (spans). *)
 
 val disable : unit -> unit
-(** Turns off both full telemetry and the metrics tier. *)
+(** Turns the metrics tier off and disarms the recorder — unless it was
+    already armed when {!enable} ran (e.g. by [WALTZ_FLIGHT=1]), in which
+    case it stays armed. Recorded data stays readable until {!reset}. *)
 
 val metrics_enabled : unit -> bool
 
 val enable_metrics : unit -> unit
 (** Turns on the metrics tier alone: counters, gauges and histogram
-    sketches accumulate, but spans are not collected and live stacks are
-    not maintained. Together with an armed {!Recorder} this is the
-    always-on plane — its hot-path cost is bounded by the {!Metrics.cell}
-    and {!Metrics.series} handles plus ring stores. *)
+    sketches accumulate; spans are recorded only if the recorder is armed.
+    Together with an armed {!Recorder} this is the always-on plane — its
+    hot-path cost is bounded by the {!Metrics.cell} and {!Metrics.series}
+    handles plus ring stores. *)
 
 val active : unit -> bool
-(** True when any plane wants instrumented paths to run: full telemetry,
-    the metrics tier, or an armed flight recorder. This is the gate hot
-    paths check before doing any instrumentation work. *)
+(** True when any plane wants instrumented paths to run: the metrics tier
+    or an armed flight recorder. This is the gate hot paths check before
+    doing any instrumentation work. *)
 
 val reset : unit -> unit
-(** Clears completed spans, counters, gauges and histograms (the enable
-    flag is left as is). Open spans still record on completion. *)
+(** Clears the recorder rings ({!Recorder.reset}), counters, gauges and
+    histograms; the enable flags are left as they are. *)
 
 val now_us : unit -> float
 (** Monotonic microseconds, arbitrary origin (an alias of
     {!Clock.now_us}); only differences and orderings are meaningful. *)
 
 module Span : sig
-  type t = {
+  type t = Recorder.span = {
     name : string;
     track : int;  (** the recording domain's id; 0 is the main domain *)
     start_us : float;
     dur_us : float;
     depth : int;  (** open ancestors on this domain's stack at start *)
-    parent : string option;  (** innermost enclosing span's name, if any *)
+    parent : string option;  (** innermost enclosing span's name, if recorded *)
     args : (string * string) list;
   }
 
   val with_ : ?args:(string * string) list -> name:string -> (unit -> 'a) -> 'a
-  (** [with_ ~name f] runs [f] inside a span. With both telemetry and the
-      flight recorder off: exactly [f ()]. Exceptions propagate; the span
-      is recorded either way. Costs exactly two clock reads when some
-      plane is on — the timestamps are shared with the flight-recorder
-      Begin/End events. *)
-
-  val with_timed :
-    ?args:(string * string) list -> name:string -> (unit -> 'a) -> 'a * float
-  (** [with_] that also returns the measured duration (µs) using the
-      span's own clock reads — instrumented hot paths feed it straight
-      into {!Metrics.series_observe} without re-reading the clock. Always
-      measures; call it only from a path already gated on {!active}. *)
+  (** [with_ ~name f] runs [f] inside a span. Recorder disarmed: exactly
+      [f ()]. Armed: two clock reads and a Begin/End ring event pair on the
+      calling domain. Exceptions propagate; the span is recorded either
+      way. *)
 
   val all : unit -> t list
-  (** Completed spans in completion order. *)
-
-  val live_stacks : unit -> (int * string list) list
-  (** Each domain's currently-open span stack, innermost first, keyed by
-      track id and sorted by track. Stacks are sampled without
-      synchronizing with their owning domains (the sampling-profiler
-      contract): an individual stack may be momentarily stale. *)
+  (** Completed spans still in the rings ({!Recorder.spans}), sorted by
+      (track, start) with enclosing spans first. *)
 
   type aggregate = { agg_name : string; count : int; total_us : float; max_us : float }
 
   val aggregate : unit -> aggregate list
   (** Spans grouped by name, sorted by total time (descending, then name). *)
 
-  val aggregate_of : t list -> aggregate list
+  exception Overwritten of int
+  (** Raised by {!aggregate_during} with the number of events written
+      inside its window that wraparound overwrote before they were read. *)
+
+  val aggregate_during : (unit -> 'a) -> 'a * aggregate list
+  (** Runs the thunk and aggregates the spans, on any domain, that began
+      and ended within it. Raises {!Overwritten} if a ring overwrote events
+      written inside the window, since the totals would then be short;
+      wraps that only push out older events are harmless. *)
 end
 
 module Metrics : sig
   val incr : ?by:int -> string -> unit
+  (** Adds to the counter {!cell} of this name, interned on every call (a
+      hash lookup under the state mutex — fine once per pipeline phase, too
+      slow inside a microsecond trajectory), and writes a counter event to
+      the flight recorder when it is armed. *)
+
   val observe : string -> float -> unit
+  (** Adds a sample to the histogram {!series} of this name, interned the
+      same way. *)
 
   (** {2 Preallocated hot-path handles}
 
-      [incr]/[observe] hash their name string and take the state mutex on
-      every call — fine once per pipeline phase, too slow inside a
-      microsecond trajectory. Instrumentation that fires per gate
-      application or per trajectory block interns a handle once at setup
-      time (the executor stores them in its compiled plan) and pays one
-      atomic fetch-and-add ([cell]) or one uncontended private mutex plus
-      a sketch insert ([series]) per event. Handle updates do not emit
-      flight-recorder counter events; both are merged into every
-      read/export next to their string-keyed siblings and cleared by
-      [reset] (the handles themselves stay valid). *)
+      Instrumentation that fires per gate application or per trajectory
+      block interns a handle once at setup time (the executor stores them
+      in its compiled plan) and pays one atomic fetch-and-add ([cell]) or
+      one lock-free per-domain sketch insert ([series]) per event. Handle
+      updates do not emit flight-recorder events. [reset] clears their
+      contents; the handles themselves stay valid. *)
 
   type cell
 
@@ -131,7 +124,7 @@ module Metrics : sig
   (** 0 when the counter never fired. *)
 
   val counters : unit -> (string * int) list
-  (** Sorted by name. *)
+  (** Nonzero counters, sorted by name. *)
 
   val gauge : string -> float option
   val gauges : unit -> (string * float) list
@@ -149,6 +142,8 @@ module Metrics : sig
   }
 
   val histogram : string -> histogram option
+  (** [None] when the series has no observation. *)
+
   val histograms : unit -> (string * histogram) list
 
   val hit_rate : hit:string -> miss:string -> float
@@ -167,16 +162,16 @@ val export_json : unit -> string
 module Report : sig
   val to_string : unit -> string
   (** Human-readable report: spans aggregated by name, counters, gauges,
-      histogram summaries (with sketch quantiles). This is what the CLI's
-      [--stats] flag prints. *)
+      histogram summaries (with sketch quantiles) and the number of ring
+      events dropped by wraparound. This is what the CLI's [--stats] flag
+      prints. *)
 end
 
 module Trace : sig
   val to_json : unit -> string
-  (** Chrome [trace_event] JSON (complete "X" events plus thread-name
-      metadata; one track per domain), loadable in chrome://tracing and
-      Perfetto. Events are sorted by (track, ts) with enclosing spans
-      first, so each track is monotone and well-nested in file order. *)
+  (** {!Recorder.trace_json}: Chrome [trace_event] JSON of the rings
+      (complete "X" events plus thread-name metadata; one track per
+      domain), loadable in chrome://tracing and Perfetto. *)
 
   val write : string -> unit
   (** [write path] saves {!to_json} to [path]. *)

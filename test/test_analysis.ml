@@ -519,6 +519,33 @@ let test_sarif_validator_rejects () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown ruleId accepted when driver declares no rules"
 
+(* SARIF goes through the shared JSON parser, so \u escapes decode to
+   UTF-8 (a ruleId spelled with one must still match the catalog) and a
+   malformed escape is rejected rather than read as '?'. *)
+let test_sarif_unicode_escapes () =
+  let module Json = Waltz_telemetry.Json in
+  let doc ~rule ~text =
+    Printf.sprintf
+      {|{"version":"2.1.0","runs":[{"tool":{"driver":{"name":"x"}},"results":[{"ruleId":"%s","level":"note","message":{"text":"%s"}}]}]}|}
+      rule text
+  in
+  (match Sarif.validate (doc ~rule:{|RES0\u0030|} ~text:{|caf\u00e9|}) with
+  | Ok 1 -> ()
+  | Ok n -> Alcotest.failf "escaped document: %d results" n
+  | Error e -> Alcotest.failf "escaped document rejected: %s" e);
+  (match Json.parse {|["caf\u00e9", "\udc00"]|} with
+  | Ok (Json.Arr [ Json.Str e; Json.Str half ]) ->
+    Alcotest.(check string) "\\u00e9 decodes to UTF-8" "caf\xc3\xa9" e;
+    Alcotest.(check string) "a surrogate half is U+FFFD" "\xef\xbf\xbd" half
+  | Ok _ -> Alcotest.fail "unexpected JSON shape"
+  | Error e -> Alcotest.failf "escapes rejected: %s" e);
+  List.iter
+    (fun text ->
+      match Sarif.validate (doc ~rule:"RES00" ~text) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "bad escape %s accepted" text)
+    [ {|\uZZZZ|}; {|\u12|}; {|\u1_23|} ]
+
 (* ---- Analysis.run / hooks ---- *)
 
 let test_analysis_run_report () =
@@ -725,6 +752,7 @@ let suite =
     case "simplify_deep on a benchmark" test_simplify_deep_on_benchmark;
     case "SARIF golden fixture" test_sarif_golden;
     case "SARIF validator rejects malformed input" test_sarif_validator_rejects;
+    case "SARIF validator decodes unicode escapes" test_sarif_unicode_escapes;
     case "Analysis.run report" test_analysis_run_report;
     case "pass names roundtrip" test_pass_names_roundtrip;
     case "compile ~analyze:true" test_compile_analyze_flag;

@@ -119,9 +119,9 @@ let ring_wraparound () =
         let first = List.hd evs and last = List.nth evs 31 in
         check_bool "oldest survivor is e68" true (first.Recorder.name = "e68");
         check_bool "newest is e99" true (last.Recorder.name = "e99");
-        Recorder.set_capacity 4096
+        Recorder.set_capacity Recorder.default_capacity
       | tracks ->
-        Recorder.set_capacity 4096;
+        Recorder.set_capacity Recorder.default_capacity;
         Alcotest.failf "expected 1 track, got %d" (List.length tracks))
 
 let ring_per_domain_isolation () =
@@ -200,7 +200,7 @@ let dump_on_raise () =
 (* ---- profiler folded stacks ---- *)
 
 let folded_stack_wellformed () =
-  (* live_stacks yields innermost-first; the folded key is root-first with
+  (* open_stacks yields innermost-first; the folded key is root-first with
      the track frame leading. *)
   check_bool "main root" true
     (Profiler.folded_key ~track:0 ~stack:[ "leaf"; "mid"; "root" ]

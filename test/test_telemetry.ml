@@ -6,6 +6,7 @@ open Waltz_noise
 open Waltz_core
 open Test_util
 module Telemetry = Waltz_telemetry.Telemetry
+module Recorder = Waltz_telemetry.Recorder
 
 let toffoli = Circuit.of_gates ~n:3 [ Gate.make Gate.Ccx [ 0; 1; 2 ] ]
 let cuccaro5 = Waltz_benchmarks.Bench_circuits.by_total_qubits Cuccaro 5
@@ -19,7 +20,7 @@ let with_telemetry f =
 let disabled_no_op () =
   Telemetry.disable ();
   Telemetry.reset ();
-  check_bool "flag off" false (Telemetry.enabled ());
+  check_bool "flag off" false (Telemetry.active ());
   let r = Telemetry.Span.with_ ~name:"ghost" (fun () -> 41 + 1) in
   check_int "with_ is transparent" 42 r;
   Telemetry.Metrics.incr "ghost.counter";
@@ -192,10 +193,113 @@ let reset_clears () =
       Telemetry.Metrics.incr "c";
       Telemetry.Metrics.observe "h" 1.0;
       Telemetry.reset ();
-      check_bool "still enabled after reset" true (Telemetry.enabled ());
+      check_bool "still enabled after reset" true (Telemetry.active ());
       check_int "spans cleared" 0 (List.length (Telemetry.Span.all ()));
       check_int "counters cleared" 0 (List.length (Telemetry.Metrics.counters ()));
       check_int "histograms cleared" 0 (List.length (Telemetry.Metrics.histograms ())))
+
+(* Spans live only in the per-domain rings, so telemetry memory has a bound:
+   one ring per recording domain (five one-word slots per event) plus
+   slack, however many spans run or resets happen. *)
+let live_bytes () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+
+let ring_bytes () = Recorder.capacity () * 5 * (Sys.word_size / 8)
+
+let check_growth label before =
+  let grown = live_bytes () - before in
+  check_bool
+    (Printf.sprintf "%s grew the live heap by %d bytes (bound %d)" label grown
+       (ring_bytes () + 1_000_000))
+    true
+    (grown < ring_bytes () + 1_000_000)
+
+let bounded_spans () =
+  with_telemetry (fun () ->
+      let before = live_bytes () in
+      for _ = 1 to 1_000_000 do
+        Telemetry.Span.with_ ~name:"tick" ignore
+      done;
+      check_growth "10^6 spans" before)
+
+let bounded_resets () =
+  with_telemetry (fun () ->
+      List.iter
+        (fun (label, reset) ->
+          let before = live_bytes () in
+          for _ = 1 to 1000 do
+            reset ();
+            Telemetry.Span.with_ ~name:"tick" ignore
+          done;
+          check_growth (Printf.sprintf "1000 x (%s; one span)" label) before)
+        [ ("Telemetry.reset", Telemetry.reset); ("Recorder.reset", Recorder.reset) ])
+
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* A ring small enough to wrap inside one span: the outer Begin is
+   overwritten, yet the child still reports the depth it was opened at and
+   the report says how many events were lost. *)
+let wraparound_keeps_depth () =
+  with_telemetry (fun () ->
+      Recorder.set_capacity 16;
+      Fun.protect
+        ~finally:(fun () -> Recorder.set_capacity Recorder.default_capacity)
+        (fun () ->
+          Telemetry.Span.with_ ~name:"outer" (fun () ->
+              for _ = 1 to 40 do
+                Telemetry.Metrics.incr "filler"
+              done;
+              Telemetry.Span.with_ ~name:"child" ignore);
+          let spans = Telemetry.Span.all () in
+          check_bool "outer's Begin was overwritten" false
+            (List.exists (fun s -> s.Telemetry.Span.name = "outer") spans);
+          (match List.find_opt (fun s -> s.Telemetry.Span.name = "child") spans with
+          | None -> Alcotest.fail "child span lost"
+          | Some s ->
+            check_int "child keeps its true depth" 1 s.Telemetry.Span.depth;
+            check_bool "its parent's Begin is gone" true (s.Telemetry.Span.parent = None));
+          let dropped = Recorder.dropped () in
+          check_bool "events were dropped" true (dropped > 0);
+          check_bool "report states the dropped count" true
+            (contains
+               ~needle:(Printf.sprintf "events dropped: %d " dropped)
+               (Telemetry.Report.to_string ()))))
+
+(* A ring that wrapped before the window only lost older events: the
+   window's one span is intact. A window that itself writes past the
+   capacity must raise rather than return a short total. *)
+let window_after_wraparound () =
+  with_telemetry (fun () ->
+      Recorder.set_capacity 16;
+      Fun.protect
+        ~finally:(fun () -> Recorder.set_capacity Recorder.default_capacity)
+        (fun () ->
+          for _ = 1 to 40 do
+            Telemetry.Metrics.incr "filler"
+          done;
+          check_bool "ring wrapped before the window" true (Recorder.dropped () > 0);
+          let (), agg =
+            Telemetry.Span.aggregate_during (fun () -> Telemetry.Span.with_ ~name:"cell" ignore)
+          in
+          (match agg with
+          | [ a ] ->
+            check_bool "the window's span" true (a.Telemetry.Span.agg_name = "cell");
+            check_int "counted once" 1 a.Telemetry.Span.count
+          | _ -> Alcotest.failf "expected one aggregate, got %d" (List.length agg));
+          match
+            Telemetry.Span.aggregate_during (fun () ->
+                Telemetry.Span.with_ ~name:"cell" (fun () ->
+                    for _ = 1 to 40 do
+                      Telemetry.Metrics.incr "filler"
+                    done))
+          with
+          | _ -> Alcotest.fail "a window that wrapped its ring returned totals"
+          | exception Telemetry.Span.Overwritten lost ->
+            check_int "events of the window overwritten" (42 - 16) lost))
 
 let suite =
   [ case "disabled mode records nothing and is transparent" disabled_no_op;
@@ -209,4 +313,8 @@ let suite =
     case "chrome trace validates (domains=1)" (trace_valid ~domains:1);
     case "chrome trace validates (domains=2)" (trace_valid ~domains:2);
     case "trace validator rejects malformed traces" trace_invalid;
-    case "reset clears state but keeps the flag" reset_clears ]
+    case "reset clears state but keeps the flag" reset_clears;
+    case "10^6 spans stay within one ring" bounded_spans;
+    case "repeated resets stay within one ring" bounded_resets;
+    case "wraparound keeps depth and reports drops" wraparound_keeps_depth;
+    case "span window tolerates earlier wraparound" window_after_wraparound ]
