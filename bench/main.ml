@@ -790,12 +790,11 @@ let micro () =
        ~config:
          { Executor.default_config with Executor.trajectories = throughput_trajectories }
        mix_program);
-  (* The lift and damping caches only run at *plan* time, and the reruns
-     above hit the plan cache — with zero lookups their hit rates read 0/0
-     and were reported as 0.0. A freshly recompiled program misses the plan
-     cache, so replanning it exercises the process-warm lift table and the
-     per-plan damping-dt memo at steady state, which is what the reported
-     rates should reflect. *)
+  (* The lift table only runs at *plan* time, and the reruns above hit the
+     plan cache — with zero lookups its hit rate would read 0/0 and be
+     reported as 0.0. A freshly recompiled program misses the plan cache, so
+     replanning it exercises the process-warm lift table at steady state,
+     which is what the reported rate should reflect. *)
   ignore
     (Executor.simulate
        ~config:
@@ -805,10 +804,6 @@ let micro () =
   let lift_hit =
     Telemetry.Metrics.hit_rate ~hit:"executor.lift_gate.hit"
       ~miss:"executor.lift_gate.miss"
-  in
-  let damping_hit =
-    Telemetry.Metrics.hit_rate ~hit:"noise.damping_cache.hit"
-      ~miss:"noise.damping_cache.miss"
   in
   let offered = Telemetry.Metrics.counter "pool.seats.offered" in
   let joined = Telemetry.Metrics.counter "pool.seats.joined" in
@@ -1007,7 +1002,6 @@ let micro () =
   Printf.fprintf oc "  },\n";
   Printf.fprintf oc "  \"telemetry\": {\n";
   Printf.fprintf oc "    \"lift_gate_hit_rate\": %.4f,\n" lift_hit;
-  Printf.fprintf oc "    \"damping_cache_hit_rate\": %.4f,\n" damping_hit;
   Printf.fprintf oc "    \"pool_seats_offered\": %d,\n" offered;
   Printf.fprintf oc "    \"pool_seats_joined\": %d,\n" joined;
   Printf.fprintf oc "    \"pool_items_stolen\": %d,\n" stolen;

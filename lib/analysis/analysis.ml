@@ -70,20 +70,3 @@ let pp_report ppf (report : Diagnostic.report) =
     (fun d -> Format.fprintf ppf "@,  %a" Diagnostic.pp d)
     report.Diagnostic.diagnostics;
   Format.fprintf ppf "@]"
-
-let hook ~topology circuit compiled =
-  ignore topology;
-  let report = run circuit compiled in
-  if Diagnostic.is_clean report then Ok ()
-  else Error (Format.asprintf "%a" pp_report report)
-
-let install () =
-  Compile.analyzer_hook := Some hook;
-  Compile.certifier_hook :=
-    Some (fun compiled -> Resource.remember compiled (Resource.certify compiled));
-  Optimizer.cancellable_pairs_hook := Some Liveness.cancellable_pairs
-
-(* Registering at module-initialisation time means any program that links
-   waltz_analysis (and references this module) gets [compile ~analyze:true]
-   and the analysis-driven [Optimizer.simplify_deep]. *)
-let () = install ()

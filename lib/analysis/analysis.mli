@@ -5,19 +5,9 @@
     "analyze" computes fixpoint facts over whole programs — stabilizer
     tableaux, reachable ququart levels, cost intervals, movable frontiers —
     and derives diagnostics from them. Both emit rule ids registered in
-    [Waltz_verify.Rules].
-
-    Referencing this module (e.g. [Analysis.run]) also registers:
-    - {!Waltz_core.Compile.analyzer_hook}, enabling
-      [Compile.compile ~analyze:true];
-    - {!Waltz_core.Compile.certifier_hook}, enabling
-      [Compile.compile ~certify:true] (resource certificates, see
-      {!Resource});
-    - {!Waltz_circuit.Optimizer.cancellable_pairs_hook}, enabling
-      [Optimizer.simplify_deep] to apply liveness facts. *)
+    [Waltz_verify.Rules]. *)
 
 open Waltz_circuit
-open Waltz_arch
 open Waltz_core
 module Diagnostic = Waltz_verify.Diagnostic
 
@@ -37,11 +27,3 @@ val run :
     span and counts fired diagnostics in [analyze.<name>.fired]. *)
 
 val pp_report : Format.formatter -> Diagnostic.report -> unit
-
-val hook :
-  topology:Topology.t -> Circuit.t option -> Physical.t -> (unit, string) result
-(** Adapter for {!Waltz_core.Compile.analyzer_hook}: [Ok ()] when the report
-    has no errors. *)
-
-val install : unit -> unit
-(** Registers both hooks; called automatically at module initialisation. *)

@@ -73,6 +73,31 @@ let events (c : Circuit.t) =
 let cancellable_pairs c =
   List.filter_map (function Cancel (i, j) -> Some (i, j) | _ -> None) (events c)
 
+let drop_pairs (c : Circuit.t) pairs =
+  let dead = Hashtbl.create 16 in
+  List.iter
+    (fun (i, j) ->
+      Hashtbl.replace dead i ();
+      Hashtbl.replace dead j ())
+    pairs;
+  Circuit.of_gates ~n:c.Circuit.n
+    (List.filteri (fun i _ -> not (Hashtbl.mem dead i)) c.Circuit.gates)
+
+let simplify_deep_with_stats c =
+  let rec go c (acc : Optimizer.stats) =
+    let c', (s : Optimizer.stats) = Optimizer.simplify_with_stats c in
+    let acc =
+      { Optimizer.removed = acc.removed + s.removed; fused = acc.fused + s.fused }
+    in
+    match cancellable_pairs c' with
+    | [] -> (c', acc)
+    | ps ->
+      go (drop_pairs c' ps) { acc with removed = acc.removed + (2 * List.length ps) }
+  in
+  go c { Optimizer.removed = 0; fused = 0 }
+
+let simplify_deep c = fst (simplify_deep_with_stats c)
+
 let max_reported = 16
 
 let check (c : Circuit.t) =

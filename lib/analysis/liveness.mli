@@ -6,9 +6,7 @@
     with) a frontier member on identical operands, the pair is removable even
     though the peephole {!Waltz_circuit.Optimizer} — which only sees DAG
     neighbours — keeps it. Findings come with machine-applicable fixes, and
-    {!cancellable_pairs} feeds
-    {!Waltz_circuit.Optimizer.cancellable_pairs_hook} so [simplify_deep] can
-    apply them.
+    {!simplify_deep} applies {!cancellable_pairs} between peephole rounds.
 
     Rules: LIVE00 (skipped), LIVE01 (separated cancellable pair), LIVE02
     (identity rotation), LIVE03 (separated fuseable rotation pair). *)
@@ -30,5 +28,11 @@ val events : Circuit.t -> event list
 
 val cancellable_pairs : Circuit.t -> (int * int) list
 (** Disjoint [Cancel] pairs only — safe to drop simultaneously. *)
+
+val simplify_deep : Circuit.t -> Circuit.t
+(** [Optimizer.simplify] to convergence, then repeatedly drops the
+    {!cancellable_pairs} and re-simplifies until no more pairs fire. *)
+
+val simplify_deep_with_stats : Circuit.t -> Circuit.t * Optimizer.stats
 
 val check : Circuit.t -> Diagnostic.t list

@@ -287,28 +287,3 @@ let dump t =
   Printf.bprintf b "pool seats %d queue %d\n" t.seat_demand t.queue_depth;
   List.iter (fun (cls, n) -> Printf.bprintf b "dispatch %s %d\n" cls n) t.dispatch_mix;
   Buffer.contents b
-
-(* Identity-keyed certificate side table (the [Compile.compile ~certify]
-   attachment point). A [Physical.t] is immutable once built and
-   recompiling yields a fresh value, so [==] is exactly "same compilation"
-   — the plan cache uses the same key. Bounded MRU under a mutex; crucially
-   this is a side table, so [Physical.dump] stays byte-identical whether or
-   not a program was certified. *)
-let table : (Physical.t * t) list ref = ref []
-let table_mutex = Mutex.create ()
-let table_capacity = 32
-
-let remember p cert =
-  Mutex.lock table_mutex;
-  table :=
-    (p, cert)
-    :: List.filteri
-         (fun i (q, _) -> q != p && i < table_capacity - 1)
-         !table;
-  Mutex.unlock table_mutex
-
-let certificate_of p =
-  Mutex.lock table_mutex;
-  let found = List.find_opt (fun (q, _) -> q == p) !table in
-  Mutex.unlock table_mutex;
-  Option.map snd found

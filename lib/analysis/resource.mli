@@ -102,12 +102,3 @@ val dump : t -> string
 (** Canonical serialization (hex floats, fixed field order) — the
     determinism grid asserts it is bit-identical across domain counts,
     batch widths and telemetry states. *)
-
-val remember : Physical.t -> t -> unit
-(** Attach a certificate to a program in the identity-keyed side table
-    (bounded MRU). [Physical.dump] is unchanged — byte-identity of program
-    serializations is preserved. *)
-
-val certificate_of : Physical.t -> t option
-(** The certificate last attached to this exact compiled program (by
-    [Compile.compile ~certify:true] or an explicit [remember]), if any. *)

@@ -121,36 +121,3 @@ let simplify_with_stats circuit =
   go circuit { removed = 0; fused = 0 }
 
 let simplify circuit = fst (simplify_with_stats circuit)
-
-(* Installed by Waltz_analysis.Analysis: returns disjoint index pairs of
-   gates that cancel once the commuting gates between them are moved aside.
-   Kept as a hook so waltz_circuit does not depend on the analysis layer. *)
-let cancellable_pairs_hook : (Circuit.t -> (int * int) list) option ref = ref None
-
-let drop_pairs circuit pairs =
-  let dead = Hashtbl.create 16 in
-  List.iter
-    (fun (i, j) ->
-      Hashtbl.replace dead i ();
-      Hashtbl.replace dead j ())
-    pairs;
-  let gates =
-    List.filteri (fun i _ -> not (Hashtbl.mem dead i)) circuit.Circuit.gates
-  in
-  Circuit.of_gates ~n:circuit.Circuit.n gates
-
-let simplify_deep_with_stats circuit =
-  let rec go c acc =
-    let c', s = simplify_with_stats c in
-    let acc = { removed = acc.removed + s.removed; fused = acc.fused + s.fused } in
-    match !cancellable_pairs_hook with
-    | None -> (c', acc)
-    | Some pairs -> begin
-      match pairs c' with
-      | [] -> (c', acc)
-      | ps -> go (drop_pairs c' ps) { acc with removed = acc.removed + (2 * List.length ps) }
-    end
-  in
-  go circuit { removed = 0; fused = 0 }
-
-let simplify_deep circuit = fst (simplify_deep_with_stats circuit)

@@ -13,32 +13,14 @@
       rotations by ≈0 (mod 2π) are dropped.
 
     "Adjacent" means no intervening gate touches any shared qubit, tracked
-    on the circuit DAG rather than the flat list. *)
+    on the circuit DAG rather than the flat list. Cancellations across
+    commuting gates are [Waltz_analysis.Liveness.simplify_deep]'s job. *)
 
 val simplify : Circuit.t -> Circuit.t
 
 type stats = { removed : int; fused : int }
 
 val simplify_with_stats : Circuit.t -> Circuit.t * stats
-
-(** {1 Analysis-driven cleanup}
-
-    The peephole pass only cancels pairs whose operands share a frontier.
-    The liveness analysis in [waltz_analysis] proves cancellations across
-    commuting gates; it registers itself here so [simplify_deep] can consume
-    its facts without a dependency cycle. [simplify] is unaffected — callers
-    opt into the deeper pass explicitly. *)
-
-val cancellable_pairs_hook : (Circuit.t -> (int * int) list) option ref
-(** Returns disjoint gate-index pairs proven to cancel. Installed by
-    referencing [Waltz_analysis.Analysis]; [None] makes [simplify_deep]
-    behave exactly like [simplify]. *)
-
-val simplify_deep : Circuit.t -> Circuit.t
-(** [simplify] to convergence, then repeatedly drops hook-proven cancellable
-    pairs and re-simplifies until no more facts fire. *)
-
-val simplify_deep_with_stats : Circuit.t -> Circuit.t * stats
 
 (** {1 Exposed peephole predicates (shared with the liveness analysis)} *)
 

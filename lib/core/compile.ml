@@ -9,24 +9,6 @@ let device_count strategy n =
   | Strategy.Bare | Strategy.Intermediate -> n
   | Strategy.Packed -> (n + 1) / 2
 
-type verifier =
-  topology:Topology.t -> Circuit.t option -> Physical.t -> (unit, string) result
-
-(* Filled in by [Waltz_verify.Verify] at link time; [compile] cannot depend
-   on the verifier library directly without a dependency cycle. *)
-let verifier_hook : verifier option ref = ref None
-
-(* Same shape, filled in by [Waltz_analysis.Analysis]: fixpoint static
-   analysis over the finished program ([compile ~analyze:true]). *)
-let analyzer_hook : verifier option ref = ref None
-
-(* Filled in by [Waltz_analysis.Analysis] as well: static resource
-   certification ([compile ~certify:true]). Unlike verify/analyze it never
-   fails the compile — it attaches a certificate to the program in the
-   analysis layer's side table (retrieved via
-   [Waltz_analysis.Resource.certificate_of]). *)
-let certifier_hook : (Physical.t -> unit) option ref = ref None
-
 let dist layout a b =
   Topology.distance (Layout.topology layout)
     (Layout.device_of layout a) (Layout.device_of layout b)
@@ -391,7 +373,7 @@ let record_op_counts ops =
       ops
   end
 
-let compile_uncached ~topo ?(verify = false) ?(analyze = false) strategy circuit =
+let compile_uncached ~topo strategy circuit =
   Telemetry.Span.with_ ~name:"compile"
     ~args:[ ("strategy", strategy.Strategy.name) ]
   @@ fun () ->
@@ -443,52 +425,17 @@ let compile_uncached ~topo ?(verify = false) ?(analyze = false) strategy circuit
           end
           | _ -> invalid_arg "Compile.compile: unsupported gate arity")
         prepared.Circuit.gates);
-  let compiled =
-    Telemetry.Span.with_ ~name:"compile/schedule" (fun () ->
-        let ops = Layout.ops layout in
-        record_op_counts ops;
-        { Physical.strategy;
-          n_logical = n;
-          device_count = Topology.device_count topo;
-          device_dim = Layout.device_dim layout;
-          ops;
-          initial_map;
-          final_map = Layout.snapshot_map layout;
-          schedule_memo = None })
-  in
-  if verify then begin
-    match !verifier_hook with
-    | None ->
-      invalid_arg
-        "Compile.compile ~verify:true: no verifier registered (link waltz_verify and \
-         reference Waltz_verify.Verify)"
-    | Some check -> begin
-      match
-        Telemetry.Span.with_ ~name:"compile/verify" (fun () ->
-            check ~topology:topo (Some circuit) compiled)
-      with
-      | Ok () -> ()
-      | Error report ->
-        failwith (Printf.sprintf "Compile.compile: verification failed\n%s" report)
-    end
-  end;
-  if analyze then begin
-    match !analyzer_hook with
-    | None ->
-      invalid_arg
-        "Compile.compile ~analyze:true: no analyzer registered (link waltz_analysis and \
-         reference Waltz_analysis.Analysis)"
-    | Some check -> begin
-      match
-        Telemetry.Span.with_ ~name:"compile/analyze" (fun () ->
-            check ~topology:topo (Some circuit) compiled)
-      with
-      | Ok () -> ()
-      | Error report ->
-        failwith (Printf.sprintf "Compile.compile: analysis found errors\n%s" report)
-    end
-  end;
-  compiled
+  Telemetry.Span.with_ ~name:"compile/schedule" (fun () ->
+      let ops = Layout.ops layout in
+      record_op_counts ops;
+      { Physical.strategy;
+        n_logical = n;
+        device_count = Topology.device_count topo;
+        device_dim = Layout.device_dim layout;
+        ops;
+        initial_map;
+        final_map = Layout.snapshot_map layout;
+        schedule_memo = None })
 
 (* ---- Compiled-program cache ---- *)
 
@@ -537,19 +484,14 @@ let cache_find ~fp ~strategy ~topo circuit =
       && e.key_circuit = circuit)
     !program_cache
 
-let compile ?topology ?(verify = false) ?(analyze = false) ?(certify = false) strategy
-    circuit =
+let compile ?topology strategy circuit =
   let n = circuit.Circuit.n in
   let topo =
     match topology with Some t -> t | None -> Topology.mesh (device_count strategy n)
   in
   if Topology.device_count topo < device_count strategy n then
     invalid_arg "Compile.compile: topology too small for the circuit";
-  let program =
-  (* Verification/analysis have caller-visible effects (they can raise on
-     the registered hooks), so those requests always compile fresh. *)
-  if (not !program_cache_enabled) || verify || analyze then
-    compile_uncached ~topo ~verify ~analyze strategy circuit
+  if not !program_cache_enabled then compile_uncached ~topo strategy circuit
   else begin
     let fp = Circuit.fingerprint circuit in
     Mutex.lock program_cache_mutex;
@@ -591,21 +533,6 @@ let compile ?topology ?(verify = false) ?(analyze = false) ?(certify = false) st
       Mutex.unlock program_cache_mutex;
       program
   end
-  in
-  (* Certification composes with the cache: it never raises and attaches
-     its result to the returned program instance by identity, so a cache
-     hit is simply re-certified (the analysis layer's own side table
-     absorbs the repeat). *)
-  if certify then begin
-    match !certifier_hook with
-    | None ->
-      invalid_arg
-        "Compile.compile ~certify:true: no certifier registered (link waltz_analysis \
-         and reference Waltz_analysis.Analysis)"
-    | Some attach ->
-      Telemetry.Span.with_ ~name:"compile/certify" (fun () -> attach program)
-  end;
-  program
 
 (* ---- Parallel strategy portfolio ---- *)
 

@@ -8,54 +8,19 @@ val device_count : Strategy.t -> int -> int
 (** Physical devices needed for [n] logical qubits: [n] for bare and
     intermediate encodings, ⌈n/2⌉ for full-ququart packing. *)
 
-type verifier =
-  topology:Topology.t -> Circuit.t option -> Physical.t -> (unit, string) result
-
-val verifier_hook : verifier option ref
-(** Set by [Waltz_verify.Verify] at link time; [compile ~verify:true] calls
-    it on the finished program. The indirection breaks the dependency cycle
-    between the compiler and the verifier library. *)
-
-val analyzer_hook : verifier option ref
-(** Same indirection for the fixpoint static-analysis layer; set by
-    [Waltz_analysis.Analysis] and called by [compile ~analyze:true]. *)
-
-val certifier_hook : (Physical.t -> unit) option ref
-(** Link-time indirection for static resource certification; set by
-    [Waltz_analysis.Analysis] and called by [compile ~certify:true] on the
-    finished (possibly cache-shared) program. Never fails the compile: the
-    certificate lands in the analysis layer's identity-keyed side table
-    ([Waltz_analysis.Resource.certificate_of]). *)
-
-val compile :
-  ?topology:Topology.t ->
-  ?verify:bool ->
-  ?analyze:bool ->
-  ?certify:bool ->
-  Strategy.t ->
-  Circuit.t ->
-  Physical.t
+val compile : ?topology:Topology.t -> Strategy.t -> Circuit.t -> Physical.t
 (** Compiles a logical circuit for the given strategy. The default topology
     is the paper's 2D mesh sized by [device_count]. Raises [Failure] when
-    routing cannot make progress (pathological topologies only).
+    routing cannot make progress (pathological topologies only). Checks are
+    separate calls on the result: [Waltz_verify.Verify.run],
+    [Waltz_analysis.Analysis.run] and [Waltz_analysis.Resource.certify].
 
-    With [~verify:true], runs the registered {!verifier_hook} on the result
-    and raises [Failure] with the verifier's report if it finds errors, or
-    [Invalid_argument] if no verifier is linked (reference
-    [Waltz_verify.Verify] to register one). [~analyze:true] does the same
-    through {!analyzer_hook} (reference [Waltz_analysis.Analysis]); analysis
-    warnings are allowed, errors abort.
-
-    Plain compilations (no verify/analyze) go through a bounded MRU program
-    cache keyed by (circuit, strategy, topology): a hit returns the
-    previously compiled program itself, which is safe to share because
-    programs are immutable, and keeps the executor's identity-keyed plan
-    cache hot. Disable with [WALTZ_COMPILE_CACHE=0] or {!set_program_cache};
-    hit/miss counts surface as [compile.program_cache.hit]/[.miss].
-
-    [~certify:true] additionally runs the registered {!certifier_hook} on
-    the result (cache hits included — certification is effect-free, so it
-    composes with the program cache). *)
+    Compilations go through a bounded MRU program cache keyed by (circuit,
+    strategy, topology): a hit returns the previously compiled program
+    itself, which is safe to share because programs are immutable, and
+    keeps the executor's identity-keyed plan cache hot. Disable with
+    [WALTZ_COMPILE_CACHE=0] or {!set_program_cache}; hit/miss counts surface
+    as [compile.program_cache.hit]/[.miss]. *)
 
 val compile_all :
   ?topology:Topology.t ->

@@ -110,12 +110,18 @@ let lift_gate_uncached ~device_dim (op : Physical.op) =
    share a label but carry different matrices (the two ENC encode directions,
    parameterized rotations) land in one bucket and are told apart by matrix
    equality, counted as [executor.lift_table.collision]. The mutex makes the
-   table safe for concurrent planners. *)
-let lift_table : (int * (int * int) list * string * int, (Mat.t * Mat.t) list ref)
-    Hashtbl.t =
+   table safe for concurrent planners; the lift itself is built outside it,
+   so a gate that does not fit its targets raises with no lock held. *)
+let lift_table : (int * (int * int) list * string * int, (Mat.t * Mat.t) list) Hashtbl.t =
   Hashtbl.create 64
 
 let lift_mutex = Mutex.create ()
+let lift_bucket key = Option.value ~default:[] (Hashtbl.find_opt lift_table key)
+
+(* Callers hold [lift_mutex]. *)
+let lift_find key gate =
+  Sanitize.Shared.read "executor.lift_table";
+  List.assoc_opt gate (lift_bucket key)
 
 let lift_gate ~device_dim (op : Physical.op) =
   let devices = unique_devices op.Physical.targets in
@@ -131,32 +137,34 @@ let lift_gate ~device_dim (op : Physical.op) =
   let key = (device_dim, pattern, op.Physical.label, gate.Mat.rows) in
   Mutex.lock lift_mutex;
   Sanitize.Lock.acquire "executor.lift_mutex";
-  let bucket =
-    match Hashtbl.find_opt lift_table key with
-    | Some b -> b
-    | None ->
-      if Hashtbl.length lift_table > 4096 then Hashtbl.reset lift_table;
-      let b = ref [] in
-      Hashtbl.add lift_table key b;
-      b
-  in
-  let lifted, hit, collision =
-    match List.find_opt (fun (g, _) -> g = gate) !bucket with
-    | Some (_, lifted) ->
-      Sanitize.Shared.read "executor.lift_table";
-      (lifted, true, false)
-    | None ->
-      let _, lifted = lift_gate_uncached ~device_dim op in
-      let collision = !bucket <> [] in
-      Sanitize.Shared.write "executor.lift_table";
-      bucket := (gate, lifted) :: !bucket;
-      (lifted, false, collision)
-  in
+  let cached = lift_find key gate in
   Sanitize.Lock.release "executor.lift_mutex";
   Mutex.unlock lift_mutex;
-  Telemetry.Metrics.cell_incr (if hit then lift_hit_cell else lift_miss_cell);
-  if collision then Telemetry.Metrics.cell_incr lift_collision_cell;
-  (devices, lifted)
+  match cached with
+  | Some lifted ->
+    Telemetry.Metrics.cell_incr lift_hit_cell;
+    (devices, lifted)
+  | None ->
+    let _, lifted = lift_gate_uncached ~device_dim op in
+    Mutex.lock lift_mutex;
+    Sanitize.Lock.acquire "executor.lift_mutex";
+    (* Re-check before inserting, like the plan and program caches: a
+       concurrent planner may have inserted the same lift meanwhile. *)
+    let lifted, collision =
+      match lift_find key gate with
+      | Some winner -> (winner, false)
+      | None ->
+        let b = lift_bucket key in
+        if b = [] && Hashtbl.length lift_table > 4096 then Hashtbl.reset lift_table;
+        Sanitize.Shared.write "executor.lift_table";
+        Hashtbl.replace lift_table key ((gate, lifted) :: b);
+        (lifted, b <> [])
+    in
+    Sanitize.Lock.release "executor.lift_mutex";
+    Mutex.unlock lift_mutex;
+    Telemetry.Metrics.cell_incr lift_miss_cell;
+    if collision then Telemetry.Metrics.cell_incr lift_collision_cell;
+    (devices, lifted)
 
 (* Allowed levels per device under a placement map: a device's computational
    subspace depends on how many qubits it holds and in which slots. *)
@@ -209,12 +217,11 @@ let plan_uncached ~model (compiled : Physical.t) =
   let plan_dims = Array.make compiled.Physical.device_count device_dim in
   let schedule = Physical.schedule compiled in
   let total_duration = Physical.total_duration compiled in
-  let lambdas_of = Noise.damping_cache model ~d:device_dim in
   let last_busy = Array.make compiled.Physical.device_count 0. in
   let window device until =
     let dt = until -. last_busy.(device) in
     if dt > 1e-9 then begin
-      let lambdas = lambdas_of dt in
+      let lambdas = Noise.damping_lambdas model ~d:device_dim ~dt_ns:dt in
       Some { dwire = device; lambdas; scales = State.damp_scales lambdas }
     end
     else None
@@ -266,10 +273,6 @@ let plan_uncached ~model (compiled : Physical.t) =
          (fun acc p -> acc + plan_op_bytes ~lifted:p.lifted ~kernel:p.kernel)
          0 plan_ops)
     "executor.plan.bytes";
-  (* Warm the shared Pauli tables once at plan time (they are mutex-guarded
-     globals, so pre-filling here keeps every later trajectory, on every
-     domain, contention-free without a per-simulate warm pass). *)
-  List.iter (fun d -> ignore (Noise.pauli_set ~d)) [ 2; device_dim ];
   let plan_dispatch =
     (* Cells are interned per class name, so physical equality groups ops
        by kernel class. *)
@@ -303,67 +306,44 @@ let plan_cache_capacity = 8
 let plan_cache_find ~model compiled =
   List.find_opt (fun (c, m, _) -> c == compiled && m = model) !plan_cache
 
-(* Domain-local fast path over the shared cache: repeated simulate calls on
-   one (compiled, model) — benchmark reps, trajectory sweeps — skip the
-   mutex and the MRU walk entirely. Holding a plan here is safe because
-   plans are immutable and never invalidated, only evicted from the shared
-   MRU list. *)
-let plan_memo : (Physical.t * Noise.model * plan) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let plan_shared ~model (compiled : Physical.t) =
+let plan ~model (compiled : Physical.t) =
   Mutex.lock plan_cache_mutex;
   Sanitize.Lock.acquire "executor.plan_cache_mutex";
-  let cached = plan_cache_find ~model compiled in
-  let p =
-    match cached with
-    | Some ((_, _, p) as entry) ->
-      Sanitize.Shared.write "executor.plan_cache";
-      plan_cache := entry :: List.filter (fun e -> not (e == entry)) !plan_cache;
-      Sanitize.Lock.release "executor.plan_cache_mutex";
-      Mutex.unlock plan_cache_mutex;
-      Telemetry.Metrics.cell_incr plan_hit_cell;
-      p
-    | None ->
-      Sanitize.Lock.release "executor.plan_cache_mutex";
-      Mutex.unlock plan_cache_mutex;
-      Telemetry.Metrics.cell_incr plan_miss_cell;
-      let p = plan_uncached ~model compiled in
-      Mutex.lock plan_cache_mutex;
-      Sanitize.Lock.acquire "executor.plan_cache_mutex";
-      (* Re-check before inserting: planning runs outside the lock, so a
-         concurrent caller may have planned and inserted the same
-         (compiled, model) in the meantime. Without this, both planners
-         insert and the duplicate silently halves the effective capacity;
-         adopting the winner also keeps [run_ideal]'s [==]-keyed reuse
-         exact. *)
-      let p =
-        match plan_cache_find ~model compiled with
-        | Some (_, _, p') -> p'
-        | None ->
-          Sanitize.Shared.write "executor.plan_cache";
-          plan_cache :=
-            (compiled, model, p)
-            :: (if List.length !plan_cache >= plan_cache_capacity then
-                  List.filteri (fun i _ -> i < plan_cache_capacity - 1) !plan_cache
-                else !plan_cache);
-          p
-      in
-      Sanitize.Lock.release "executor.plan_cache_mutex";
-      Mutex.unlock plan_cache_mutex;
-      p
-  in
-  p
-
-let plan ~model (compiled : Physical.t) =
-  let memo = Domain.DLS.get plan_memo in
-  match !memo with
-  | Some (c, m, p) when c == compiled && m = model ->
+  match plan_cache_find ~model compiled with
+  | Some ((_, _, p) as entry) ->
+    Sanitize.Shared.write "executor.plan_cache";
+    plan_cache := entry :: List.filter (fun e -> not (e == entry)) !plan_cache;
+    Sanitize.Lock.release "executor.plan_cache_mutex";
+    Mutex.unlock plan_cache_mutex;
     Telemetry.Metrics.cell_incr plan_hit_cell;
     p
-  | _ ->
-    let p = plan_shared ~model compiled in
-    memo := Some (compiled, model, p);
+  | None ->
+    Sanitize.Lock.release "executor.plan_cache_mutex";
+    Mutex.unlock plan_cache_mutex;
+    Telemetry.Metrics.cell_incr plan_miss_cell;
+    let p = plan_uncached ~model compiled in
+    Mutex.lock plan_cache_mutex;
+    Sanitize.Lock.acquire "executor.plan_cache_mutex";
+    (* Re-check before inserting: planning runs outside the lock, so a
+       concurrent caller may have planned and inserted the same
+       (compiled, model) in the meantime. Without this, both planners
+       insert and the duplicate silently halves the effective capacity;
+       adopting the winner also keeps [run_ideal]'s [==]-keyed reuse
+       exact. *)
+    let p =
+      match plan_cache_find ~model compiled with
+      | Some (_, _, p') -> p'
+      | None ->
+        Sanitize.Shared.write "executor.plan_cache";
+        plan_cache :=
+          (compiled, model, p)
+          :: (if List.length !plan_cache >= plan_cache_capacity then
+                List.filteri (fun i _ -> i < plan_cache_capacity - 1) !plan_cache
+              else !plan_cache);
+        p
+    in
+    Sanitize.Lock.release "executor.plan_cache_mutex";
+    Mutex.unlock plan_cache_mutex;
     p
 
 let embed_error ~device_dim role pauli =

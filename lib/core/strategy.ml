@@ -52,6 +52,9 @@ let fig7_set =
     mixed_radix_ccz;
     full_ququart ]
 
+let all =
+  fig7_set @ [ mixed_radix_cswap; full_ququart_cswap; full_ququart_cswap_oriented ]
+
 let ablate ?(disruption = true) ?(choreography = true) t =
   let suffix =
     (if disruption then "" else "-naive-routing")

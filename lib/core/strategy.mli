@@ -74,6 +74,10 @@ val full_ququart_cswap_oriented : t
 val fig7_set : t list
 (** The six strategies compared in Fig. 7, qubit-only first. *)
 
+val all : t list
+(** The nine named strategies: {!fig7_set}, then the three Fig. 9a CSWAP
+    configurations. *)
+
 val ablate : ?disruption:bool -> ?choreography:bool -> t -> t
 (** Returns a copy with the given ablation switches (name annotated). *)
 

@@ -1,6 +1,5 @@
 open Waltz_linalg
 open Waltz_qudit
-module Sanitize = Waltz_sanitizer.Sanitize
 
 type model = {
   t1_base_ns : float;
@@ -12,28 +11,13 @@ type model = {
 let default =
   { t1_base_ns = Calibration.t1_base_ns; t1_high_scale = 1.; ww_error_scale = 1.; seed = 2023 }
 
-let pauli_table : (int, Mat.t array) Hashtbl.t = Hashtbl.create 4
-let pauli_mutex = Mutex.create ()
+let paulis d = Array.init (d * d) (fun k -> Qudit_ops.pauli ~d (k / d) (k mod d))
 
-(* The table is shared by every domain running trajectories, so the
-   check-and-fill must be atomic. The returned arrays are never mutated. *)
-let pauli_set ~d =
-  Mutex.lock pauli_mutex;
-  Sanitize.Lock.acquire "noise.pauli_mutex";
-  let set =
-    match Hashtbl.find_opt pauli_table d with
-    | Some set ->
-      Sanitize.Shared.read "noise.pauli_table";
-      set
-    | None ->
-      let set = Array.init (d * d) (fun k -> Qudit_ops.pauli ~d (k / d) (k mod d)) in
-      Sanitize.Shared.write "noise.pauli_table";
-      Hashtbl.add pauli_table d set;
-      set
-  in
-  Sanitize.Lock.release "noise.pauli_mutex";
-  Mutex.unlock pauli_mutex;
-  set
+(* Trajectories only ever draw qubit and ququart Paulis: both sets are built
+   once at module init and shared read-only by every domain. *)
+let paulis2 = paulis 2
+let paulis4 = paulis 4
+let pauli_set ~d = match d with 2 -> paulis2 | 4 -> paulis4 | d -> paulis d
 
 let draw_error rng ~dims ~p =
   if p <= 0. then None
@@ -60,35 +44,6 @@ let t1_of_level model k =
 let damping_lambdas model ~d ~dt_ns =
   Array.init d (fun m ->
       if m = 0 then 0. else 1. -. exp (-.dt_ns /. t1_of_level model m))
-
-(* The closure's table is only reached from the planner today, but the
-   check-and-fill is a classic racy cache shape, so it is guarded by its
-   own mutex (one per closure; negligible, planning probes it a handful of
-   times) and instrumented — if a future caller ever shares a closure
-   across domains the sanitizer sees ordered, lock-protected accesses
-   instead of flagging a latent race. *)
-let damping_cache model ~d =
-  let table : (float, float array) Hashtbl.t = Hashtbl.create 16 in
-  let table_mutex = Mutex.create () in
-  fun dt_ns ->
-    Mutex.lock table_mutex;
-    Sanitize.Lock.acquire "noise.damping_cache.m";
-    let lambdas, hit =
-      match Hashtbl.find_opt table dt_ns with
-      | Some lambdas ->
-        Sanitize.Shared.read "noise.damping_cache";
-        (lambdas, true)
-      | None ->
-        let lambdas = damping_lambdas model ~d ~dt_ns in
-        Sanitize.Shared.write "noise.damping_cache";
-        Hashtbl.add table dt_ns lambdas;
-        (lambdas, false)
-    in
-    Sanitize.Lock.release "noise.damping_cache.m";
-    Mutex.unlock table_mutex;
-    Waltz_telemetry.Telemetry.Metrics.incr
-      (if hit then "noise.damping_cache.hit" else "noise.damping_cache.miss");
-    lambdas
 
 let decoherence_survival model ~max_level ~dt_ns =
   if max_level <= 0 then 1. else exp (-.dt_ns /. t1_of_level model max_level)

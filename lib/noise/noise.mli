@@ -28,7 +28,9 @@ val default : model
 (** T1 = 163.45 µs, no extra scaling, seed 2023. *)
 
 val pauli_set : d:int -> Mat.t array
-(** The d² generalized Paulis X^a·Z^b, identity first (index 0). *)
+(** The d² generalized Paulis X^a·Z^b, identity first (index 0). The d = 2
+    and d = 4 sets are shared and must be treated as read-only; any other d
+    is built fresh. *)
 
 val draw_error : Rng.t -> dims:int list -> p:float -> Mat.t list option
 (** With probability [p], draws a uniformly random non-identity element of
@@ -37,14 +39,6 @@ val draw_error : Rng.t -> dims:int list -> p:float -> Mat.t list option
 
 val damping_lambdas : model -> d:int -> dt_ns:float -> float array
 (** [λ_0 … λ_{d-1}] for an idle window of [dt_ns]; λ_0 = 0. *)
-
-val damping_cache : model -> d:int -> float -> float array
-(** [damping_cache model ~d] is a memoized [fun dt_ns -> damping_lambdas],
-    keyed on the exact [dt_ns] value. A compiled schedule produces the same
-    handful of idle windows for every trajectory, so the executor builds one
-    cache per plan instead of recomputing the exponentials each trajectory.
-    The closure is not domain-safe — build it once, single-threaded, and
-    treat the returned arrays as read-only. *)
 
 val decoherence_survival : model -> max_level:int -> dt_ns:float -> float
 (** exp(−dt / T1(max_level)) — the no-decay probability used by the

@@ -46,8 +46,7 @@ let both path baseline current =
 
 (* Cache hit-rates and utilization: lower is worse. *)
 let rate_paths =
-  [ "telemetry.lift_gate_hit_rate"; "telemetry.damping_cache_hit_rate";
-    "telemetry.pool_utilization" ]
+  [ "telemetry.lift_gate_hit_rate"; "telemetry.pool_utilization" ]
 
 let compare_json ?(thresholds = default_thresholds) ~baseline ~current () =
   let findings = ref [] in

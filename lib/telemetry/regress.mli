@@ -3,7 +3,7 @@
     --baseline] and [make regress-check].
 
     Checked, for metrics present in both records: every [ns_per_run] entry
-    (may rise at most [ns_pct] percent), the lift-gate / damping-cache /
+    (may rise at most [ns_pct] percent), the lift-gate and
     pool-utilization rates (may drop at most [hit_rate_drop] absolute),
     [batch.mask_divergence_rate] (may rise at most [divergence_rise]
     absolute) and [resource.certify_ns_per_op] (the admission controller's

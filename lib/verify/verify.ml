@@ -88,14 +88,3 @@ let run ?topology ?(passes = all_passes) ?probes ?seed ?equiv_max_qubits
     passes_run = List.rev !ran }
 
 let pp_report = Diagnostic.pp_report
-
-let hook ~topology circuit compiled =
-  let report = run ~topology circuit compiled in
-  if Diagnostic.is_clean report then Ok ()
-  else Error (Diagnostic.report_to_string report)
-
-let install () = Compile.verifier_hook := Some hook
-
-(* Registering at module-initialisation time means any program that links
-   waltz_verify can use [Compile.compile ~verify:true] directly. *)
-let () = install ()

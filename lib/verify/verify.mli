@@ -12,10 +12,7 @@
       critical-path total;
     - {b calibration} ([CAL]): durations/fidelities match Table 1/2 entries
       legal for the strategy;
-    - {b equivalence} ([EQ]): bounded replay against the circuit unitary.
-
-    Linking this library also registers {!hook} in [Compile.verifier_hook],
-    enabling [Compile.compile ~verify:true]. *)
+    - {b equivalence} ([EQ]): bounded replay against the circuit unitary. *)
 
 open Waltz_circuit
 open Waltz_arch
@@ -50,10 +47,3 @@ val run :
     equivalence checks. *)
 
 val pp_report : Format.formatter -> Diagnostic.report -> unit
-
-val hook : Compile.verifier
-
-val install : unit -> unit
-(** Idempotently registers {!hook} in [Compile.verifier_hook]. Called at
-    module initialisation; referencing this function also forces the library
-    to be linked. *)

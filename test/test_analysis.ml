@@ -1,7 +1,7 @@
 (* Tests for waltz_analysis: the fixpoint engine, the five analysis domains
    (stabilizer, leakage, cost, liveness, resource), the SARIF
-   writer/validator and the hooks into Compile/Optimizer. The stabilizer and
-   leakage domains are checked against exact simulation (unitaries /
+   writer/validator and the liveness-driven [simplify_deep]. The stabilizer
+   and leakage domains are checked against exact simulation (unitaries /
    state-vector replay), cost against the Eps and scheduler oracles,
    liveness against matrix commutation, and the resource certificates
    against the telemetry counters an instrumented run leaves behind. *)
@@ -439,12 +439,12 @@ let test_commutes_sound () =
   done;
   check_bool "sample exercised commuting pairs" true (!commuting > 40)
 
-(* The liveness hook lets simplify_deep remove a pair the peephole (which
-   only sees DAG neighbours) provably cannot. *)
+(* Liveness facts let simplify_deep remove a pair the peephole (which only
+   sees DAG neighbours) provably cannot. *)
 let test_simplify_deep_beats_peephole () =
   let c = Circuit.of_gates ~n:2 blocked_pair in
   check_int "peephole keeps all four gates" 4 (Circuit.gate_count (Optimizer.simplify c));
-  let deep = Optimizer.simplify_deep c in
+  let deep = Liveness.simplify_deep c in
   check_int "deep cleanup drops the separated pair" 2 (Circuit.gate_count deep);
   mat_equal_phase "deep output is equivalent" (Circuit.to_unitary c)
     (Circuit.to_unitary deep)
@@ -453,7 +453,7 @@ let test_simplify_deep_on_benchmark () =
   let base = Bench.bernstein_vazirani ~n:5 ~secret:0b1011 in
   let c = Circuit.append base (Circuit.of_gates ~n:5 blocked_pair) in
   let peep = Optimizer.simplify c in
-  let deep = Optimizer.simplify_deep c in
+  let deep = Liveness.simplify_deep c in
   check_bool "deep cleanup beats the peephole on a benchmark" true
     (Circuit.gate_count deep < Circuit.gate_count peep);
   mat_equal_phase "benchmark unitary preserved" (Circuit.to_unitary c)
@@ -591,14 +591,6 @@ let test_pass_names_roundtrip () =
     Analysis.all_passes;
   check_bool "unknown pass name" true (Analysis.pass_of_name "bogus" = None)
 
-let test_compile_analyze_flag () =
-  let circuit = Bench.by_total_qubits Cnu 5 in
-  let a = Compile.compile ~analyze:true Strategy.mixed_radix_ccz circuit in
-  let b = Compile.compile Strategy.mixed_radix_ccz circuit in
-  check_int "analyze flag is observational"
-    (List.length b.Physical.ops)
-    (List.length a.Physical.ops)
-
 (* ---- resource certificates ---- *)
 
 module Telemetry = Waltz_telemetry.Telemetry
@@ -703,22 +695,18 @@ let test_resource_cache_blowup_res03 () =
     check_bool "RES03 is a warning" true (d.Diagnostic.severity = Diagnostic.Warning)
   | ds -> Alcotest.failf "expected exactly RES03, got %d diagnostics" (List.length ds)
 
-let test_compile_certify_flag () =
+let test_certify_compiled_program () =
   let circuit = Bench.by_total_qubits Qram 6 in
-  let a = Compile.compile ~certify:true Strategy.mixed_radix_ccz circuit in
-  (match Resource.certificate_of a with
-  | None -> Alcotest.fail "certify:true left no certificate in the side table"
-  | Some cert ->
-    check_int "attached certificate covers the program"
-      (List.length a.Physical.ops)
-      cert.Resource.ops;
-    check_int "attached certificate uses the default shape" 1
-      cert.Resource.shape.Resource.trajectories);
-  (* Certification is observational: the program itself (and its canonical
-     dump) is the one the plain compile produces. *)
-  let b = Compile.compile Strategy.mixed_radix_ccz circuit in
-  Alcotest.(check string) "certify flag is dump-invisible" (Physical.dump b)
-    (Physical.dump a)
+  let a = Compile.compile Strategy.mixed_radix_ccz circuit in
+  let before = Physical.dump a in
+  let cert = Resource.certify a in
+  check_int "certificate covers the program" (List.length a.Physical.ops)
+    cert.Resource.ops;
+  check_int "certificate uses the default shape" 1
+    cert.Resource.shape.Resource.trajectories;
+  (* Certification is observational: the program (and its canonical dump)
+     is the one the plain compile produced. *)
+  Alcotest.(check string) "certification is dump-invisible" before (Physical.dump a)
 
 let test_resource_dump_roundtrip_determinism () =
   let circuit = Bench.by_total_qubits Cuccaro 6 in
@@ -755,9 +743,8 @@ let suite =
     case "SARIF validator decodes unicode escapes" test_sarif_unicode_escapes;
     case "Analysis.run report" test_analysis_run_report;
     case "pass names roundtrip" test_pass_names_roundtrip;
-    case "compile ~analyze:true" test_compile_analyze_flag;
     case "resource soundness grid" test_resource_soundness_grid;
     case "resource budget RES01" test_resource_budget_res01;
     case "resource cache blowup RES03" test_resource_cache_blowup_res03;
-    case "compile ~certify:true" test_compile_certify_flag;
+    case "certify a compiled program" test_certify_compiled_program;
     case "resource certificate determinism" test_resource_dump_roundtrip_determinism ]

@@ -57,12 +57,6 @@ let check_equivalence ?(seed = 17) strategy circuit =
   if Float.abs (overlap -. 1.) > 1e-6 then
     Alcotest.failf "%s: logical overlap %.9f <> 1" strategy.Strategy.name overlap
 
-let strategies_all =
-  Strategy.fig7_set
-  @ [ Strategy.mixed_radix_cswap;
-      Strategy.full_ququart_cswap;
-      Strategy.full_ququart_cswap_oriented ]
-
 let toffoli_circuit =
   Circuit.of_gates ~n:3 [ Gate.make Gate.Ccx [ 0; 1; 2 ] ]
 
@@ -105,7 +99,7 @@ let test_enc_gate_consistency () =
     [ 0; 1 ]
 
 let test_single_toffoli_all_strategies () =
-  List.iter (fun s -> check_equivalence s toffoli_circuit) strategies_all
+  List.iter (fun s -> check_equivalence s toffoli_circuit) Strategy.all
 
 let test_bell_all_strategies () =
   let bell =
@@ -115,7 +109,7 @@ let test_bell_all_strategies () =
         Gate.make Gate.Cx [ 1; 2 ];
         Gate.make Gate.Cx [ 2; 3 ] ]
   in
-  List.iter (fun s -> check_equivalence s bell) strategies_all
+  List.iter (fun s -> check_equivalence s bell) Strategy.all
 
 let test_cswap_all_strategies () =
   let c =
@@ -125,19 +119,19 @@ let test_cswap_all_strategies () =
         Gate.make Gate.Cx [ 2; 3 ];
         Gate.make Gate.Cswap [ 3; 2; 0 ] ]
   in
-  List.iter (fun s -> check_equivalence s c) strategies_all
+  List.iter (fun s -> check_equivalence s c) Strategy.all
 
 let test_cuccaro_small_all_strategies () =
   let c = Waltz_benchmarks.Bench_circuits.cuccaro ~bits:1 in
-  List.iter (fun s -> check_equivalence s c) strategies_all
+  List.iter (fun s -> check_equivalence s c) Strategy.all
 
 let test_qram_small_all_strategies () =
   let c = Waltz_benchmarks.Bench_circuits.qram ~address_bits:1 ~cells:2 in
-  List.iter (fun s -> check_equivalence s c) strategies_all
+  List.iter (fun s -> check_equivalence s c) Strategy.all
 
 let test_cnu_small_all_strategies () =
   let c = Waltz_benchmarks.Bench_circuits.cnu ~controls:3 in
-  List.iter (fun s -> check_equivalence s c) strategies_all
+  List.iter (fun s -> check_equivalence s c) Strategy.all
 
 let test_structure_intermediate () =
   let compiled = Compile.compile Strategy.mixed_radix_ccz toffoli_circuit in
@@ -197,7 +191,7 @@ let prop_random_circuits_equivalent =
     QCheck.(int_range 0 2000)
     (fun seed ->
       let c = Waltz_benchmarks.Bench_circuits.synthetic ~n:5 ~gates:6 ~cx_fraction:0.4 ~seed in
-      List.iter (fun s -> check_equivalence ~seed s c) strategies_all;
+      List.iter (fun s -> check_equivalence ~seed s c) Strategy.all;
       true)
 
 let suite =

@@ -114,6 +114,28 @@ let test_plan_at_ceiling () =
     (Printf.sprintf "plan-only call allocated %.0f words < 4^11" allocated)
     true (allocated < amplitudes)
 
+(* A gate that does not fit its targets makes the lift raise while a plan is
+   built. The raise must leave the executor usable: a later simulate on the
+   same domain has to build its own plan, lifts included. *)
+let test_failed_lift_leaves_executor_usable () =
+  let module Mat = Waltz_linalg.Mat in
+  let good = Compile.compile Strategy.mixed_radix_ccz toffoli in
+  let bad =
+    match good.Physical.ops with
+    | op :: rest ->
+      let gate = Mat.identity (2 * op.Physical.gate.Mat.rows) in
+      { good with Physical.ops = { op with Physical.gate } :: rest; schedule_memo = None }
+    | [] -> Alcotest.fail "compiled toffoli has no ops"
+  in
+  (* A model no other case uses, so neither plan can already be cached. *)
+  let model = { Noise.default with Noise.ww_error_scale = 1.46875 } in
+  let config = { Executor.model; trajectories = 4; base_seed = 1 } in
+  (match Executor.simulate ~config ~domains:1 bad with
+  | _ -> Alcotest.fail "a malformed op was simulated"
+  | exception Invalid_argument _ -> ());
+  let r = Executor.simulate ~config ~domains:1 good in
+  check_int "later simulate runs" 4 r.Executor.trajectories
+
 let suite =
   [ case "fidelity in range" test_fidelity_in_range;
     case "deterministic" test_deterministic;
@@ -122,4 +144,6 @@ let suite =
     case "memory guard" test_memory_guard;
     case "sem reported" test_sem_reported;
     case "trajectory count guard" test_trajectory_count_guard;
-    case "plan-only call at the 11-device ceiling" test_plan_at_ceiling ]
+    case "plan-only call at the 11-device ceiling" test_plan_at_ceiling;
+    case "failed lift leaves the executor usable"
+      test_failed_lift_leaves_executor_usable ]

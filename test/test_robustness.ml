@@ -7,11 +7,6 @@ open Waltz_arch
 open Waltz_core
 open Test_util
 
-let all_strategies =
-  Strategy.fig7_set
-  @ [ Strategy.mixed_radix_cswap; Strategy.full_ququart_cswap;
-      Strategy.full_ququart_cswap_oriented ]
-
 let check_compiled strategy (compiled : Physical.t) =
   (* Structural invariants of any compiled circuit. *)
   let name = strategy.Strategy.name in
@@ -46,7 +41,7 @@ let test_all_families_all_strategies () =
           List.iter
             (fun strategy ->
               check_compiled strategy (Compile.compile strategy circuit))
-            all_strategies)
+            Strategy.all)
         [ 6; 11; 15 ])
     Waltz_benchmarks.Bench_circuits.all_families
 
@@ -116,7 +111,7 @@ let prop_compile_total =
         (fun strategy ->
           let compiled = Compile.compile strategy circuit in
           Physical.op_count compiled > 0)
-        all_strategies)
+        Strategy.all)
 
 let suite =
   [ case "all families x strategies" test_all_families_all_strategies;

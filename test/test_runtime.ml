@@ -128,25 +128,6 @@ let test_lift_collision_fallback () =
   check_bool "collision counted" true
     (Telemetry.Metrics.counter "executor.lift_table.collision" >= 1)
 
-let test_damping_cache_matches_direct () =
-  List.iter
-    (fun model ->
-      List.iter
-        (fun d ->
-          let cache = Noise.damping_cache model ~d in
-          List.iter
-            (fun dt ->
-              let direct = Noise.damping_lambdas model ~d ~dt_ns:dt in
-              check_bool
-                (Printf.sprintf "lambdas d=%d dt=%g" d dt)
-                true
-                (cache dt = direct);
-              (* A repeated lookup must serve the identical values. *)
-              check_bool "repeat hit" true (cache dt = direct))
-            [ 12.5; 100.; 236.; 957.; 10_000. ])
-        [ 2; 4 ])
-    [ Noise.default; { Noise.default with Noise.t1_high_scale = 4. } ]
-
 let suite =
   [ case "pool map_array" test_pool_map_array;
     case "pool matches sequential" test_pool_matches_sequential;
@@ -155,5 +136,4 @@ let suite =
     case "default domains sane" test_default_domains_positive;
     case "determinism across domains" test_determinism_grid;
     case "lift cache matches uncached" test_lift_cache_matches_uncached;
-    case "lift collision falls back to matrix equality" test_lift_collision_fallback;
-    case "damping cache matches direct" test_damping_cache_matches_direct ]
+    case "lift collision falls back to matrix equality" test_lift_collision_fallback ]

@@ -132,10 +132,6 @@ let executor_counters () =
         (Telemetry.Metrics.counter "executor.lift_gate.hit"
          + Telemetry.Metrics.counter "executor.lift_gate.miss"
          > 0);
-      check_bool "damping cache metered" true
-        (Telemetry.Metrics.counter "noise.damping_cache.hit"
-         + Telemetry.Metrics.counter "noise.damping_cache.miss"
-         > 0);
       check_int "one lockstep block" 1 (Telemetry.Metrics.counter "executor.batch.blocks");
       check_bool "lane windows counted" true
         (Telemetry.Metrics.counter "executor.batch.lane_windows" > 0);

@@ -7,12 +7,6 @@ open Waltz_core
 open Waltz_verify
 open Test_util
 
-let strategies =
-  [ Strategy.qubit_only; Strategy.qubit_itoffoli; Strategy.mixed_radix_basic;
-    Strategy.mixed_radix_retarget; Strategy.mixed_radix_ccz; Strategy.full_ququart;
-    Strategy.mixed_radix_cswap; Strategy.full_ququart_cswap;
-    Strategy.full_ququart_cswap_oriented ]
-
 let benchmark_circuits =
   let open Waltz_benchmarks.Bench_circuits in
   [ ("cnu", by_total_qubits Cnu 6);
@@ -46,7 +40,7 @@ let test_benchmarks_verify () =
           check_clean
             ~label:(Printf.sprintf "%s/%s" name strategy.Strategy.name)
             circuit strategy)
-        strategies)
+        Strategy.all)
     benchmark_circuits
 
 (* The equivalence pass must actually run (not silently skip) at these
@@ -70,12 +64,6 @@ let test_no_circuit_skips_equivalence () =
   check_bool "EQ00 notes the missing circuit" true
     (Diagnostic.with_rule "EQ00" report <> [])
 
-let test_compile_verify_flag () =
-  let circuit = Waltz_benchmarks.Bench_circuits.by_total_qubits Cuccaro 6 in
-  let compiled = Compile.compile ~verify:true Strategy.full_ququart circuit in
-  check_int "verified compile emits ops" (List.length compiled.Physical.ops)
-    (List.length (Compile.compile Strategy.full_ququart circuit).Physical.ops)
-
 let test_rule_catalog_covers_diagnostics () =
   (* Every diagnostic the verifier can emit must be documented in the rule
      catalog, and ids must be unique. *)
@@ -94,11 +82,10 @@ let test_rule_catalog_covers_diagnostics () =
             true
             (Rules.find d.Diagnostic.rule <> None))
         report.Diagnostic.diagnostics)
-    strategies
+    Strategy.all
 
 let suite =
   [ case "benchmarks x strategies verify clean" test_benchmarks_verify;
     case "equivalence bound" test_equivalence_bound;
     case "no circuit skips equivalence" test_no_circuit_skips_equivalence;
-    case "compile ~verify:true" test_compile_verify_flag;
     case "rule catalog" test_rule_catalog_covers_diagnostics ]
