@@ -566,8 +566,7 @@ let kernel_mix_program =
           if not (List.mem cls classes) then
             failwith
               (Printf.sprintf "kernel-mix program no longer exercises class %s" cls))
-        [ "diagonal"; "monomial"; "controlled_block"; "single_wire"; "two_wire";
-          "generic" ];
+        Waltz_sim.Kernel.classes;
       program
     end
 
@@ -870,7 +869,7 @@ let micro () =
   let kernel_dispatch =
     List.map
       (fun cls -> (cls, Telemetry.Metrics.counter ("executor.kernel_dispatch." ^ cls)))
-      [ "diagonal"; "monomial"; "controlled_block"; "single_wire"; "two_wire"; "generic" ]
+      Waltz_sim.Kernel.classes
   in
   (* Observability-plane overhead on the same kernel: flight recorder AND
      the metrics flag both on (the always-on plane a daemon runs with, and
@@ -990,6 +989,36 @@ let micro () =
     @ ("fig7/compile-cached", compile_cached_ns)
       :: List.map (fun (p, ns) -> ("fig7/compile-phases/" ^ p, ns)) compile_phases
   in
+  (* The executor's ceiling at 10 and 11 ququarts: the wall time of one
+     trajectory at batch 1 on one domain, after a plan-only call has cached
+     the plan, and the certified per-domain workspace at batch 8. One
+     sample each, so they stay out of ns_per_run and the Regress gate. Run
+     last: the 11-ququart workspace stays with this domain. *)
+  let ceiling =
+    List.map
+      (fun total ->
+        let compiled =
+          Compile.compile Strategy.full_ququart
+            (Bench_circuits.by_total_qubits Bench_circuits.Cnu total)
+        in
+        let run trajectories =
+          ignore
+            (Executor.simulate
+               ~config:{ Executor.default_config with Executor.trajectories }
+               ~batch:1 ~domains:1 compiled)
+        in
+        run 0;
+        let t0 = Unix.gettimeofday () in
+        run 1;
+        let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+        let cert = Resource.certify ~trajectories:8 ~batch:8 compiled in
+        let devices = compiled.Physical.device_count in
+        Printf.printf "  %-30s %14.0f ms/trajectory (workspace at batch 8: %d bytes)\n"
+          (Printf.sprintf "ceiling/%d-ququarts" devices)
+          ms cert.Resource.block_workspace_bytes;
+        (devices, ms, cert.Resource.block_workspace_bytes))
+      [ 19; 21 ]
+  in
   let oc = open_out "BENCH_micro.json" in
   Printf.fprintf oc "{\n  \"domains\": %d,\n" domains;
   Printf.fprintf oc "  \"throughput_trajectories\": %d,\n" throughput_trajectories;
@@ -1075,6 +1104,18 @@ let micro () =
   Printf.fprintf oc "    \"peak_bytes\": %d,\n" resource_cert.Resource.peak_bytes;
   Printf.fprintf oc "    \"cache_bytes\": %d,\n" resource_cert.Resource.cache_bytes;
   Printf.fprintf oc "    \"plan_bytes\": %d\n" resource_cert.Resource.plan_bytes;
+  Printf.fprintf oc "  },\n";
+  Printf.fprintf oc "  \"ceiling\": {\n";
+  Printf.fprintf oc
+    "    \"benchmark\": \"cnu, full-ququart: one trajectory at batch 1 on one domain; \
+     certified workspace at batch 8\",\n";
+  List.iteri
+    (fun i (devices, ms, bytes) ->
+      Printf.fprintf oc
+        "    \"%d\": { \"trajectory_ms\": %.1f, \"workspace_bytes_batch8\": %d }%s\n"
+        devices ms bytes
+        (if i = List.length ceiling - 1 then "" else ","))
+    ceiling;
   Printf.fprintf oc "  },\n";
   Printf.fprintf oc "  \"ns_per_run\": {\n";
   List.iteri

@@ -35,12 +35,6 @@ type t = {
   dispatch_mix : (string * int) list;
 }
 
-(* Stable kernel-class catalog, in Kernel's classification order — the
-   dispatch mix always lists all six so serializations have a fixed
-   shape. *)
-let kernel_classes =
-  [ "diagonal"; "monomial"; "controlled_block"; "single_wire"; "two_wire"; "generic" ]
-
 let mat_bytes (m : Waltz_linalg.Mat.t) = 2 * 8 * m.Waltz_linalg.Mat.rows * m.Waltz_linalg.Mat.cols
 
 let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
@@ -56,22 +50,20 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
      instrumented wrappers will flush and the byte sum goes through
      [Executor.plan_op_bytes], the very formula the executor observes
      with. *)
-  let mix = Hashtbl.create 8 in
+  let mix = Array.make (List.length Kernel.classes) 0 in
   let plan_bytes = ref 0 and g_max = ref 1 in
   List.iter
     (fun (op : Physical.op) ->
       let devices, lifted = Executor.lift_gate ~device_dim op in
       let kernel = Kernel.compile ~dims ~targets:devices lifted in
-      let cls = Kernel.class_name kernel in
-      Hashtbl.replace mix cls (1 + Option.value ~default:0 (Hashtbl.find_opt mix cls));
+      let cls = Kernel.class_index kernel in
+      mix.(cls) <- mix.(cls) + 1;
       plan_bytes := !plan_bytes + Executor.plan_op_bytes ~lifted ~kernel;
       g_max := max !g_max lifted.Waltz_linalg.Mat.rows)
     p.Physical.ops;
-  let dispatch_mix =
-    List.map
-      (fun cls -> (cls, Option.value ~default:0 (Hashtbl.find_opt mix cls)))
-      kernel_classes
-  in
+  (* Every class of Kernel's catalog, in its order, so serializations have
+     a fixed shape. *)
+  let dispatch_mix = List.mapi (fun i cls -> (cls, mix.(i))) Kernel.classes in
   (* Plan-side lookup tables (support and leakage level tables, damping
      specs, dispatch cells): each bound covers the corresponding structure
      in the executor's [plan] record with room to spare. None grows with

@@ -32,6 +32,15 @@ let lift_miss_cell = Telemetry.Metrics.cell "executor.lift_gate.miss"
 let lift_collision_cell = Telemetry.Metrics.cell "executor.lift_table.collision"
 let block_us_series = Telemetry.Metrics.series "executor.block_us"
 
+(* Per kernel class, in [Kernel.classes] order: the dispatch counter cells
+   and the names of the plan-time classification counters. *)
+let dispatch_cells =
+  Array.of_list
+    (List.map (fun c -> Telemetry.Metrics.cell ("executor.kernel_dispatch." ^ c)) Kernel.classes)
+
+let kernel_class_names =
+  Array.of_list (List.map (fun c -> "executor.kernel_class." ^ c) Kernel.classes)
+
 let domain_traj_cell : Telemetry.Metrics.cell Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       Telemetry.Metrics.cell
@@ -47,8 +56,6 @@ type plan_op = {
   devices : int list;  (** state wires the lifted gate acts on, in order *)
   lifted : Mat.t;  (** unitary over those device wires *)
   kernel : Kernel.t;  (** plan-time classified apply path for [lifted] *)
-  dispatch_cell : Telemetry.Metrics.cell;
-      (** preallocated telemetry counter handle for the kernel class *)
   error_p : float;
   error_parts : (int * Physical.noise_role) list;  (** device, role *)
   error_dims : int list;  (** radix of each error part's Pauli draw *)
@@ -69,7 +76,7 @@ type plan = {
   plan_leak : bool array array;
       (** final-map support tables: population outside them is leakage *)
   plan_dispatch : (Telemetry.Metrics.cell * int) array;
-      (** per kernel class: (dispatch counter cell, ops of that class). The
+      (** per kernel class with ops: (dispatch counter cell, its ops). The
           dispatch tally per trajectory or block is a static function of
           the plan, so the instrumented wrappers flush one increment per
           class instead of one per op application. *)
@@ -206,7 +213,7 @@ let allowed_table (compiled : Physical.t) map =
    array payload bytes (8 per float or int word), headers excluded. *)
 let block_workspace_bytes ~dims ~cap =
   let n = Array.fold_left ( * ) 1 dims in
-  (3 * 2 * 8 * n * cap) + (2 * 8 * cap)
+  (2 * 2 * 8 * n * cap) + (2 * 8 * cap)
 
 let plan_op_bytes ~lifted ~kernel =
   (2 * 8 * lifted.Mat.rows * lifted.Mat.cols) + Kernel.footprint_bytes kernel
@@ -231,8 +238,6 @@ let plan_uncached ~model (compiled : Physical.t) =
       (fun ((op : Physical.op), start) ->
         let devices, lifted = lift_gate ~device_dim op in
         let kernel = Kernel.compile ~dims:plan_dims ~targets:devices lifted in
-        let cls = Kernel.class_name kernel in
-        Telemetry.Metrics.incr ("executor.kernel_class." ^ cls);
         let err = 1. -. op.Physical.fidelity in
         let err = if op.Physical.touches_ww then err *. model.Noise.ww_error_scale else err in
         let error_parts =
@@ -251,7 +256,6 @@ let plan_uncached ~model (compiled : Physical.t) =
         { devices;
           lifted;
           kernel;
-          dispatch_cell = Telemetry.Metrics.cell ("executor.kernel_dispatch." ^ cls);
           error_p = Float.max 0. err;
           error_parts;
           error_dims =
@@ -273,24 +277,29 @@ let plan_uncached ~model (compiled : Physical.t) =
          (fun acc p -> acc + plan_op_bytes ~lifted:p.lifted ~kernel:p.kernel)
          0 plan_ops)
     "executor.plan.bytes";
-  let plan_dispatch =
-    (* Cells are interned per class name, so physical equality groups ops
-       by kernel class. *)
-    let acc = ref [] in
-    List.iter
-      (fun op ->
-        match List.assq_opt op.dispatch_cell !acc with
-        | Some n -> acc := (op.dispatch_cell, n + 1) :: List.remove_assq op.dispatch_cell !acc
-        | None -> acc := (op.dispatch_cell, 1) :: !acc)
-      plan_ops;
-    Array.of_list (List.rev !acc)
-  in
+  (* Ops per kernel class. Both class counters are flushed once per class:
+     the classification counter here, the dispatch counter per block from
+     [plan_dispatch]. *)
+  let per_class = Array.make (Array.length dispatch_cells) 0 in
+  List.iter
+    (fun p ->
+      let i = Kernel.class_index p.kernel in
+      per_class.(i) <- per_class.(i) + 1)
+    plan_ops;
+  let plan_dispatch = ref [] in
+  Array.iteri
+    (fun i n ->
+      if n > 0 then begin
+        Telemetry.Metrics.incr ~by:n kernel_class_names.(i);
+        plan_dispatch := (dispatch_cells.(i), n) :: !plan_dispatch
+      end)
+    per_class;
   { plan_dims;
     plan_ops;
     final_damp;
     plan_allowed = allowed_table compiled compiled.Physical.initial_map;
     plan_leak = allowed_table compiled compiled.Physical.final_map;
-    plan_dispatch }
+    plan_dispatch = Array.of_list !plan_dispatch }
 
 (* Cross-call plan cache. Repeated [simulate] calls on one compiled program
    (benchmark reps, parameter sweeps over trajectories/seeds) replan from
@@ -370,15 +379,15 @@ let run_ideal (compiled : Physical.t) state =
 
 type detailed = { summary : result; mean_leakage : float; mean_error_draws : float }
 
-(* Per-domain batched workspace: the input/ideal/noisy block triple plus
-   the per-lane reduction buffers, reused across every block a domain runs
-   (one register shape and one batch width per simulate call). The arena
-   token makes a block smuggled across a pool job boundary an OWN01
+(* Per-domain batched workspace: the ideal/noisy block pair plus the
+   per-lane reduction buffers, reused across every block a domain runs
+   (one register shape and one batch width per simulate call). Each
+   block's inputs are drawn into [bideal] and copied into [bnoisy]. The
+   arena token makes a block smuggled across a pool job boundary an OWN01
    sanitizer finding. *)
 type block_workspace = {
   bdims : int array;
   bcap : int;
-  binput : State_block.t;
   bideal : State_block.t;
   bnoisy : State_block.t;
   bover : float array;  (* per-lane |⟨ideal|noisy⟩|² *)
@@ -399,7 +408,6 @@ let block_workspace_for dims ~cap =
     let ws =
       { bdims = Array.copy dims;
         bcap = cap;
-        binput = State_block.create ~dims ~cap;
         bideal = State_block.create ~dims ~cap;
         bnoisy = State_block.create ~dims ~cap;
         bover = Array.make cap 0.;
@@ -413,7 +421,7 @@ let block_workspace_for dims ~cap =
 
 (* Default lockstep batch width: the [--batch] / [WALTZ_BATCH] knob, else 8
    — wide enough to amortize index arithmetic over the lanes, small enough
-   that a block of three state triples stays cache-resident for the fig9
+   that the ideal/noisy block pair stays cache-resident for the fig9
    register sizes. Results are bit-identical at every width. The env read
    is memoized — the environment is fixed for the process lifetime, and the
    getenv scan otherwise shows up in short simulate calls. A racing first
@@ -472,19 +480,18 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
     let b0 = j * batch in
     let live = min batch (config.trajectories - b0) in
     let ws = block_workspace_for dims ~cap:batch in
-    State_block.set_live ws.binput live;
     State_block.set_live ws.bideal live;
-    State_block.set_live ws.bnoisy live;
     let rngs =
       Array.init live (fun i -> Rng.make ~seed:(config.base_seed + (7919 * (b0 + i))))
     in
-    State_block.fill_random_supported ws.binput rngs ~allowed:plan.plan_allowed;
-    State_block.assign ~dst:ws.bideal ~src:ws.binput;
+    (* The inputs are drawn into the ideal lanes and copied (with the live
+       count) into the noisy ones before the ideal pass overwrites them. *)
+    State_block.fill_random_supported ws.bideal rngs ~allowed:plan.plan_allowed;
+    State_block.assign ~dst:ws.bnoisy ~src:ws.bideal;
     (* Per op, one dispatch on the plan-time kernel class. Dispatch counters
        are flushed per block from [plan_dispatch], so the apply loops carry
        no instrumentation at all. *)
     List.iter (fun p -> State_block.apply_kernel ws.bideal p.kernel) plan.plan_ops;
-    State_block.assign ~dst:ws.bnoisy ~src:ws.binput;
     let draws = Array.make live 0 in
     let windows = ref 0 and diverged = ref 0 in
     let damp_block specs =

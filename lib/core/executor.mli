@@ -98,8 +98,10 @@ val initial_allowed : Physical.t -> int list array
     array payload bytes (8 per float or int word), headers excluded. *)
 
 val block_workspace_bytes : dims:int array -> cap:int -> int
-(** Payload bytes of one domain's lockstep workspace at batch width [cap]
-    (three SoA blocks plus the per-lane reduction buffers). *)
+(** Payload bytes of one domain's lockstep workspace at batch width [cap]:
+    two SoA blocks (ideal and noisy lanes; the inputs are drawn into the
+    ideal block and copied into the noisy one) plus the per-lane reduction
+    buffers, [2·2·8·n·cap + 2·8·cap] for [n] amplitudes. *)
 
 val plan_op_bytes :
   lifted:Waltz_linalg.Mat.t -> kernel:Waltz_sim.Kernel.t -> int

@@ -1,4 +1,8 @@
-type t = { state : Random.State.t; mutable cached_gauss : float option }
+(* [pair] is a flat (unboxed) float array: a polar draw lands both of its
+   normals there — slot 0 handed out at once, slot 1 kept as the spare
+   while [has_spare] is set — so a draw builds no tuple or option and
+   boxes no normal. *)
+type t = { state : Random.State.t; pair : float array; mutable has_spare : bool }
 
 (* [Random.State.make] hashes the seed array through the stdlib's full
    initialization (~0.6 us) — the trajectory engine pays it once per
@@ -8,6 +12,8 @@ type t = { state : Random.State.t; mutable cached_gauss : float option }
    advanced — [make] only ever copies them. *)
 let seed_masters : (int, Random.State.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+
+let of_state state = { state; pair = Array.make 2 0.; has_spare = false }
 
 let make ~seed =
   let masters = Domain.DLS.get seed_masters in
@@ -20,31 +26,46 @@ let make ~seed =
       Hashtbl.add masters seed s;
       s
   in
-  { state = Random.State.copy master; cached_gauss = None }
+  of_state (Random.State.copy master)
 
 let split t =
-  { state = Random.State.make [| Random.State.bits t.state; Random.State.bits t.state |];
-    cached_gauss = None }
+  of_state (Random.State.make [| Random.State.bits t.state; Random.State.bits t.state |])
 
 let int t bound = Random.State.int t.state bound
 let float t bound = Random.State.float t.state bound
 let bool t = Random.State.bool t.state
 
-let gaussian t =
-  match t.cached_gauss with
-  | Some g ->
-    t.cached_gauss <- None;
-    g
-  | None ->
-    let rec draw () =
-      let u = Random.State.float t.state 2. -. 1. and v = Random.State.float t.state 2. -. 1. in
-      let s = (u *. u) +. (v *. v) in
-      if s >= 1. || s = 0. then draw () else (u, v, s)
-    in
-    let u, v, s = draw () in
-    let f = sqrt (-2. *. log s /. s) in
-    t.cached_gauss <- Some (v *. f);
-    u *. f
+(* Marsaglia's polar form of Box–Muller: rejection-sample (u, v) in the
+   unit disc, then u·f and v·f are two independent normals. The float
+   refs are local, so the compiler keeps them unboxed. *)
+let draw_pair t =
+  let u = ref 0. and v = ref 0. and s = ref 0. in
+  let accepted = ref false in
+  while not !accepted do
+    u := Random.State.float t.state 2. -. 1.;
+    v := Random.State.float t.state 2. -. 1.;
+    s := (!u *. !u) +. (!v *. !v);
+    accepted := !s < 1. && !s <> 0.
+  done;
+  let f = sqrt (-2. *. log !s /. !s) in
+  t.pair.(0) <- !u *. f;
+  t.pair.(1) <- !v *. f
+
+(* Slot of [pair] holding the next normal: the spare if one is kept,
+   else the first of a fresh pair. *)
+let next_slot t =
+  if t.has_spare then begin
+    t.has_spare <- false;
+    1
+  end
+  else begin
+    draw_pair t;
+    t.has_spare <- true;
+    0
+  end
+
+let gaussian t = t.pair.(next_slot t)
+let gaussian_into t dst i = dst.(i) <- t.pair.(next_slot t)
 
 let weighted_choice t w =
   let total = Array.fold_left ( +. ) 0. w in

@@ -22,7 +22,13 @@ val float : t -> float -> float
 val bool : t -> bool
 
 val gaussian : t -> float
-(** Standard normal via Box–Muller. *)
+(** Standard normal via Box–Muller (polar form). Each draw of a pair
+    yields two normals; the second is kept for the next call. *)
+
+val gaussian_into : t -> float array -> int -> unit
+(** [gaussian_into t dst i] stores the next {!gaussian} draw in [dst.(i)]
+    without boxing it: the same stream, in the same order, so calls to the
+    two may be interleaved freely. *)
 
 val weighted_choice : t -> float array -> int
 (** [weighted_choice t w] samples index [i] with probability [w.(i) / Σw].

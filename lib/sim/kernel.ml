@@ -22,8 +22,15 @@ type t = {
   offsets : int array;
   iter : iteration;
   body : body;
-  cls : string;
+  cls : int;  (* index into [classes] *)
 }
+
+(* The class catalog, in classification order: the one list of names that
+   telemetry counters, certificates and benches key on. *)
+let classes =
+  [ "diagonal"; "monomial"; "controlled_block"; "single_wire"; "two_wire"; "generic" ]
+
+let class_table = Array.of_list classes
 
 let strides_of dims =
   let nw = Array.length dims in
@@ -97,10 +104,10 @@ let compile ~dims ~targets m =
   in
   let body, cls =
     match Mat.diagonal_entries m with
-    | Some (dre, dim) -> (Diagonal { dre; dim }, "diagonal")
+    | Some (dre, dim) -> (Diagonal { dre; dim }, 0)
     | None -> begin
       match Mat.monomial_structure m with
-      | Some (src, pre, pim) -> (Monomial { src; pre; pim }, "monomial")
+      | Some (src, pre, pim) -> (Monomial { src; pre; pim }, 1)
       | None ->
         let active = Mat.active_subspace m in
         let k = Array.length active in
@@ -112,20 +119,17 @@ let compile ~dims ~targets m =
               bim.((i * k) + j) <- m.Mat.im.((active.(i) * g) + active.(j))
             done
           done;
-          ( Controlled { k; aoff = Array.map (fun i -> offsets.(i)) active; bre; bim },
-            "controlled_block" )
+          (Controlled { k; aoff = Array.map (fun i -> offsets.(i)) active; bre; bim }, 2)
         end
         else
           ( Dense { mre = Array.copy m.Mat.re; mim = Array.copy m.Mat.im },
-            match iter with
-            | Single _ -> "single_wire"
-            | Pair _ -> "two_wire"
-            | Odometer _ -> "generic" )
+            match iter with Single _ -> 3 | Pair _ -> 4 | Odometer _ -> 5 )
     end
   in
   { tgt; g; n; offsets; iter; body; cls }
 
-let class_name t = t.cls
+let class_index t = t.cls
+let class_name t = class_table.(t.cls)
 let targets t = Array.to_list t.tgt
 
 (* Payload bytes of the compiled representation (float/int array contents,

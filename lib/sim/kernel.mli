@@ -58,10 +58,17 @@ val apply_block : t -> float array -> float array -> cap:int -> live:int -> unit
     arrays. Raises [Invalid_argument] on a plane-length mismatch or [live]
     outside [1, cap]. *)
 
+val classes : string list
+(** The class catalog in classification order: ["diagonal"],
+    ["monomial"], ["controlled_block"], ["single_wire"], ["two_wire"],
+    ["generic"] — stable names used by telemetry counters, the resource
+    certificates' dispatch mix and the bench dispatch histogram. *)
+
 val class_name : t -> string
-(** One of ["diagonal"], ["monomial"], ["controlled_block"],
-    ["single_wire"], ["two_wire"], ["generic"] — stable names used by
-    telemetry counters and the bench dispatch histogram. *)
+(** The kernel's class, one of {!classes}. *)
+
+val class_index : t -> int
+(** Position of {!class_name} in {!classes}. *)
 
 val targets : t -> int list
 (** The wires the kernel acts on, in compile order. *)

@@ -57,15 +57,18 @@ let iter_supported ~dims ~allowed f =
 (* In-place refill with a Haar-random state supported on the allowed levels
    (bool tables, wire-major). Overwrites every amplitude, so a reused buffer
    carries nothing across trajectories; the RNG draw order (re then im per
-   supported index, ascending) matches the allocating constructors exactly. *)
+   supported index, ascending) matches the allocating constructors exactly.
+   Each normal is stored straight into its plane ([Rng.gaussian_into]),
+   never boxed. *)
 let fill_random_supported s rng ~allowed =
   let v = s.vec in
   let n = Vec.dim v in
   Array.fill v.Vec.re 0 n 0.;
   Array.fill v.Vec.im 0 n 0.;
+  let re = v.Vec.re and im = v.Vec.im in
   iter_supported ~dims:s.dims ~allowed (fun idx ->
-      v.Vec.re.(idx) <- Rng.gaussian rng;
-      v.Vec.im.(idx) <- Rng.gaussian rng);
+      Rng.gaussian_into rng re idx;
+      Rng.gaussian_into rng im idx);
   Vec.normalize_in_place v
 
 (* A fresh state filled on the support [level_ok w l] describes. *)

@@ -103,7 +103,8 @@ let normalize_lane t k =
    own RNGs, so interleaving them per index leaves each stream in the
    exact scalar order: re then im per supported index, ascending — lane
    [k] sees the same gaussian sequence as a scalar
-   [State.fill_random_supported] with [rngs.(k)]. *)
+   [State.fill_random_supported] with [rngs.(k)]. Each normal is stored
+   straight into its plane slot ([Rng.gaussian_into]), never boxed. *)
 let fill_random_supported t rngs ~allowed =
   if Array.length rngs < t.live then
     invalid_arg "State_block.fill_random_supported: rng count mismatch";
@@ -114,8 +115,9 @@ let fill_random_supported t rngs ~allowed =
   State.iter_supported ~dims:t.dims ~allowed (fun idx ->
       let p = idx * cap in
       for k = 0 to live - 1 do
-        re.(p + k) <- Rng.gaussian rngs.(k);
-        im.(p + k) <- Rng.gaussian rngs.(k)
+        let rng = rngs.(k) in
+        Rng.gaussian_into rng re (p + k);
+        Rng.gaussian_into rng im (p + k)
       done);
   for k = 0 to live - 1 do
     normalize_lane t k

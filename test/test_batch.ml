@@ -149,6 +149,88 @@ let test_fill_bit_identity () =
     done
   done
 
+(* The Haar fill writes each draw straight into the planes: on a full
+   4^6-amplitude support × 8 lanes it allocates at most 6 minor words per
+   amplitude-lane, which leaves room for [Random.State.float]'s boxed
+   results (about 5 words per amplitude-lane) and nothing per normal.
+   Deterministic allocation counts, not timing. *)
+let test_fill_allocation () =
+  let dims = Array.make 6 4 and lanes = 8 in
+  let allowed = Array.map (fun d -> Array.make d true) dims in
+  let blk = State_block.create ~dims ~cap:lanes in
+  let rngs = Array.init lanes (fun k -> Rng.make ~seed:(500 + k)) in
+  let before = Gc.minor_words () in
+  State_block.fill_random_supported blk rngs ~allowed;
+  let per_amplitude_lane =
+    (Gc.minor_words () -. before) /. float_of_int (State_block.dim_total blk * lanes)
+  in
+  check_bool
+    (Printf.sprintf "fill allocated %.2f minor words per amplitude-lane (<= 6)"
+       per_amplitude_lane)
+    true (per_amplitude_lane <= 6.)
+
+(* Oracle for [Rng]: a plain Box–Muller sampler that keeps its spare in a
+   [float option], and the weighted choice, over the same seeded
+   [Random.State] that [Rng.make] builds. *)
+type oracle = { st : Random.State.t; mutable cached_gauss : float option }
+
+let oracle_gaussian t =
+  match t.cached_gauss with
+  | Some g ->
+    t.cached_gauss <- None;
+    g
+  | None ->
+    let rec draw () =
+      let u = Random.State.float t.st 2. -. 1. and v = Random.State.float t.st 2. -. 1. in
+      let s = (u *. u) +. (v *. v) in
+      if s >= 1. || s = 0. then draw () else (u, v, s)
+    in
+    let u, v, s = draw () in
+    let f = sqrt (-2. *. log s /. s) in
+    t.cached_gauss <- Some (v *. f);
+    u *. f
+
+let oracle_weighted_choice t w =
+  let total = Array.fold_left ( +. ) 0. w in
+  let x = Random.State.float t.st total in
+  let rec go i acc =
+    if i = Array.length w - 1 then i
+    else
+      let acc = acc +. w.(i) in
+      if x < acc then i else go (i + 1) acc
+  in
+  go 0 0.
+
+(* [Rng.gaussian] and [Rng.gaussian_into] reproduce the oracle bit for bit
+   over 10^4 calls per seed, interleaved at random with [float], [int] and
+   [weighted_choice], so a spare kept across other calls is covered. *)
+let test_rng_matches_boxed_oracle () =
+  let bits = Int64.bits_of_float in
+  let out = Array.make 3 0. in
+  List.iter
+    (fun seed ->
+      let rng = Rng.make ~seed in
+      let oracle = { st = Random.State.make [| seed; 0x9e3779b9 |]; cached_gauss = None } in
+      let picker = Random.State.make [| seed; 7 |] in
+      for call = 1 to 10_000 do
+        let fail what = Alcotest.failf "seed %d call %d: %s differs" seed call what in
+        match Random.State.int picker 5 with
+        | 0 -> if bits (Rng.gaussian rng) <> bits (oracle_gaussian oracle) then fail "gaussian"
+        | 1 ->
+          let i = Random.State.int picker 3 in
+          Rng.gaussian_into rng out i;
+          if bits out.(i) <> bits (oracle_gaussian oracle) then fail "gaussian_into"
+        | 2 ->
+          if bits (Rng.float rng 3.5) <> bits (Random.State.float oracle.st 3.5) then
+            fail "float"
+        | 3 -> if Rng.int rng 1000 <> Random.State.int oracle.st 1000 then fail "int"
+        | _ ->
+          let w = [| 0.25; 0.; 1.5; 0.125 |] in
+          if Rng.weighted_choice rng w <> oracle_weighted_choice oracle w then
+            fail "weighted_choice"
+      done)
+    [ 0; 1; 99; 2023; 7919 * 13 ]
+
 (* Random register shapes (1-9 wires, radix 2 and 4 mixed) with random
    level tables: level 0 always allowed, and about a third of the wires
    fully allowed, as a two-qubit ququart is. *)
@@ -352,6 +434,8 @@ let suite =
   [ case "every batched kernel class agrees with one-lane blocks" test_kernel_classes;
     case "generators cover all six kernel classes" test_class_coverage;
     case "block random fill is bit-identical per lane" test_fill_bit_identity;
+    case "block random fill allocates <= 6 words per amplitude-lane" test_fill_allocation;
+    case "Rng draws match the boxed Box-Muller oracle" test_rng_matches_boxed_oracle;
     test_iter_supported;
     case "block leakage matches the per-index table sweep" test_leakage_reference;
     case "divergent damping matches scalar lane-by-lane" test_damp_divergence;

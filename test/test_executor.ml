@@ -114,6 +114,31 @@ let test_plan_at_ceiling () =
     (Printf.sprintf "plan-only call allocated %.0f words < 4^11" allocated)
     true (allocated < amplitudes)
 
+(* The per-domain workspace holds two SoA blocks, ideal and noisy lanes;
+   the inputs are drawn into the first. A run on another register shape
+   comes first, so this domain must rebuild its workspace, and the first
+   simulate on 8 ququarts at K = 2 must then allocate fewer major words
+   than 2.5 blocks (a block there is 2 planes × 4^8 amplitudes × 2 lanes =
+   262144 words). Deterministic allocation counts, not timing. *)
+let test_workspace_two_blocks () =
+  let chain n =
+    Compile.compile Strategy.full_ququart
+      (Circuit.of_gates ~n (List.init (n - 1) (fun q -> Gate.make Gate.Cx [ q; q + 1 ])))
+  in
+  let other = chain 14 and compiled = chain 16 in
+  check_int "8 devices" 8 compiled.Physical.device_count;
+  let config = { Executor.default_config with Executor.trajectories = 2 } in
+  ignore (Executor.simulate ~config ~domains:1 other);
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  ignore (Executor.simulate ~config ~domains:1 compiled);
+  let allocated = (Gc.quick_stat ()).Gc.major_words -. before in
+  let block = 2. *. (4. ** 8.) *. 2. in
+  check_bool
+    (Printf.sprintf "first simulate allocated %.0f major words < 2.5 blocks (%.0f)" allocated
+       (2.5 *. block))
+    true
+    (allocated < 2.5 *. block)
+
 (* A gate that does not fit its targets makes the lift raise while a plan is
    built. The raise must leave the executor usable: a later simulate on the
    same domain has to build its own plan, lifts included. *)
@@ -145,5 +170,6 @@ let suite =
     case "sem reported" test_sem_reported;
     case "trajectory count guard" test_trajectory_count_guard;
     case "plan-only call at the 11-device ceiling" test_plan_at_ceiling;
+    case "workspace holds two blocks" test_workspace_two_blocks;
     case "failed lift leaves the executor usable"
       test_failed_lift_leaves_executor_usable ]
