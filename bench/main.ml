@@ -1161,11 +1161,13 @@ let micro () =
 (* Fast correctness gate for `make bench-smoke` and the lint alias: every
    kernel the planner would compile for a spread of benchmark programs must
    agree with the reference generic path on a random state (one-lane and
-   multi-lane blocks), and a tiny simulate must be bit-identical across the
-   domains x batch grid. Exits non-zero on the first discrepancy, so a
-   broken specialization fails `make lint` before any timed run can record
-   nonsense. *)
+   multi-lane blocks, and a block laid over planes longer than it needs),
+   and a tiny simulate must be bit-identical across the domains x batch
+   grid, run on workspace planes kept from a larger register. Exits
+   non-zero on the first discrepancy, so a broken specialization fails
+   `make lint` before any timed run can record nonsense. *)
 let smoke () =
+  let module Telemetry = Waltz_telemetry.Telemetry in
   header "Kernel smoke checks (lint gate)";
   let failures = ref 0 in
   let toffoli = Circuit.of_gates ~n:3 [ Gate.make Gate.Ccx [ 0; 1; 2 ] ] in
@@ -1210,34 +1212,65 @@ let smoke () =
           (* A wider block must not just agree — every lane must be
              bit-identical to the one-lane application, including a
              partial trailing block (live < cap). *)
-          let blk = Waltz_sim.State_block.create ~dims ~cap:3 in
-          Waltz_sim.State_block.set_live blk 2;
-          for k = 0 to 1 do
-            Waltz_sim.State_block.write_lane blk k (Waltz_sim.State.amplitudes state)
-          done;
-          Waltz_sim.State_block.apply_kernel blk kernel;
-          let exact = ref true in
-          for k = 0 to 1 do
-            let lane = Waltz_sim.State_block.read_lane blk k in
-            for i = 0 to Vec.dim v - 1 do
-              if
-                (not (Float.equal lane.Vec.re.(i) v.Vec.re.(i)))
-                || not (Float.equal lane.Vec.im.(i) v.Vec.im.(i))
-              then exact := false
-            done
-          done;
-          if not !exact then begin
+          let two_lanes blk =
+            Waltz_sim.State_block.set_live blk 2;
+            for k = 0 to 1 do
+              Waltz_sim.State_block.write_lane blk k (Waltz_sim.State.amplitudes state)
+            done;
+            Waltz_sim.State_block.apply_kernel blk kernel;
+            blk
+          in
+          let same_lanes blk (w : Vec.t) =
+            let exact = ref true in
+            for k = 0 to 1 do
+              let lane = Waltz_sim.State_block.read_lane blk k in
+              for i = 0 to Vec.dim w - 1 do
+                if
+                  (not (Float.equal lane.Vec.re.(i) w.Vec.re.(i)))
+                  || not (Float.equal lane.Vec.im.(i) w.Vec.im.(i))
+                then exact := false
+              done
+            done;
+            !exact
+          in
+          let fail what =
             incr failures;
-            Printf.printf "  FAIL %s (%s): batched kernel is not bit-identical\n"
-              op.Physical.label
+            Printf.printf "  FAIL %s (%s): %s\n" op.Physical.label
               (Waltz_sim.Kernel.class_name kernel)
-          end)
+              what
+          in
+          let blk = two_lanes (Waltz_sim.State_block.create ~dims ~cap:3) in
+          if not (same_lanes blk v) then fail "batched kernel is not bit-identical";
+          (* A domain's workspace keeps its planes from larger registers: a
+             block over longer planes, stale values throughout, must match
+             the exact-size block bit for bit. *)
+          let len = (Vec.dim v * 3) + 11 in
+          let long =
+            two_lanes
+              (Waltz_sim.State_block.of_planes ~dims ~cap:3 (Array.make len nan)
+                 (Array.make len nan))
+          in
+          if not (same_lanes long (Waltz_sim.State_block.read_lane blk 0)) then
+            fail "block over longer planes is not bit-identical")
         compiled.Physical.ops)
     programs;
-  Printf.printf "  kernel-vs-generic: %d plan ops checked (one-lane + batched)\n" !checked;
+  Printf.printf
+    "  kernel-vs-generic: %d plan ops checked (one-lane, batched, longer planes)\n"
+    !checked;
   let config = { Executor.model = Noise.default; trajectories = 4; base_seed = 5 } in
   let compiled = Compile.compile Strategy.full_ququart toffoli in
+  (* The reference runs before anything larger, on planes of its own size. *)
   let a = Executor.simulate_detailed ~config ~domains:1 ~batch:1 compiled in
+  (* A 6-ququart run on both seats, sixteen blocks as wide as the grid's
+     widest, so that the grid below lays its blocks over planes and lane
+     buffers kept from it. *)
+  ignore
+    (Executor.simulate_detailed
+       ~config:{ config with Executor.trajectories = 64 }
+       ~domains:2 ~batch:4
+       (Compile.compile Strategy.full_ququart (Bench_circuits.cnu ~controls:6)));
+  Telemetry.reset ();
+  Telemetry.enable ();
   let same (b : Executor.detailed) =
     Float.equal a.Executor.summary.Executor.mean_fidelity
       b.Executor.summary.Executor.mean_fidelity
@@ -1253,6 +1286,9 @@ let smoke () =
           domains batch
       end)
     [ (2, 1); (1, 2); (2, 3); (2, 4) ];
+  Printf.printf "  grid workspace growth: %d bytes (0: every seat reused its planes)\n"
+    (Telemetry.Metrics.counter "executor.workspace.block_bytes");
+  Telemetry.disable ();
   if !failures > 0 then begin
     Printf.printf "smoke: %d failures\n" !failures;
     exit 1

@@ -192,6 +192,15 @@ let with_circuit ?(qasm = None) ?(optimize = false) ?(reroll = false) family n c
     1
   | Ok circuit -> f circuit
 
+(* Subcommands that report trajectory statistics need at least one
+   trajectory: with none, every mean is 0/0. *)
+let with_trajectories cmd trajectories f =
+  if trajectories < 1 then begin
+    Printf.eprintf "%s: --trajectories must be at least 1 (got %d)\n" cmd trajectories;
+    1
+  end
+  else f ()
+
 (* ---- compile ---- *)
 
 let compile_cmd =
@@ -286,6 +295,7 @@ let estimate_cmd =
 let simulate_cmd =
   let run family n cx_fraction strategy trajectories seed qasm optimize domains batch
       stats trace =
+    with_trajectories "simulate" trajectories @@ fun () ->
     with_circuit ~qasm ~optimize family n cx_fraction (fun circuit ->
         with_telemetry ~stats ~trace (fun () ->
             let compiled = Compile.compile strategy circuit in
@@ -313,6 +323,7 @@ let simulate_cmd =
 
 let sweep_cmd =
   let run family n cx_fraction knob values trajectories domains batch =
+    with_trajectories "sweep" trajectories @@ fun () ->
     with_circuit family n cx_fraction (fun circuit ->
         let strategies =
           [ Strategy.qubit_only; Strategy.qubit_itoffoli; Strategy.mixed_radix_ccz;

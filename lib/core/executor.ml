@@ -211,9 +211,10 @@ let allowed_table (compiled : Physical.t) map =
    bounds through the same ones, so "certified >= observed" can never be
    broken by the two sides counting different things. All figures are
    array payload bytes (8 per float or int word), headers excluded. *)
+let block_plane_bytes ~dims ~cap = 2 * 2 * 8 * Array.fold_left ( * ) 1 dims * cap
+let block_lane_bytes ~cap = 2 * 8 * cap
 let block_workspace_bytes ~dims ~cap =
-  let n = Array.fold_left ( * ) 1 dims in
-  (2 * 2 * 8 * n * cap) + (2 * 8 * cap)
+  block_plane_bytes ~dims ~cap + block_lane_bytes ~cap
 
 let plan_op_bytes ~lifted ~kernel =
   (2 * 8 * lifted.Mat.rows * lifted.Mat.cols) + Kernel.footprint_bytes kernel
@@ -379,17 +380,22 @@ let run_ideal (compiled : Physical.t) state =
 
 type detailed = { summary : result; mean_leakage : float; mean_error_draws : float }
 
-(* Per-domain batched workspace: the ideal/noisy block pair plus the
-   per-lane reduction buffers, reused across every block a domain runs
-   (one register shape and one batch width per simulate call). Each
-   block's inputs are drawn into [bideal] and copied into [bnoisy]. The
-   arena token makes a block smuggled across a pool job boundary an OWN01
-   sanitizer finding. *)
+(* Per-domain batched workspace: the ideal/noisy block pair over four
+   grow-only planes, plus the per-lane reduction buffers. A domain keeps
+   them across simulate calls; a call on another register shape or batch
+   width lays its two blocks over the same planes when they hold [n * cap]
+   floats and allocates exactly [n * cap] only when they are shorter (the
+   lane buffers likewise against [cap]). A domain therefore holds at most
+   the largest workspace it has run. Each block's inputs are drawn into
+   [bideal] and copied into [bnoisy], so stale plane contents are never
+   read. The arena token makes a block smuggled across a pool job boundary
+   an OWN01 sanitizer finding. *)
 type block_workspace = {
   bdims : int array;
   bcap : int;
   bideal : State_block.t;
   bnoisy : State_block.t;
+  bplanes : float array array;  (* re, im under [bideal]; re, im under [bnoisy] *)
   bover : float array;  (* per-lane |⟨ideal|noisy⟩|² *)
   bleak : float array;  (* per-lane leakage *)
   bowner : Sanitize.Arena.token;  (* sanitizer ownership witness *)
@@ -404,18 +410,43 @@ let block_workspace_for dims ~cap =
   | Some ws when ws.bdims = dims && ws.bcap = cap ->
     Sanitize.Arena.touch ws.bowner;
     ws
-  | _ ->
+  | prev ->
+    let len = Array.fold_left ( * ) 1 dims * cap in
+    (* Bytes allocated by this call, through the certificate's formulas:
+       all of [block_workspace_bytes] on a fresh domain, 0 on reuse. *)
+    let grown = ref 0 in
+    let bplanes =
+      match prev with
+      | Some ws when Array.length ws.bplanes.(0) >= len -> ws.bplanes
+      | _ ->
+        grown := block_plane_bytes ~dims ~cap;
+        Array.init 4 (fun _ -> Array.make len 0.)
+    in
+    let bover, bleak =
+      match prev with
+      | Some ws when Array.length ws.bover >= cap -> (ws.bover, ws.bleak)
+      | _ ->
+        grown := !grown + block_lane_bytes ~cap;
+        (Array.make cap 0., Array.make cap 0.)
+    in
+    let bowner =
+      match prev with
+      | Some ws -> ws.bowner
+      | None -> Sanitize.Arena.create "executor.block_workspace"
+    in
+    Sanitize.Arena.touch bowner;
     let ws =
       { bdims = Array.copy dims;
         bcap = cap;
-        bideal = State_block.create ~dims ~cap;
-        bnoisy = State_block.create ~dims ~cap;
-        bover = Array.make cap 0.;
-        bleak = Array.make cap 0.;
-        bowner = Sanitize.Arena.create "executor.block_workspace" }
+        bideal = State_block.of_planes ~dims ~cap bplanes.(0) bplanes.(1);
+        bnoisy = State_block.of_planes ~dims ~cap bplanes.(2) bplanes.(3);
+        bplanes;
+        bover;
+        bleak;
+        bowner }
     in
-    Telemetry.Metrics.incr ~by:(block_workspace_bytes ~dims ~cap)
-      "executor.workspace.block_bytes";
+    if !grown > 0 then
+      Telemetry.Metrics.incr ~by:!grown "executor.workspace.block_bytes";
     slot := Some ws;
     ws
 

@@ -90,18 +90,25 @@ val initial_allowed : Physical.t -> int list array
 
 (** {1 Byte accounting shared with the resource certificates}
 
-    The executor observes its own allocations through these formulas
-    (counters [executor.workspace.block_bytes] and [executor.plan.bytes],
-    flushed when a per-domain workspace or a plan is built), and [Waltz_analysis.Resource] certifies through the same
-    ones, so the soundness invariant "certified >= observed" cannot be
-    broken by the two sides counting different things. All figures are
-    array payload bytes (8 per float or int word), headers excluded. *)
+    The executor observes its own allocations through these formulas, and
+    [Waltz_analysis.Resource] certifies through the same ones, so the
+    soundness invariant "certified >= observed" cannot be broken by the two
+    sides counting different things. Counter [executor.plan.bytes] is
+    flushed when a plan is built. Counter [executor.workspace.block_bytes]
+    counts the bytes allocated when a domain's workspace grows: each domain
+    keeps its planes and lane buffers across calls and allocates only when
+    they are shorter than the call needs, so a domain's first simulate
+    observes the whole {!block_workspace_bytes} and a call that reuses
+    them observes 0. All figures are array payload bytes (8 per float or
+    int word), headers excluded. *)
 
 val block_workspace_bytes : dims:int array -> cap:int -> int
-(** Payload bytes of one domain's lockstep workspace at batch width [cap]:
+(** Payload bytes of one job's lockstep workspace at batch width [cap]:
     two SoA blocks (ideal and noisy lanes; the inputs are drawn into the
     ideal block and copied into the noisy one) plus the per-lane reduction
-    buffers, [2·2·8·n·cap + 2·8·cap] for [n] amplitudes. *)
+    buffers, [2·2·8·n·cap + 2·8·cap] for [n] amplitudes. A domain keeps
+    the largest workspace it has run, so its residency is this figure at
+    the largest [n·cap] (and [cap]) simulated on it. *)
 
 val plan_op_bytes :
   lifted:Waltz_linalg.Mat.t -> kernel:Waltz_sim.Kernel.t -> int

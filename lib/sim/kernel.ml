@@ -131,6 +131,7 @@ let compile ~dims ~targets m =
 let class_index t = t.cls
 let class_name t = class_table.(t.cls)
 let targets t = Array.to_list t.tgt
+let dim_total t = t.n
 
 (* Payload bytes of the compiled representation (float/int array contents,
    excluding OCaml block headers) — the per-kernel-class byte table backing
@@ -207,11 +208,13 @@ let iterate t f =
    batch and the inner loops vectorize. Per lane, the floating-point
    operations and their order do not depend on [cap] or [live], so each
    lane's result is bit-identical to a one-lane application ([cap = 1],
-   which is exactly a plain state vector's layout). *)
+   which is exactly a plain state vector's layout). Planes may be longer
+   than [n * cap] (a workspace kept from a larger register): positions
+   past it are never read or written. *)
 let apply_block t bre' bim' ~cap ~live =
   if live < 1 || live > cap then invalid_arg "Kernel.apply_block: bad lane count";
-  if Array.length bre' <> t.n * cap || Array.length bim' <> t.n * cap then
-    invalid_arg "Kernel.apply_block: state block dimension mismatch";
+  if Array.length bre' < t.n * cap || Array.length bim' < t.n * cap then
+    invalid_arg "Kernel.apply_block: planes shorter than n * cap";
   let offsets = t.offsets and g = t.g in
   match t.body with
   | Diagonal { dre; dim } when g = 4 ->

@@ -55,8 +55,13 @@ val apply_block : t -> float array -> float array -> cap:int -> live:int -> unit
     operations and their order are independent of [cap] and [live], so
     every lane's result is bit-identical to a one-lane application. With
     [~cap:1 ~live:1] the planes are exactly a state vector's [re]/[im]
-    arrays. Raises [Invalid_argument] on a plane-length mismatch or [live]
-    outside [1, cap]. *)
+    arrays. The planes must hold at least [n * cap] floats for the [n]
+    amplitudes of the register the kernel was compiled for; positions past
+    [n * cap] are never touched, so a block may lie over longer planes.
+    Raises [Invalid_argument] on shorter planes or [live] outside
+    [1, cap]. Whether the planes hold a register of [n] amplitudes is the
+    caller's to know: {!State_block.apply_kernel} checks it against
+    {!dim_total}. *)
 
 val classes : string list
 (** The class catalog in classification order: ["diagonal"],
@@ -72,6 +77,10 @@ val class_index : t -> int
 
 val targets : t -> int list
 (** The wires the kernel acts on, in compile order. *)
+
+val dim_total : t -> int
+(** Amplitude count of the register the kernel was compiled for (the
+    product of its [dims]). *)
 
 val footprint_bytes : t -> int
 (** Payload bytes of the compiled representation (index tables, phase/

@@ -6,7 +6,9 @@ module Scratch = Waltz_runtime.Scratch
    re/im planes, so a kernel sweeping one amplitude index touches all lanes
    contiguously — the inner loops over [k] are dense, branch-free and
    vectorizable. [live <= cap] lanes are in use; the trailing partial block
-   of a trajectory run reuses the same planes without reallocating. *)
+   of a trajectory run reuses the same planes without reallocating. The
+   planes may be longer than [n * cap] ([of_planes]); every operation here
+   works on [0, n * cap) only. *)
 type t = {
   dims : int array;
   strides : int array;
@@ -25,20 +27,22 @@ let strides_of dims =
   done;
   strides
 
+(* Amplitudes per lane of a valid shape. *)
+let amplitudes ~dims ~cap =
+  if Array.length dims = 0 then invalid_arg "State_block: no wires";
+  Array.iter (fun d -> if d < 2 then invalid_arg "State_block: wire dimension < 2") dims;
+  if cap < 1 then invalid_arg "State_block: capacity < 1";
+  Array.fold_left ( * ) 1 dims
+
+let of_planes ~dims ~cap re im =
+  let n = amplitudes ~dims ~cap in
+  if Array.length re < n * cap || Array.length im < n * cap then
+    invalid_arg "State_block.of_planes: planes shorter than n * cap";
+  { dims = Array.copy dims; strides = strides_of dims; n; cap; live = cap; re; im }
+
 let create ~dims ~cap =
-  if Array.length dims = 0 then invalid_arg "State_block.create";
-  Array.iter
-    (fun d -> if d < 2 then invalid_arg "State_block.create: wire dimension < 2")
-    dims;
-  if cap < 1 then invalid_arg "State_block.create: capacity < 1";
-  let n = Array.fold_left ( * ) 1 dims in
-  { dims = Array.copy dims;
-    strides = strides_of dims;
-    n;
-    cap;
-    live = cap;
-    re = Array.make (n * cap) 0.;
-    im = Array.make (n * cap) 0. }
+  let len = amplitudes ~dims ~cap * cap in
+  of_planes ~dims ~cap (Array.make len 0.) (Array.make len 0.)
 
 let dims t = Array.copy t.dims
 let dim_total t = t.n
@@ -284,7 +288,12 @@ let damp_with t rngs ~wire ~lambdas ~scales =
   done;
   !jumps
 
-let apply_kernel t kern = Kernel.apply_block kern t.re t.im ~cap:t.cap ~live:t.live
+(* The planes may be longer than [n * cap], so [Kernel.apply_block]'s
+   length guard no longer tells a kernel of a smaller register from ours. *)
+let apply_kernel t kern =
+  if Kernel.dim_total kern <> t.n then
+    invalid_arg "State_block.apply_kernel: kernel compiled for another amplitude count";
+  Kernel.apply_block kern t.re t.im ~cap:t.cap ~live:t.live
 
 (* Odometer over the non-target wires, shared with [apply_lane] below —
    same shape and scratch slots (ints 0/2) as [State.iter_bases]. *)

@@ -33,6 +33,15 @@ val create : dims:int array -> cap:int -> t
 (** A block of [cap] all-zero lanes over a register with the given wire
     dimensions; [live] starts at [cap]. *)
 
+val of_planes : dims:int array -> cap:int -> float array -> float array -> t
+(** [of_planes ~dims ~cap re im] lays a block over existing re/im planes
+    that hold at least [n * cap] floats for the register's [n] amplitudes
+    (else [Invalid_argument]); [live] starts at [cap]. The block uses
+    positions [0, n * cap) and never touches the rest, so one pair of
+    planes can serve registers of different shapes in turn. Its lanes hold
+    whatever the planes held: refill ({!fill_random_supported},
+    {!write_lane}, {!assign}) before reading. *)
+
 val dims : t -> int array
 val dim_total : t -> int
 
@@ -64,7 +73,9 @@ val fill_random_supported : t -> Rng.t array -> allowed:bool array array -> unit
 
 val apply_kernel : t -> Kernel.t -> unit
 (** Lockstep application of a compiled kernel to all live lanes
-    ({!Kernel.apply_block}). *)
+    ({!Kernel.apply_block}). Raises [Invalid_argument] when the kernel was
+    compiled for a register of another amplitude count
+    ({!Kernel.dim_total}), however long the planes are. *)
 
 val apply_lane : t -> int -> targets:int list -> Mat.t -> unit
 (** Application of a unitary to one lane, {!State.apply}'s generic

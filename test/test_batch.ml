@@ -56,14 +56,28 @@ let random_block r ~dims ~cap ~live =
   (blk, lanes)
 
 (* One batched application vs per-lane references: bit-identical to a
-   one-lane block application, and within 1e-12 of the generic path. *)
+   one-lane block application, and within 1e-12 of the generic path. The
+   same lanes in a block laid over planes longer than n·cap (a workspace
+   kept from a larger register, stale values throughout) must come out
+   bit-identical to the exact-size block, with the tail untouched. *)
 let check_block_agrees r ~dims ~targets m =
   let kernel = Kernel.compile ~dims ~targets m in
   let cls = Kernel.class_name kernel in
   (* cap > live exercises the partial-trailing-block layout. *)
   let cap = 5 and live = 3 in
   let blk, lanes = random_block r ~dims ~cap ~live in
+  let len = State_block.dim_total blk * cap and extra = 37 in
+  let lre = Array.init (len + extra) (fun i -> float_of_int (i + 1))
+  and lim = Array.make (len + extra) nan in
+  let long = State_block.of_planes ~dims ~cap lre lim in
+  State_block.set_live long live;
+  Array.iteri (fun k s -> State_block.write_lane long k (State.amplitudes s)) lanes;
   State_block.apply_kernel blk kernel;
+  State_block.apply_kernel long kernel;
+  for i = len to len + extra - 1 do
+    if lre.(i) <> float_of_int (i + 1) || not (Float.is_nan lim.(i)) then
+      Alcotest.failf "batched %s wrote past n*cap at %d" cls i
+  done;
   Array.iteri
     (fun k s ->
       let one = Vec.copy (State.amplitudes s) in
@@ -71,6 +85,7 @@ let check_block_agrees r ~dims ~targets m =
       let generic = State.of_vec ~dims (State.amplitudes s) in
       State.apply generic ~targets m;
       let got = State_block.read_lane blk k in
+      let got_long = State_block.read_lane long k in
       let gen = State.amplitudes generic in
       for idx = 0 to Vec.dim got - 1 do
         if
@@ -80,6 +95,12 @@ let check_block_agrees r ~dims ~targets m =
         then
           Alcotest.failf "batched %s lane %d not bit-identical to a one-lane block at %d"
             cls k idx;
+        if
+          not
+            (Float.equal got_long.Vec.re.(idx) got.Vec.re.(idx)
+            && Float.equal got_long.Vec.im.(idx) got.Vec.im.(idx))
+        then
+          Alcotest.failf "batched %s lane %d over longer planes differs at %d" cls k idx;
         if
           Float.abs (got.Vec.re.(idx) -. gen.Vec.re.(idx)) > 1e-12
           || Float.abs (got.Vec.im.(idx) -. gen.Vec.im.(idx)) > 1e-12
@@ -375,6 +396,17 @@ let grid_circuits =
     [ ("toffoli", Circuit.of_gates ~n:3 [ Gate.make Gate.Ccx [ 0; 1; 2 ] ]);
       ("cuccaro5", Waltz_benchmarks.Bench_circuits.by_total_qubits Cuccaro 5) ]
 
+(* The four reported statistics, bit for bit. *)
+let check_same_stats what (reference : Executor.detailed) (got : Executor.detailed) =
+  let eq label a b =
+    if not (Float.equal a b) then Alcotest.failf "%s %s: %.17g <> %.17g" what label a b
+  in
+  eq "mean_fidelity" reference.Executor.summary.Executor.mean_fidelity
+    got.Executor.summary.Executor.mean_fidelity;
+  eq "sem" reference.Executor.summary.Executor.sem got.Executor.summary.Executor.sem;
+  eq "mean_leakage" reference.Executor.mean_leakage got.Executor.mean_leakage;
+  eq "mean_error_draws" reference.Executor.mean_error_draws got.Executor.mean_error_draws
+
 let check_grid ~model ~trajectories () =
   let config = { Executor.model; trajectories; base_seed = 17 } in
   List.iter
@@ -387,19 +419,11 @@ let check_grid ~model ~trajectories () =
             (fun batch ->
               List.iter
                 (fun domains ->
-                  let got = Executor.simulate_detailed ~config ~domains ~batch compiled in
-                  let eq label a b =
-                    if not (Float.equal a b) then
-                      Alcotest.failf "%s/%s batch=%d domains=%d %s: %.17g <> %.17g" cname
-                        strategy.Strategy.name batch domains label a b
-                  in
-                  eq "mean_fidelity" reference.Executor.summary.Executor.mean_fidelity
-                    got.Executor.summary.Executor.mean_fidelity;
-                  eq "sem" reference.Executor.summary.Executor.sem
-                    got.Executor.summary.Executor.sem;
-                  eq "mean_leakage" reference.Executor.mean_leakage got.Executor.mean_leakage;
-                  eq "mean_error_draws" reference.Executor.mean_error_draws
-                    got.Executor.mean_error_draws)
+                  check_same_stats
+                    (Printf.sprintf "%s/%s batch=%d domains=%d" cname
+                       strategy.Strategy.name batch domains)
+                    reference
+                    (Executor.simulate_detailed ~config ~domains ~batch compiled))
                 [ 1; 2 ])
             [ 1; 2; 7; 32 ])
         [ Strategy.mixed_radix_ccz; Strategy.full_ququart ])
@@ -430,6 +454,63 @@ let test_grid_divergent_model () =
   in
   check_bool "error branch exercised" true (d.Executor.mean_error_draws > 0.)
 
+(* The plane guard, restated for planes that may be longer than n·cap: a
+   kernel compiled for a register of another amplitude count is refused
+   even when the planes would hold it, and planes shorter than n·cap are
+   still refused by the kernel itself. *)
+let test_plane_guards () =
+  let r = rng 813 in
+  let cap = 3 in
+  let planes () = Array.make (16 * cap) 0. in
+  List.iter
+    (fun (kdims, bdims) ->
+      let g = kdims.(0) in
+      let kernel = Kernel.compile ~dims:kdims ~targets:[ 0 ] (random_dense r g) in
+      let blk = State_block.of_planes ~dims:bdims ~cap (planes ()) (planes ()) in
+      Alcotest.check_raises "kernel of another amplitude count"
+        (Invalid_argument
+           "State_block.apply_kernel: kernel compiled for another amplitude count")
+        (fun () -> State_block.apply_kernel blk kernel))
+    [ ([| 4; 4 |], [| 2; 2 |]); ([| 2; 2 |], [| 4; 4 |]) ];
+  let kernel = Kernel.compile ~dims:[| 4; 4 |] ~targets:[ 1 ] (random_dense r 4) in
+  let short = Array.make ((16 * cap) - 1) 0. in
+  Alcotest.check_raises "planes shorter than n*cap"
+    (Invalid_argument "Kernel.apply_block: planes shorter than n * cap") (fun () ->
+      Kernel.apply_block kernel short short ~cap ~live:cap);
+  Alcotest.check_raises "no block over planes shorter than n*cap"
+    (Invalid_argument "State_block.of_planes: planes shorter than n * cap") (fun () ->
+      ignore (State_block.of_planes ~dims:[| 4; 4 |] ~cap short short))
+
+(* Planes kept from a larger register never leak into a smaller one: after
+   an 8-ququart simulate on this domain, a 3-ququart Toffoli at batch 1, 5
+   and 8 must give the bits of the same runs on a freshly spawned domain,
+   whose workspace starts empty. *)
+let test_stale_planes_never_leak () =
+  let big =
+    Compile.compile Strategy.full_ququart
+      (Circuit.of_gates ~n:16 (List.init 15 (fun q -> Gate.make Gate.Cx [ q; q + 1 ])))
+  in
+  check_int "8 devices" 8 big.Physical.device_count;
+  ignore
+    (Executor.simulate
+       ~config:{ Executor.default_config with Executor.trajectories = 2 }
+       ~domains:1 ~batch:8 big);
+  let toffoli =
+    Compile.compile Strategy.mixed_radix_ccz
+      (Circuit.of_gates ~n:3 [ Gate.make Gate.Ccx [ 0; 1; 2 ] ])
+  in
+  let config = { Executor.model = Noise.default; trajectories = 9; base_seed = 17 } in
+  let batches = [ 1; 5; 8 ] in
+  let runs () =
+    List.map (fun batch -> Executor.simulate_detailed ~config ~domains:1 ~batch toffoli) batches
+  in
+  let fresh = on_fresh_domain runs in
+  List.iter2
+    (fun batch (reference, got) ->
+      check_same_stats (Printf.sprintf "toffoli batch=%d after 8 ququarts" batch) reference got)
+    batches
+    (List.combine fresh (runs ()))
+
 let suite =
   [ case "every batched kernel class agrees with one-lane blocks" test_kernel_classes;
     case "generators cover all six kernel classes" test_class_coverage;
@@ -440,5 +521,7 @@ let suite =
     case "block leakage matches the per-index table sweep" test_leakage_reference;
     case "divergent damping matches scalar lane-by-lane" test_damp_divergence;
     case "apply_lane mirrors State.apply bit-exactly" test_apply_lane;
+    case "plane guards refuse foreign kernels and short planes" test_plane_guards;
+    case "stale planes never leak into a smaller register" test_stale_planes_never_leak;
     case "batch×domains grid bit-identical (default model)" test_grid_default_model;
     case "batch×domains grid bit-identical (divergent model)" test_grid_divergent_model ]

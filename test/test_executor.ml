@@ -114,30 +114,84 @@ let test_plan_at_ceiling () =
     (Printf.sprintf "plan-only call allocated %.0f words < 4^11" allocated)
     true (allocated < amplitudes)
 
+let chain n =
+  Compile.compile Strategy.full_ququart
+    (Circuit.of_gates ~n (List.init (n - 1) (fun q -> Gate.make Gate.Cx [ q; q + 1 ])))
+
 (* The per-domain workspace holds two SoA blocks, ideal and noisy lanes;
-   the inputs are drawn into the first. A run on another register shape
-   comes first, so this domain must rebuild its workspace, and the first
-   simulate on 8 ququarts at K = 2 must then allocate fewer major words
-   than 2.5 blocks (a block there is 2 planes × 4^8 amplitudes × 2 lanes =
-   262144 words). Deterministic allocation counts, not timing. *)
+   the inputs are drawn into the first. A smaller register runs first, so
+   this domain must grow its planes, and the first simulate on 8 ququarts
+   at K = 2 must then allocate fewer major words than 2.5 blocks (a block
+   there is 2 planes × 4^8 amplitudes × 2 lanes = 262144 words). On a
+   fresh domain, so that planes grown by an earlier case cannot make the
+   growth free. Deterministic allocation counts, not timing. *)
 let test_workspace_two_blocks () =
-  let chain n =
-    Compile.compile Strategy.full_ququart
-      (Circuit.of_gates ~n (List.init (n - 1) (fun q -> Gate.make Gate.Cx [ q; q + 1 ])))
-  in
+  on_fresh_domain @@ fun () ->
   let other = chain 14 and compiled = chain 16 in
   check_int "8 devices" 8 compiled.Physical.device_count;
   let config = { Executor.default_config with Executor.trajectories = 2 } in
-  ignore (Executor.simulate ~config ~domains:1 other);
-  let before = (Gc.quick_stat ()).Gc.major_words in
-  ignore (Executor.simulate ~config ~domains:1 compiled);
-  let allocated = (Gc.quick_stat ()).Gc.major_words -. before in
+  ignore (Executor.simulate ~config ~domains:1 ~batch:8 other);
+  let before = major_words () in
+  ignore (Executor.simulate ~config ~domains:1 ~batch:8 compiled);
+  let allocated = major_words () -. before in
   let block = 2. *. (4. ** 8.) *. 2. in
   check_bool
     (Printf.sprintf "first simulate allocated %.0f major words < 2.5 blocks (%.0f)" allocated
        (2.5 *. block))
     true
     (allocated < 2.5 *. block)
+
+(* A domain's planes only grow: a register that fits in them is laid over
+   them. After 8 ququarts at K = 2, a 6-ququart run at K = 8 (a quarter of
+   the planes) and the 8-ququart run again must together allocate fewer
+   major words than one 8-ququart block (262144 words). Replacing the
+   workspace on every shape change costs about 655k: a 131072-word one for
+   6 ququarts, then a fresh 524288-word one for 8. *)
+let test_workspace_alternating_shapes () =
+  on_fresh_domain @@ fun () ->
+  let big = chain 16 and small = chain 12 in
+  check_int "8 devices" 8 big.Physical.device_count;
+  check_int "6 devices" 6 small.Physical.device_count;
+  let run trajectories compiled =
+    ignore
+      (Executor.simulate
+         ~config:{ Executor.default_config with Executor.trajectories }
+         ~domains:1 ~batch:8 compiled)
+  in
+  run 2 big;
+  let before = major_words () in
+  run 8 small;
+  run 2 big;
+  let allocated = major_words () -. before in
+  let block = 2. *. (4. ** 8.) *. 2. in
+  check_bool
+    (Printf.sprintf "alternating shapes allocated %.0f major words < one block (%.0f)"
+       allocated block)
+    true (allocated < block)
+
+(* The workspace counter stays a real cross-check of the certificate: a
+   domain's first simulate observes exactly the certified block term, and
+   a smaller register laid over the same planes observes 0. *)
+let test_workspace_bytes_certified () =
+  let module Telemetry = Waltz_telemetry.Telemetry in
+  let module Resource = Waltz_analysis.Resource in
+  on_fresh_domain @@ fun () ->
+  let big = chain 12 and small = chain 10 in
+  let trajectories = 4 and batch = 4 in
+  let observe compiled =
+    Telemetry.reset ();
+    Telemetry.enable ();
+    Fun.protect ~finally:Telemetry.disable (fun () ->
+        ignore
+          (Executor.simulate
+             ~config:{ Executor.default_config with Executor.trajectories }
+             ~domains:1 ~batch compiled);
+        Telemetry.Metrics.counter "executor.workspace.block_bytes")
+  in
+  let cert = Resource.certify ~trajectories ~batch ~domains:1 big in
+  check_int "first simulate observes the certified block term"
+    cert.Resource.block_workspace_bytes (observe big);
+  check_int "a smaller register reuses the planes" 0 (observe small)
 
 (* A gate that does not fit its targets makes the lift raise while a plan is
    built. The raise must leave the executor usable: a later simulate on the
@@ -171,5 +225,8 @@ let suite =
     case "trajectory count guard" test_trajectory_count_guard;
     case "plan-only call at the 11-device ceiling" test_plan_at_ceiling;
     case "workspace holds two blocks" test_workspace_two_blocks;
+    case "alternating shapes allocate no planes" test_workspace_alternating_shapes;
+    case "workspace bytes match the certificate, then 0 on reuse"
+      test_workspace_bytes_certified;
     case "failed lift leaves the executor usable"
       test_failed_lift_leaves_executor_usable ]

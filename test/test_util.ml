@@ -26,3 +26,17 @@ let case name f = Alcotest.test_case name `Quick f
 
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+
+(* Runs [f] on a freshly spawned domain and returns its result (or
+   re-raises its exception): the domain's local state, such as the
+   executor's workspace and the scratch arenas, starts empty whatever ran
+   before. *)
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+(* Major-heap words allocated by the calling domain so far ([Gc.counters]
+   is per domain, unlike [Gc.quick_stat], whose figures for the other
+   domains lag until their next minor collection). Arrays past the minor
+   heap's size limit are allocated there directly. *)
+let major_words () =
+  let _, _, major = Gc.counters () in
+  major
