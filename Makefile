@@ -1,5 +1,5 @@
 .PHONY: all build test lint bench-json bench-smoke compile-smoke trace-smoke \
-	analyze-smoke budget-smoke sanitize-smoke metrics-smoke flight-smoke \
+	verify-smoke budget-smoke sanitize-smoke metrics-smoke flight-smoke \
 	regress-check clean
 
 all: build test
@@ -42,9 +42,9 @@ regress-check:
 	dune exec bin/waltz_cli.exe -- report --baseline BENCH_micro.json \
 	  --current BENCH_micro.json
 
-# Type-check everything (@check), run the IR verifier and the fixpoint
-# analyses over the example programs, the telemetry test suite and the
-# trace/SARIF/sanitizer smokes. waltz_verify, waltz_analysis,
+# Type-check everything (@check), run the static checker over the example
+# programs, the telemetry test suite and the trace/SARIF/sanitizer/verify
+# smokes. waltz_verify, waltz_analysis,
 # waltz_telemetry and waltz_sanitizer themselves build with warnings as
 # errors.
 lint:
@@ -85,13 +85,13 @@ flight-smoke:
 	dune exec bin/waltz_cli.exe -- check \
 	  $$(ls -t /tmp/waltz_flight/waltz-flight-*.trace.json | head -1)
 
-# Analysis smoke outside the dune sandbox: compile + run the fixpoint
-# analyses, emit SARIF, then validate it with the built-in schema checker.
-analyze-smoke:
-	dune exec bin/waltz_cli.exe -- analyze -c cuccaro -n 6 -s mr-ccz \
-	  --format sarif -o /tmp/waltz_analysis.sarif
-	dune exec bin/waltz_cli.exe -- check /tmp/waltz_analysis.sarif
-	dune exec bin/waltz_cli.exe -- analyze -c cuccaro -n 6 -s full-ququart
+# Verify smoke outside the dune sandbox: compile + run every checker pass,
+# emit SARIF, then validate it with the built-in schema checker.
+verify-smoke:
+	dune exec bin/waltz_cli.exe -- verify -c cuccaro -n 6 -s mr-ccz \
+	  --format sarif -o /tmp/waltz_verify.sarif
+	dune exec bin/waltz_cli.exe -- check /tmp/waltz_verify.sarif
+	dune exec bin/waltz_cli.exe -- verify -c cuccaro -n 6 -s full-ququart
 
 # Resource-certification smoke (also inside `make lint` via the @lint
 # alias): certify a benchmark, run it instrumented and cross-check the

@@ -659,43 +659,34 @@ let micro () =
       kernel_cases
   in
   let mix_program = Lazy.force kernel_mix_program in
-  (* analysis/<domain>: one fixpoint pass per Test.make, over a fixed
-     compiled benchmark. The JSON report divides by the ops the pass
-     actually visited to get ns/op per abstract domain. *)
-  let module Analysis = Waltz_analysis.Analysis in
-  let analysis_circuit = Bench_circuits.by_total_qubits Bench_circuits.Cuccaro 6 in
-  let analysis_compiled = Compile.compile Strategy.mixed_radix_ccz analysis_circuit in
-  let analysis_passes =
-    [ Analysis.Stabilizer_pass; Analysis.Leakage_pass; Analysis.Cost_pass;
-      Analysis.Liveness_pass; Analysis.Resource_pass ]
-  in
-  let analysis_ops =
-    (Analysis.run (Some analysis_circuit) analysis_compiled)
-      .Waltz_verify.Diagnostic.ops_checked
-  in
-  let analysis_tests =
+  (* verify/<pass>: one checker pass per Test.make, over a fixed compiled
+     benchmark. The JSON report divides by the program's op count to get
+     ns/op per pass. *)
+  let module Verify = Waltz_verify.Verify in
+  let verify_circuit = Bench_circuits.by_total_qubits Bench_circuits.Cuccaro 6 in
+  let verify_compiled = Compile.compile Strategy.mixed_radix_ccz verify_circuit in
+  let verify_ops = List.length verify_compiled.Physical.ops in
+  let verify_tests =
     List.map
       (fun pass ->
         Test.make
-          ~name:("analysis/" ^ Analysis.pass_name pass)
+          ~name:("verify/" ^ Verify.pass_name pass)
           (Staged.stage (fun () ->
-               ignore
-                 (Analysis.run ~passes:[ pass ] (Some analysis_circuit)
-                    analysis_compiled))))
-      analysis_passes
+               ignore (Verify.run ~passes:[ pass ] (Some verify_circuit) verify_compiled))))
+      Verify.all_passes
   in
   (* resource/certify: the bare certification primitive (no Diagnostic
      wrapping), the figure the admission controller pays per admitted
      program. The JSON report records ns/op plus the certified byte
      figures themselves — deterministic, so drift means the model moved. *)
   let module Resource = Waltz_analysis.Resource in
-  let resource_cert = Resource.certify analysis_compiled in
+  let resource_cert = Resource.certify verify_compiled in
   let resource_tests =
     [ Test.make ~name:"resource/certify"
-        (Staged.stage (fun () -> ignore (Resource.certify analysis_compiled))) ]
+        (Staged.stage (fun () -> ignore (Resource.certify verify_compiled))) ]
   in
   let tests =
-    kernel_tests @ kernel_batched_tests @ analysis_tests @ resource_tests
+    kernel_tests @ kernel_batched_tests @ verify_tests @ resource_tests
     @
     [ Test.make ~name:"table1/calibration-lookup"
         (Staged.stage (fun () -> ignore (Calibration.mr_cx ~control:Qubit ~target:(Slot 0))));
@@ -1045,21 +1036,21 @@ let micro () =
     kernel_dispatch;
   Printf.fprintf oc "    }\n";
   Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"analysis\": {\n";
+  Printf.fprintf oc "  \"verify\": {\n";
   Printf.fprintf oc "    \"benchmark\": \"cuccaro-6/mr-ccz\",\n";
-  Printf.fprintf oc "    \"ops_checked\": %d,\n" analysis_ops;
+  Printf.fprintf oc "    \"ops_checked\": %d,\n" verify_ops;
   Printf.fprintf oc "    \"ns_per_op\": {\n";
   List.iteri
     (fun i pass ->
-      let name = Analysis.pass_name pass in
+      let name = Verify.pass_name pass in
       let ns =
-        match List.assoc_opt ("analysis/" ^ name) measured with
-        | Some ns -> ns /. float_of_int (max 1 analysis_ops)
+        match List.assoc_opt ("verify/" ^ name) measured with
+        | Some ns -> ns /. float_of_int (max 1 verify_ops)
         | None -> 0.
       in
       Printf.fprintf oc "      %S: %.1f%s\n" name ns
-        (if i = List.length analysis_passes - 1 then "" else ","))
-    analysis_passes;
+        (if i = List.length Verify.all_passes - 1 then "" else ","))
+    Verify.all_passes;
   Printf.fprintf oc "    }\n";
   Printf.fprintf oc "  },\n";
   Printf.fprintf oc "  \"sanitize\": {\n";

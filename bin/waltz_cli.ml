@@ -157,6 +157,23 @@ let trace_arg =
           "Enable telemetry and write a Chrome trace_event JSON file (open in \
            chrome://tracing or https://ui.perfetto.dev; one track per domain).")
 
+let output_file_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write to FILE instead of stdout.")
+
+(* Writes a subcommand's report to [-o FILE], announcing the file on stdout,
+   or to stdout itself. *)
+let write_output output text =
+  match output with
+  | Some path ->
+    let oc = open_out path in
+    output_string oc text;
+    close_out oc;
+    Printf.printf "wrote %s\n" path
+  | None -> print_string text
+
 (* Telemetry bracket shared by the instrumented subcommands: [--stats] and/or
    [--trace FILE] switch the process-wide flag on around the command body. *)
 let with_telemetry ~stats ~trace f =
@@ -408,32 +425,65 @@ let breakdown_cmd =
 (* ---- verify ---- *)
 
 let verify_cmd =
-  let run family n cx_fraction strategy all_strategies topology qasm optimize rules probes =
-    if rules then begin
+  let module Verify = Waltz_verify.Verify in
+  let module Diagnostic = Waltz_verify.Diagnostic in
+  let module Sarif = Waltz_verify.Sarif in
+  let run family n cx_fraction strategy all_strategies topology qasm optimize rules probes
+      format passes output stats trace =
+    let known = String.concat ", " (List.map Verify.pass_name Verify.all_passes) in
+    let passes =
+      match String.lowercase_ascii passes with
+      | "" | "all" -> Ok Verify.all_passes
+      | spec ->
+        List.fold_right
+          (fun name acc ->
+            match (acc, Verify.pass_of_name (String.trim name)) with
+            | Ok ps, Some p -> Ok (p :: ps)
+            | Ok _, None ->
+              Error (Printf.sprintf "verify: unknown pass %s (known: %s)" name known)
+            | (Error _ as e), _ -> e)
+          (String.split_on_char ',' spec)
+          (Ok [])
+    in
+    match (passes, format) with
+    | _ when rules ->
       Format.printf "%a@?" Waltz_verify.Rules.pp_catalog ();
       0
-    end
-    else
+    | Error e, _ ->
+      prerr_endline e;
+      1
+    | Ok _, fmt when fmt <> "text" && fmt <> "json" && fmt <> "sarif" ->
+      Printf.eprintf "verify: unknown format %s (text, json, sarif)\n" fmt;
+      1
+    | Ok passes, format ->
       with_circuit ~qasm ~optimize family n cx_fraction (fun circuit ->
-          let chosen = if all_strategies then Strategy.all else [ strategy ] in
-          let rc = ref 0 in
-          List.iter
-            (fun strategy ->
-              let devices = Compile.device_count strategy circuit.Circuit.n in
-              match topology_of topology devices with
-              | Error e ->
-                prerr_endline e;
-                rc := 1
-              | Ok topo ->
-                let compiled = Compile.compile ~topology:topo strategy circuit in
-                let report =
-                  Waltz_verify.Verify.run ~topology:topo ~probes (Some circuit) compiled
-                in
-                Printf.printf "== %s ==\n%!" strategy.Strategy.name;
-                Format.printf "%a@." Waltz_verify.Verify.pp_report report;
-                if not (Waltz_verify.Diagnostic.is_clean report) then rc := 1)
-            chosen;
-          !rc)
+          with_telemetry ~stats ~trace (fun () ->
+              let chosen = if all_strategies then Strategy.all else [ strategy ] in
+              let rc = ref 0 in
+              let buf = Buffer.create 4096 in
+              List.iter
+                (fun strategy ->
+                  let devices = Compile.device_count strategy circuit.Circuit.n in
+                  match topology_of topology devices with
+                  | Error e ->
+                    prerr_endline e;
+                    rc := 1
+                  | Ok topo ->
+                    let compiled = Compile.compile ~topology:topo strategy circuit in
+                    let report =
+                      Verify.run ~topology:topo ~passes ~probes (Some circuit) compiled
+                    in
+                    (match format with
+                    | "json" -> Buffer.add_string buf (Sarif.to_json report ^ "\n")
+                    | "sarif" -> Buffer.add_string buf (Sarif.to_sarif report ^ "\n")
+                    | _ ->
+                      Buffer.add_string buf (Printf.sprintf "== %s ==\n" strategy.Strategy.name);
+                      Buffer.add_string buf
+                        (Format.asprintf "%a@." Diagnostic.pp_report report));
+                    if not (Diagnostic.is_clean report) then rc := 1)
+                chosen;
+              write_output output (Buffer.contents buf);
+              !rc))
   in
   let all_strategies_arg =
     Arg.(
@@ -443,91 +493,13 @@ let verify_cmd =
   let rules_arg =
     Arg.(
       value & flag
-      & info [ "rules" ] ~doc:"Print the verifier's rule catalog and exit.")
+      & info [ "rules" ] ~doc:"Print the checker's rule catalog and exit.")
   in
   let probes_arg =
     Arg.(
       value & opt int 3
       & info [ "probes" ] ~docv:"K"
           ~doc:"Random probes for the bounded equivalence check.")
-  in
-  Cmd.v
-    (Cmd.info "verify"
-       ~doc:"Statically check a compiled program against the IR verifier's rules")
-    Term.(
-      const run $ family_arg $ n_arg $ cx_fraction_arg $ strategy_arg $ all_strategies_arg
-      $ topology_arg $ qasm_arg $ optimize_arg $ rules_arg $ probes_arg)
-
-(* ---- analyze ---- *)
-
-let analyze_cmd =
-  let module Analysis = Waltz_analysis.Analysis in
-  let module Sarif = Waltz_analysis.Sarif in
-  let run family n cx_fraction strategy all_strategies qasm optimize format passes output
-      stats trace =
-    let passes =
-      match String.lowercase_ascii passes with
-      | "" | "all" -> Ok Analysis.all_passes
-      | spec ->
-        List.fold_right
-          (fun name acc ->
-            match (acc, Analysis.pass_of_name (String.trim name)) with
-            | Ok ps, Some p -> Ok (p :: ps)
-            | Ok _, None ->
-              Error
-                (Printf.sprintf
-                   "unknown pass %s (stabilizer, leakage, cost, liveness, res)" name)
-            | (Error _ as e), _ -> e)
-          (String.split_on_char ',' spec)
-          (Ok [])
-    in
-    match (passes, format) with
-    | Error e, _ ->
-      prerr_endline e;
-      1
-    | Ok _, fmt when fmt <> "text" && fmt <> "json" && fmt <> "sarif" ->
-      Printf.eprintf "unknown format %s (text, json, sarif)\n" fmt;
-      1
-    | Ok passes, format ->
-      with_circuit ~qasm ~optimize family n cx_fraction (fun circuit ->
-          with_telemetry ~stats ~trace (fun () ->
-              let chosen = if all_strategies then Strategy.all else [ strategy ] in
-              (* The strategy portfolio compiles in parallel over the shared
-                 pool; compile_all returns results in input order, so the
-                 report stream is byte-identical to the serial loop (the
-                 determinism grid pins this down). *)
-              let compiled_portfolio =
-                Compile.compile_all (List.map (fun s -> (s, circuit)) chosen)
-              in
-              let rc = ref 0 in
-              let buf = Buffer.create 4096 in
-              List.iter2
-                (fun strategy compiled ->
-                  let report = Analysis.run ~passes (Some circuit) compiled in
-                  (match format with
-                  | "json" -> Buffer.add_string buf (Sarif.to_json report ^ "\n")
-                  | "sarif" -> Buffer.add_string buf (Sarif.to_sarif report ^ "\n")
-                  | _ ->
-                    if all_strategies then
-                      Buffer.add_string buf
-                        (Printf.sprintf "== %s ==\n" strategy.Strategy.name);
-                    Buffer.add_string buf
-                      (Format.asprintf "%a@." Analysis.pp_report report));
-                  if not (Waltz_verify.Diagnostic.is_clean report) then rc := 1)
-                chosen compiled_portfolio;
-              (match output with
-              | Some path ->
-                let oc = open_out path in
-                output_string oc (Buffer.contents buf);
-                close_out oc;
-                Printf.printf "wrote %s\n" path
-              | None -> print_string (Buffer.contents buf));
-              !rc))
-  in
-  let all_strategies_arg =
-    Arg.(
-      value & flag
-      & info [ "all-strategies" ] ~doc:"Analyze the compilation under every strategy.")
   in
   let format_arg =
     Arg.(
@@ -543,29 +515,23 @@ let analyze_cmd =
       value
       & opt string "all"
       & info [ "passes" ] ~docv:"P1,P2"
-          ~doc:"Comma-separated pass subset: stabilizer, leakage, cost, liveness, res.")
-  in
-  let output_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the report to a file.")
+          ~doc:
+            "Comma-separated pass subset: structural, occupancy, topology, schedule, \
+             calibration, equivalence, stabilizer, leakage, cost, liveness.")
   in
   Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "Run the fixpoint dataflow analyses (stabilizer, leakage, cost, liveness, res) \
-          over a compiled program")
+    (Cmd.info "verify"
+       ~doc:"Statically check a compiled program against the checker's rules")
     Term.(
       const run $ family_arg $ n_arg $ cx_fraction_arg $ strategy_arg $ all_strategies_arg
-      $ qasm_arg $ optimize_arg $ format_arg $ passes_arg $ output_arg $ stats_arg
-      $ trace_arg)
+      $ topology_arg $ qasm_arg $ optimize_arg $ rules_arg $ probes_arg $ format_arg
+      $ passes_arg $ output_file_arg $ stats_arg $ trace_arg)
 
 (* ---- budget ---- *)
 
 let budget_cmd =
   let module Resource = Waltz_analysis.Resource in
-  let module Sarif = Waltz_analysis.Sarif in
+  let module Sarif = Waltz_verify.Sarif in
   let module Pool = Waltz_runtime.Pool in
   let run family n cx_fraction strategy trajectories seed qasm optimize domains batch
       limit_bytes limit_ms static format output =
@@ -634,13 +600,7 @@ let budget_cmd =
                  else "over budget or diverged: rejected\n");
               Buffer.contents buf
           in
-          (match output with
-          | Some path ->
-            let oc = open_out path in
-            output_string oc body;
-            close_out oc;
-            Printf.printf "wrote %s\n" path
-          | None -> print_string body);
+          write_output output body;
           if Waltz_verify.Diagnostic.is_clean report then 0 else 1)
   in
   let seed = Arg.(value & opt int 2023 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
@@ -674,12 +634,6 @@ let budget_cmd =
       & opt string "text"
       & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text (default) or sarif.")
   in
-  let output_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the report to a file.")
-  in
   Cmd.v
     (Cmd.info "budget"
        ~doc:
@@ -689,7 +643,7 @@ let budget_cmd =
     Term.(
       const run $ family_arg $ n_arg $ cx_fraction_arg $ strategy_arg $ trajectories_arg
       $ seed $ qasm_arg $ optimize_arg $ domains_arg $ batch_arg $ limit_bytes_arg
-      $ limit_ms_arg $ static_arg $ format_arg $ output_arg)
+      $ limit_ms_arg $ static_arg $ format_arg $ output_file_arg)
 
 (* ---- sanitize ---- *)
 
@@ -698,7 +652,7 @@ let sanitize_cmd =
   let module Fuzz = Waltz_sanitizer.Fuzz in
   let module SReport = Waltz_sanitize_report.Report in
   let module Fixtures = Waltz_sanitize_report.Fixtures in
-  let module Sarif = Waltz_analysis.Sarif in
+  let module Sarif = Waltz_verify.Sarif in
   let bug_of = function
     | "clean" -> Ok Fuzz.Clean
     | "unseated-join" -> Ok Fuzz.Unseated_join
@@ -811,13 +765,7 @@ let sanitize_cmd =
              else "FAILED: the fuzzer missed the injected bug\n")
         end
       end;
-      (match output with
-      | Some path ->
-        let oc = open_out path in
-        output_string oc (Buffer.contents buf);
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-      | None -> print_string (Buffer.contents buf));
+      write_output output (Buffer.contents buf);
       !rc
   in
   let fixtures_arg =
@@ -852,12 +800,6 @@ let sanitize_cmd =
       & info [ "format" ] ~docv:"FMT"
           ~doc:"Output format for the clean grid: text (default), json, or sarif.")
   in
-  let output_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the report to a file.")
-  in
   Cmd.v
     (Cmd.info "sanitize"
        ~doc:
@@ -866,7 +808,7 @@ let sanitize_cmd =
           (--fixtures), or the pool schedule fuzzer (--fuzz)")
     Term.(
       const run $ n_arg $ trajectories_arg $ domains_arg $ fixtures_arg $ fuzz_runs_arg
-      $ fuzz_seed_arg $ fuzz_bug_arg $ format_arg $ output_arg $ stats_arg)
+      $ fuzz_seed_arg $ fuzz_bug_arg $ format_arg $ output_file_arg $ stats_arg)
 
 (* ---- report ---- *)
 
@@ -1011,12 +953,6 @@ let report_cmd =
 
 (* ---- metrics ---- *)
 
-let output_file_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write to FILE instead of stdout.")
-
 let metrics_cmd =
   let run family n cx_fraction strategy trajectories domains batch format out =
     with_circuit family n cx_fraction (fun circuit ->
@@ -1070,7 +1006,7 @@ let metrics_cmd =
 
 (* One validator front end for every artifact the CLI writes, chosen from
    the content: a JSON object with [traceEvents] is a Chrome trace (--trace,
-   flight-dump), one with [runs] is SARIF (analyze/budget/sanitize --format
+   flight-dump), one with [runs] is SARIF (verify/budget/sanitize --format
    sarif), other text opening with '{' or '[' is rejected as JSON (a
    truncated trace gets the parser's error), and anything else is judged as
    an OpenMetrics exposition (metrics). *)
@@ -1089,7 +1025,7 @@ let check_cmd =
             (Telemetry.Trace.validate text) )
       | Ok doc when Waltz_telemetry.Json.member "runs" doc <> None ->
         ( "SARIF 2.1.0",
-          Result.map (Printf.sprintf "%d results") (Waltz_analysis.Sarif.validate text) )
+          Result.map (Printf.sprintf "%d results") (Waltz_verify.Sarif.validate text) )
       | Ok _ when json -> ("JSON", Error "neither a trace (traceEvents) nor SARIF (runs)")
       | Error msg when json -> ("JSON", Error msg)
       | _ ->
@@ -1308,8 +1244,8 @@ let () =
   let group =
     Cmd.group info
       [ compile_cmd; estimate_cmd; simulate_cmd; sweep_cmd; breakdown_cmd; verify_cmd;
-        analyze_cmd; budget_cmd; sanitize_cmd; report_cmd; metrics_cmd; check_cmd;
-        flight_dump_cmd; profile_cmd; rb_cmd; pulse_cmd ]
+        budget_cmd; sanitize_cmd; report_cmd; metrics_cmd; check_cmd; flight_dump_cmd;
+        profile_cmd; rb_cmd; pulse_cmd ]
   in
   dispatch_ref := (fun argv -> Cmd.eval' ~argv group);
   exit (Cmd.eval' group)

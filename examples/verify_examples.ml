@@ -1,11 +1,10 @@
 (* Lint-time gate: the example-sized circuits must compile, under every
-   strategy, to programs that the IR verifier and the fixpoint analyses
-   both accept with zero errors, and the SARIF serialization of every
-   analysis report must pass the built-in validator. Attached to the @lint
-   and @runtest aliases (see examples/dune and the Makefile). *)
+   strategy, to programs that every checker pass accepts with zero errors,
+   and the SARIF serialization of every report must pass the built-in
+   validator. Attached to the @lint and @runtest aliases (see
+   examples/dune and the Makefile). *)
 open Waltz_core
 open Waltz_verify
-open Waltz_analysis
 
 (* bv-8 is the one circuit above the equivalence cap: its 8-qubit replay
    would dominate the gate's run time, so it is checked without EQ. *)
@@ -28,26 +27,20 @@ let () =
       List.iter
         (fun strategy ->
           let compiled = Compile.compile strategy circuit in
-          let verified =
-            Verify.run ~probes:1 ~equiv_max_qubits:7 (Some circuit) compiled
-          in
-          let analyzed = Analysis.run (Some circuit) compiled in
-          if not (Diagnostic.is_clean verified) then
-            fail name strategy "VERIFY FAILED" (Diagnostic.report_to_string verified)
-          else if not (Diagnostic.is_clean analyzed) then
-            fail name strategy "ANALYSIS FAILED"
-              (Format.asprintf "%a" Analysis.pp_report analyzed)
+          let report = Verify.run ~probes:1 ~equiv_max_qubits:7 (Some circuit) compiled in
+          if not (Diagnostic.is_clean report) then
+            fail name strategy "VERIFY FAILED" (Diagnostic.report_to_string report)
           else
-            match Sarif.validate (Sarif.to_sarif analyzed) with
+            match Sarif.validate (Sarif.to_sarif report) with
             | Error msg -> fail name strategy "INVALID SARIF" msg
             | Ok _ ->
               Printf.printf "%-10s %-18s ok (%d ops, %d warnings)\n" name
-                strategy.Strategy.name verified.Diagnostic.ops_checked
-                (Diagnostic.warning_count verified + Diagnostic.warning_count analyzed))
+                strategy.Strategy.name report.Diagnostic.ops_checked
+                (Diagnostic.warning_count report))
         Strategy.all)
     circuits;
   if !failures > 0 then begin
     Printf.printf "verify_examples: %d failures\n" !failures;
     exit 1
   end;
-  print_endline "verify_examples: every compilation verifies and analyzes clean"
+  print_endline "verify_examples: every compilation verifies clean"

@@ -103,19 +103,13 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
     + (Compile.program_cache_capacity * program_bytes)
     + !plan_bytes (* lift-table residency: one lifted matrix per distinct key *)
   in
-  (* Modeled duration: the COST interval analysis replays the ASAP schedule
-     in interval arithmetic; its makespan is the certified bound for one
-     schedule replay. Each trajectory replays the schedule twice (ideal and
-     noisy pass); the worst case runs every trajectory serially, the
-     expected case spreads them across the certified seats. *)
-  let schedule_ns =
-    if nops = 0 then { lo = 0.; hi = 0. }
-    else begin
-      let sol = Cost.solve p in
-      let lo, hi = Cost.makespan sol.Engine.after.(nops - 1) in
-      { lo; hi }
-    end
-  in
+  (* Modeled duration: one schedule replay takes the memoized ASAP
+     makespan, the figure the executor reports as its schedule gauge. Each
+     trajectory replays the schedule twice (ideal and noisy pass); the worst
+     case runs every trajectory serially, the expected case spreads them
+     across the certified seats. *)
+  let makespan = Physical.total_duration p in
+  let schedule_ns = { lo = makespan; hi = makespan } in
   let passes = 2. *. float_of_int trajectories in
   let total_ns =
     { lo = schedule_ns.lo *. passes /. float_of_int seat_demand;
@@ -172,9 +166,8 @@ let check_budget t { limit_bytes; limit_ms } =
   | _ -> ());
   List.rev !diags
 
-(* Relative containment slack for the duration cross-check: the COST pass
-   itself certifies agreement with the scheduler at 1e-6 relative
-   tolerance, so the certificate inherits the same slack. *)
+(* Relative containment slack for the duration cross-check, the tolerance
+   SCHED02 allows between total_duration and its own ASAP replay. *)
 let rel_slack = 1e-6
 
 let check_observed ?(cache_blowup_ratio = 4.) t =
@@ -260,8 +253,6 @@ let summary t =
        (t.block_workspace_bytes + t.scratch_bytes)
        t.cache_bytes t.schedule_ns.lo t.schedule_ns.hi t.total_ns.hi t.seat_demand
        t.queue_depth (mix_to_string t.dispatch_mix))
-
-let check p = [ summary (certify p) ]
 
 let dump t =
   let b = Buffer.create 512 in

@@ -5,10 +5,11 @@
     (program × trajectories × batch × domains) run configuration: sound
     upper bounds on peak heap payload bytes (state planes, per-domain
     lockstep workspaces, scratch arenas, plan-resident kernel
-    tables, cache residency), on modeled wall-clock (the COST makespan
-    interval folded through trajectory count, batch width and domain
-    count), on pool seat demand, plus the exact static kernel-class
-    dispatch mix the executor's [plan_dispatch] will flush.
+    tables, cache residency), on modeled wall-clock (the schedule's
+    makespan, {!Waltz_core.Physical.total_duration}, folded through
+    trajectory count, batch width and domain count), on pool seat demand,
+    plus the exact static kernel-class dispatch mix the executor's
+    [plan_dispatch] will flush.
 
     Soundness is by construction: every byte figure is computed through the
     same formulas the executor itself observes through
@@ -56,7 +57,7 @@ type t = {
   cache_bytes : int;  (** worst-case lift/plan/program cache residency *)
   peak_bytes : int;  (** sound single-run live peak at [shape] *)
   (* modeled time *)
-  schedule_ns : interval;  (** one schedule replay (COST makespan interval) *)
+  schedule_ns : interval;  (** one schedule replay: the makespan, [lo = hi] *)
   total_ns : interval;  (** folded through trajectories × passes ÷ seats *)
   expected_ns : float;
   (* pool *)
@@ -91,12 +92,8 @@ val check_observed : ?cache_blowup_ratio:float -> t -> Diagnostic.t list
     With telemetry disabled every readback is empty and the list is. *)
 
 val summary : t -> Diagnostic.t
-(** The RES00 info diagnostic summarizing the certificate (emitted by the
-    [res] analysis pass). Deterministic: no timestamps, no env reads. *)
-
-val check : Physical.t -> Diagnostic.t list
-(** The analysis-pass entry point: certify at the default shape and return
-    the RES00 summary. *)
+(** The RES00 info diagnostic summarizing the certificate (emitted by
+    [waltz_cli budget]). Deterministic: no timestamps, no env reads. *)
 
 val dump : t -> string
 (** Canonical serialization (hex floats, fixed field order) — the

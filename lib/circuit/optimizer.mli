@@ -14,7 +14,7 @@
 
     "Adjacent" means no intervening gate touches any shared qubit, tracked
     on the circuit DAG rather than the flat list. Cancellations across
-    commuting gates are [Waltz_analysis.Liveness.simplify_deep]'s job. *)
+    commuting gates are [Waltz_verify.Liveness.simplify_deep]'s job. *)
 
 val simplify : Circuit.t -> Circuit.t
 

@@ -12,8 +12,8 @@ val compile : ?topology:Topology.t -> Strategy.t -> Circuit.t -> Physical.t
 (** Compiles a logical circuit for the given strategy. The default topology
     is the paper's 2D mesh sized by [device_count]. Raises [Failure] when
     routing cannot make progress (pathological topologies only). Checks are
-    separate calls on the result: [Waltz_verify.Verify.run],
-    [Waltz_analysis.Analysis.run] and [Waltz_analysis.Resource.certify].
+    separate calls on the result: [Waltz_verify.Verify.run] and
+    [Waltz_analysis.Resource.certify].
 
     Compilations go through a bounded MRU program cache keyed by (circuit,
     strategy, topology): a hit returns the previously compiled program

@@ -438,7 +438,7 @@ let detect_cycles_locked () =
     end
   in
   let rec dfs path node =
-    let succs = Option.value ~default:[] (Hashtbl.find_opt adj node) in
+    let out_edges = Option.value ~default:[] (Hashtbl.find_opt adj node) in
     List.iter
       (fun next ->
         if List.mem next path then begin
@@ -450,7 +450,7 @@ let detect_cycles_locked () =
           emit (upto [] (node :: path))
         end
         else if List.length path < 8 then dfs (node :: path) next)
-      succs
+      out_edges
   in
   List.iter (fun n -> dfs [] n) nodes
 

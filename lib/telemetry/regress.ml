@@ -6,7 +6,7 @@
 
    Micro-benchmark timings are noisy, so the default ns/run threshold is
    deliberately loose (25 %): the gate exists to catch "the hot path got 2×
-   slower", not 3 % jitter. Only metrics present in BOTH records are
+   slower", not 3 % noise. Only metrics present in BOTH records are
    compared — adding or removing benchmarks never trips the gate. *)
 
 type thresholds = {

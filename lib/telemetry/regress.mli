@@ -19,7 +19,7 @@ type thresholds = {
 
 val default_thresholds : thresholds
 (** 25 % ns/run, 0.10 hit-rate drop, 0.05 divergence rise — loose on
-    purpose: the gate catches "2× slower", not micro-bench jitter. *)
+    purpose: the gate catches "2× slower", not micro-bench noise. *)
 
 type finding = {
   metric : string;

@@ -57,9 +57,16 @@ let check_topology topo (p : Physical.t) =
 let check_schedule (p : Physical.t) =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  (* Independent replay: an op may start once every device it touches has
-     finished its previous op (the dependency-DAG longest path). *)
+  (* Two replays of the dependency DAG: [free] holds when each device is
+     busy until under the memoized starts, [asap] the finish times of an
+     independent ASAP schedule, whose longest chain is the critical path. *)
   let free = Array.make (max 1 p.Physical.device_count) 0. in
+  let asap = Array.make (max 1 p.Physical.device_count) 0. in
+  let ready times (op : Physical.op) =
+    List.fold_left
+      (fun acc (part : Physical.device_part) -> Float.max acc times.(part.Physical.device))
+      0. op.Physical.parts
+  in
   let critical = ref 0. in
   Array.iteri
     (fun i ((op : Physical.op), start) ->
@@ -68,11 +75,7 @@ let check_schedule (p : Physical.t) =
           (Diagnostic.error ~op_index:i "SCHED03"
              (Printf.sprintf "%s has duration %g ns" op.Physical.label
                 op.Physical.duration_ns));
-      let earliest =
-        List.fold_left
-          (fun acc (part : Physical.device_part) -> Float.max acc free.(part.Physical.device))
-          0. op.Physical.parts
-      in
+      let earliest = ready free op in
       if start < earliest -. 1e-6 then
         add
           (Diagnostic.error ~op_index:i "SCHED01"
@@ -83,9 +86,11 @@ let check_schedule (p : Physical.t) =
           (Diagnostic.warning ~op_index:i "SCHED01"
              (Printf.sprintf "%s starts at %.1f ns, later than the ASAP time %.1f ns"
                 op.Physical.label start earliest));
-      let finish = start +. op.Physical.duration_ns in
+      let finish = ready asap op +. op.Physical.duration_ns in
       List.iter
-        (fun (part : Physical.device_part) -> free.(part.Physical.device) <- finish)
+        (fun (part : Physical.device_part) ->
+          free.(part.Physical.device) <- start +. op.Physical.duration_ns;
+          asap.(part.Physical.device) <- finish)
         op.Physical.parts;
       if finish > !critical then critical := finish)
     (Physical.schedule_array p);

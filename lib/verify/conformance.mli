@@ -10,9 +10,9 @@ val check_topology : Topology.t -> Waltz_core.Physical.t -> Diagnostic.t list
     drives (2 on ququarts, 3 on bare qubits for the iToffoli). *)
 
 val check_schedule : Waltz_core.Physical.t -> Diagnostic.t list
-(** [SCHED01]-[SCHED03]: replays the dependency DAG independently of
-    [Physical.schedule] and checks ASAP consistency, device exclusivity and
-    the critical-path total. *)
+(** [SCHED01]-[SCHED03]: checks the memoized starts for device
+    exclusivity and ASAP consistency, and [Physical.total_duration] against
+    the critical path of an independent ASAP replay of the dependency DAG. *)
 
 val check_calibration : Waltz_core.Physical.t -> Diagnostic.t list
 (** [CAL01]-[CAL03]: every op's (duration, fidelity) pair must match a

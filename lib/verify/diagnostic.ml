@@ -12,7 +12,7 @@ let make ?op_index ?fix ~rule ~severity message =
   (* An Error-severity diagnostic is a post-mortem trigger: if the flight
      recorder is armed, dump the rings so the run that produced the finding
      can be reconstructed (no-op, and rate-limited, otherwise). Verify,
-     Analysis and Sanitize findings all funnel through here. *)
+     Resource and Sanitize findings all funnel through here. *)
   if severity = Error then Waltz_telemetry.Recorder.note_error ~reason:rule;
   { rule; severity; op_index; message; fix }
 

@@ -1,5 +1,5 @@
-(** Structured diagnostics for the Waltz IR verifier and the static-analysis
-    layer ([waltz_analysis]).
+(** Structured diagnostics for the Waltz static checker, the resource
+    certifier ([waltz_analysis]) and the concurrency sanitizer.
 
     Every finding carries an LLVM-style rule id (e.g. ["OCC02"]), a severity,
     an optional op index into [Physical.ops] (program order — or a gate index

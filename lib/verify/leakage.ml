@@ -1,6 +1,5 @@
 open Waltz_linalg
 open Waltz_core
-module Diagnostic = Waltz_verify.Diagnostic
 
 let level_mask_bits mask =
   List.filter (fun l -> mask land (1 lsl l) <> 0) [ 0; 1; 2; 3 ]
@@ -30,9 +29,13 @@ let initial_masks (p : Physical.t) =
       done;
       !mask)
 
+(* Squared amplitude below which a unitary entry counts as structurally
+   zero. *)
+let threshold = 1e-9
+
 (* Image of the reachable product set through the op's lifted unitary.
    Touched devices get a strong update; quiet parts pass through. *)
-let transfer_op ~threshold ~dim (op : Physical.op) (masks : int array) =
+let transfer ~device_dim:dim (op : Physical.op) (masks : int array) =
   match op.Physical.targets with
   | [] -> masks
   | _ ->
@@ -63,26 +66,12 @@ let transfer_op ~threshold ~dim (op : Physical.op) (masks : int array) =
     Array.iteri (fun k d -> next.(d) <- out.(k)) devs;
     next
 
-let domain ?(threshold = 1e-9) (p : Physical.t) :
-    (Physical.op, int array) Engine.domain =
-  let dim = p.Physical.device_dim in
-  let nd = p.Physical.device_count in
-  (module struct
-    type op = Physical.op
-    type state = int array
-
-    let name = "leakage"
-    let direction = Engine.Forward
-    let bottom = Array.make nd 0
-    let entry = initial_masks p
-    let join a b = Array.init nd (fun d -> a.(d) lor b.(d))
-    let leq a b = Array.for_all2 (fun x y -> x land lnot y = 0) a b
-    let widen ~prev:_ ~next = next
-    let transfer _ op masks = transfer_op ~threshold ~dim op masks
-  end)
-
-let solve ?threshold (p : Physical.t) =
-  Engine.solve (domain ?threshold p) (Array.of_list p.Physical.ops)
+let masks (p : Physical.t) =
+  let states = Array.make (List.length p.Physical.ops + 1) (initial_masks p) in
+  List.iteri
+    (fun i op -> states.(i + 1) <- transfer ~device_dim:p.Physical.device_dim op states.(i))
+    p.Physical.ops;
+  states
 
 let encoded_bits = (1 lsl 2) lor (1 lsl 3)
 
@@ -112,12 +101,12 @@ let check (p : Physical.t) =
   let add d = diags := d :: !diags in
   let dim = p.Physical.device_dim in
   let ops = Array.of_list p.Physical.ops in
-  let sol = solve p in
+  let states = masks p in
   let encoded_visible = ref 0 in
   Array.iteri
     (fun i (op : Physical.op) ->
       if dim = 4 then begin
-        let before = sol.Engine.before.(i) in
+        let before = states.(i) in
         let exposed =
           List.filter
             (fun d -> before.(d) land encoded_bits <> 0)
@@ -156,10 +145,7 @@ let check (p : Physical.t) =
         | _ -> ()))
     ops;
   if dim = 4 then begin
-    let exit_masks =
-      if Array.length ops = 0 then initial_masks p
-      else sol.Engine.after.(Array.length ops - 1)
-    in
+    let exit_masks = states.(Array.length ops) in
     let still_encoded =
       Array.to_list exit_masks
       |> List.mapi (fun d m -> (d, m))

@@ -1,5 +1,4 @@
 open Waltz_circuit
-module Diagnostic = Waltz_verify.Diagnostic
 
 type event = Cancel of int * int | Fuse of int * int | Dead of int
 
@@ -39,24 +38,6 @@ let step ~(gates : Gate.t array) ?sink frontier i (g : Gate.t) =
       let survivors = List.filter (fun j -> Gate.commutes gates.(j) g) frontier in
       i :: survivors
   end
-
-let domain (gates : Gate.t array) : (Gate.t, int list) Engine.domain =
-  (module struct
-    type op = Gate.t
-    type state = int list
-
-    let name = "liveness"
-    let direction = Engine.Forward
-    let bottom = []
-    let entry = []
-
-    (* May-information must shrink at joins: only gates movable along every
-       path stay movable. *)
-    let join a b = List.filter (fun i -> List.mem i b) a
-    let leq a b = List.for_all (fun i -> List.mem i b) a
-    let widen ~prev:_ ~next = next
-    let transfer i g frontier = step ~gates frontier i g
-  end)
 
 let events (c : Circuit.t) =
   let gates = Array.of_list c.Circuit.gates in

@@ -1,6 +1,6 @@
 (** Commutation-aware liveness over the logical IR.
 
-    Forward fixpoint whose abstract state is the *movable frontier*: the set
+    A forward fold whose abstract state is the *movable frontier*: the set
     of earlier gates that provably commute with everything between themselves
     and the current program point. When the current gate cancels (or fuses
     with) a frontier member on identical operands, the pair is removable even
@@ -12,16 +12,11 @@
     (identity rotation), LIVE03 (separated fuseable rotation pair). *)
 
 open Waltz_circuit
-module Diagnostic = Waltz_verify.Diagnostic
 
 type event =
   | Cancel of int * int  (** gates i < j compose to the identity *)
   | Fuse of int * int  (** same-axis rotations i < j can merge *)
   | Dead of int  (** gate i is an identity rotation *)
-
-val domain : Gate.t array -> (Gate.t, int list) Engine.domain
-(** The movable-frontier domain (abstract state: indices of gates that
-    commute with everything between themselves and the program point). *)
 
 val events : Circuit.t -> event list
 (** All findings, in program order of the later gate. *)

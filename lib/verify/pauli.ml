@@ -19,10 +19,6 @@ let identity n =
     xs = Array.init n (basis n ~kind:`X);
     zs = Array.init n (basis n ~kind:`Z) }
 
-let copy_pauli p = { x = Bytes.copy p.x; z = Bytes.copy p.z; neg = p.neg }
-
-let copy t = { t with xs = Array.map copy_pauli t.xs; zs = Array.map copy_pauli t.zs }
-
 let equal_pauli a b = a.neg = b.neg && Bytes.equal a.x b.x && Bytes.equal a.z b.z
 
 let equal a b =
@@ -89,26 +85,25 @@ let is_clifford = function
   | _ -> false
 
 let apply t (g : Gate.t) =
-  let ok = List.for_all (fun q -> q >= 0 && q < t.n) g.Gate.qubits in
-  if (not ok) || not (is_clifford g.Gate.kind) then false
-  else begin
-    let each f =
-      Array.iter f t.xs;
-      Array.iter f t.zs
-    in
-    (match (g.Gate.kind, g.Gate.qubits) with
-    | Gate.H, [ q ] -> each (fun p -> conj_h p q)
-    | Gate.S, [ q ] -> each (fun p -> conj_s p q)
-    | Gate.Sdg, [ q ] -> each (fun p -> conj_sdg p q)
-    | Gate.X, [ q ] -> each (fun p -> conj_x p q)
-    | Gate.Y, [ q ] -> each (fun p -> conj_y p q)
-    | Gate.Z, [ q ] -> each (fun p -> conj_z p q)
-    | Gate.Cx, [ c; t' ] -> each (fun p -> conj_cx p c t')
-    | Gate.Cz, [ a; b ] -> each (fun p -> conj_cz p a b)
-    | Gate.Swap, [ a; b ] -> each (fun p -> conj_swap p a b)
-    | _ -> assert false);
+  let conj =
+    match (g.Gate.kind, g.Gate.qubits) with
+    | Gate.H, [ q ] -> Some (fun p -> conj_h p q)
+    | Gate.S, [ q ] -> Some (fun p -> conj_s p q)
+    | Gate.Sdg, [ q ] -> Some (fun p -> conj_sdg p q)
+    | Gate.X, [ q ] -> Some (fun p -> conj_x p q)
+    | Gate.Y, [ q ] -> Some (fun p -> conj_y p q)
+    | Gate.Z, [ q ] -> Some (fun p -> conj_z p q)
+    | Gate.Cx, [ c; t' ] -> Some (fun p -> conj_cx p c t')
+    | Gate.Cz, [ a; b ] -> Some (fun p -> conj_cz p a b)
+    | Gate.Swap, [ a; b ] -> Some (fun p -> conj_swap p a b)
+    | _ -> None (* not Clifford, or the operand count is off *)
+  in
+  match conj with
+  | Some f when List.for_all (fun q -> q >= 0 && q < t.n) g.Gate.qubits ->
+    Array.iter f t.xs;
+    Array.iter f t.zs;
     true
-  end
+  | _ -> false
 
 let pp_pauli ppf p =
   Format.fprintf ppf "%c" (if p.neg then '-' else '+');

@@ -18,8 +18,6 @@ type t = { n : int; xs : pauli array; zs : pauli array }
 
 val identity : int -> t
 
-val copy : t -> t
-
 val equal : t -> t -> bool
 
 val is_identity : t -> bool
@@ -33,7 +31,7 @@ val is_clifford : Waltz_circuit.Gate.kind -> bool
 
 val apply : t -> Waltz_circuit.Gate.t -> bool
 (** Conjugates the tableau by the gate in place. Returns [false] — leaving
-    the tableau untouched — when the gate is not Clifford-trackable or an
-    operand is out of range. *)
+    the tableau untouched — when the gate is not Clifford-trackable, has the
+    wrong number of operands or an operand is out of range. *)
 
 val pp_pauli : Format.formatter -> pauli -> unit

@@ -28,8 +28,9 @@ let all =
     (* logical-circuit checks *)
     r "CIR01" Diagnostic.Error "gate operand out of range" "gates act on declared qubits";
     r "CIR02" Diagnostic.Error "duplicate gate operands" "gate operands are distinct";
-    r "CIR03" Diagnostic.Error "malformed custom gate"
-      "a Custom gate's matrix must be a square unitary of dimension 2^arity";
+    r "CIR03" Diagnostic.Error "malformed gate"
+      "a gate takes as many operands as its arity; a Custom gate's matrix must be a \
+       square unitary of dimension 2^arity";
     r "CIR04" Diagnostic.Error "logical qubit count mismatch"
       "the compiled program must cover the source circuit's register";
     (* occupancy dataflow *)
@@ -58,7 +59,7 @@ let all =
     r "SCHED01" Diagnostic.Error "ops overlap on a device"
       "Sec. 5.5: ASAP scheduling serializes each device";
     r "SCHED02" Diagnostic.Error "total_duration off the critical path"
-      "duration = longest device-dependency chain";
+      "Sec. 5.5: duration = longest device-dependency chain of the ASAP schedule";
     r "SCHED03" Diagnostic.Error "invalid duration" "durations are finite and non-negative";
     (* calibration & strategy conformance *)
     r "CAL01" Diagnostic.Error "no calibration entry matches"
@@ -75,7 +76,7 @@ let all =
       "compilation preserves the circuit unitary up to global phase (Sec. 5)";
     r "EQ02" Diagnostic.Error "state leaks out of the computational subspace"
       "Sec. 6.4: ideal execution keeps support on the encoded subspace";
-    (* stabilizer propagation (waltz_analysis) *)
+    (* stabilizer propagation *)
     r "STAB00" Diagnostic.Info "stabilizer analysis partial or skipped"
       "Clifford tableaux only track H/S/X/Y/Z/CX/CZ/SWAP segments exactly";
     r "STAB01" Diagnostic.Info "optimizer output certified equivalent"
@@ -84,21 +85,20 @@ let all =
       "a Clifford run conjugating every Pauli to itself is removable dead code";
     r "STAB03" Diagnostic.Error "optimizer output not equivalent"
       "stabilizer images diverge: simplification changed the circuit unitary";
-    (* leakage reachability (waltz_analysis) *)
+    (* leakage reachability *)
     r "LEAK01" Diagnostic.Warning "two-qubit-only pulse reachable in an encoded state"
       "Fig. 9b: a pulse not calibrated for |2>/|3> sees a device that can hold them";
     r "LEAK02" Diagnostic.Warning "provably dead ENC/DEC pair"
       "Sec. 4.1: an encode immediately undone by its decode wastes two ww pulses";
     r "LEAK03" Diagnostic.Info "reachable-level summary"
-      "Sec. 3: the fixpoint level sets bound every state the schedule can prepare";
-    (* duration / EPS interval analysis (waltz_analysis) *)
-    r "COST01" Diagnostic.Error "cost intervals disagree with the EPS oracle"
-      "Tables 1-2: interval replay must bracket Eps.label_breakdown exactly at zero jitter";
-    r "COST02" Diagnostic.Error "makespan outside computed bounds"
-      "Sec. 5.5: total_duration is the ASAP critical path";
-    r "COST03" Diagnostic.Info "duration and EPS bounds"
-      "Sec. 6: per-program min/max duration and log-fidelity interval";
-    (* commutation-aware liveness (waltz_analysis) *)
+      "Sec. 3: the reachable level sets bound every state the schedule can prepare";
+    (* EPS accounting *)
+    r "COST01" Diagnostic.Error "op fold disagrees with the EPS oracle"
+      "Tables 1-2: the per-op success product, pulse time and error budget must \
+       reproduce Eps.estimate and Eps.label_breakdown exactly";
+    r "COST03" Diagnostic.Info "duration and EPS summary"
+      "Sec. 6: critical path, serialized pulse time, gate EPS and error budget";
+    (* commutation-aware liveness *)
     r "LIVE00" Diagnostic.Info "liveness analysis skipped" "needs the source circuit";
     r "LIVE01" Diagnostic.Warning "cancellable gate pair separated by commuting gates"
       "gates commuting with everything between them cancel; peephole only sees neighbours";
@@ -106,7 +106,7 @@ let all =
       "rotations by multiples of 2*pi are removable dead code";
     r "LIVE03" Diagnostic.Info "fuseable rotation pair separated by commuting gates"
       "same-axis rotations merge once commuting gates are moved aside";
-    (* static resource certification (waltz_analysis) *)
+    (* static resource certification (waltz_analysis, `waltz_cli budget`) *)
     r "RES00" Diagnostic.Info "resource certificate"
       "sound static bounds on peak bytes, modeled duration and pool seats \
        for one (program x model x batch x domains) configuration";

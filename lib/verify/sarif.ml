@@ -1,6 +1,3 @@
-module Diagnostic = Waltz_verify.Diagnostic
-module Rules = Waltz_verify.Rules
-
 module Json = Waltz_telemetry.Json
 
 (* ---- writer ---- *)
@@ -10,7 +7,10 @@ let level_of = function
   | Diagnostic.Warning -> "warning"
   | Diagnostic.Info -> "note"
 
-let analysis_families = [ "STAB"; "LEAK"; "COST"; "LIVE"; "RES" ]
+(* Every checker family plus RES (certificates from [waltz_cli budget]);
+   the sanitizer writes its RACE/LOCK/OWN families under its own tool. *)
+let checker_families =
+  [ "WF"; "CIR"; "OCC"; "TOP"; "SCHED"; "CAL"; "EQ"; "STAB"; "LEAK"; "COST"; "LIVE"; "RES" ]
 
 let owned_rules families =
   List.filter
@@ -46,8 +46,8 @@ let result_json ~rule_index (d : Diagnostic.t) =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-let to_sarif ?(families = analysis_families)
-    ?(driver = ("waltz_analysis", "doc/ANALYSIS.md")) (report : Diagnostic.report) =
+let to_sarif ?(families = checker_families)
+    ?(driver = ("waltz_verify", "doc/VERIFIER.md")) (report : Diagnostic.report) =
   let driver_name, driver_uri = driver in
   let rules = owned_rules families in
   let index_of =

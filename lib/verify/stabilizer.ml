@@ -1,49 +1,10 @@
 open Waltz_circuit
-module Diagnostic = Waltz_verify.Diagnostic
 
-type state = Bot | Tab of Pauli.t | Top
-
-let domain n : (Gate.t, state) Engine.domain =
-  (module struct
-    type op = Gate.t
-    type nonrec state = state
-
-    let name = "stabilizer"
-    let direction = Engine.Forward
-    let bottom = Bot
-    let entry = Tab (Pauli.identity n)
-
-    let join a b =
-      match (a, b) with
-      | Bot, s | s, Bot -> s
-      | Top, _ | _, Top -> Top
-      | Tab ta, Tab tb -> if Pauli.equal ta tb then a else Top
-
-    let leq a b =
-      match (a, b) with
-      | Bot, _ | _, Top -> true
-      | Top, _ | Tab _, Bot -> false
-      | Tab ta, Tab tb -> Pauli.equal ta tb
-
-    let widen ~prev:_ ~next = next
-
-    let transfer _ g = function
-      | Bot -> Bot
-      | Top -> Top
-      | Tab t ->
-        let t' = Pauli.copy t in
-        if Pauli.apply t' g then Tab t' else Top
-  end)
-
+(* Pauli.apply leaves the tableau untouched and returns false on a gate it
+   cannot track, so the first non-Clifford gate ends the proof. *)
 let tableau_of (c : Circuit.t) =
-  let ops = Array.of_list c.Circuit.gates in
-  if Array.length ops = 0 then Some (Pauli.identity c.Circuit.n)
-  else begin
-    let sol = Engine.solve (domain c.Circuit.n) ops in
-    match sol.Engine.after.(Array.length ops - 1) with
-    | Tab t -> Some t
-    | Bot | Top -> None
-  end
+  let tab = Pauli.identity c.Circuit.n in
+  if List.for_all (Pauli.apply tab) c.Circuit.gates then Some tab else None
 
 let equivalent a b =
   if a.Circuit.n <> b.Circuit.n then `Different

@@ -1,24 +1,17 @@
 (** Stabilizer propagation over the logical IR.
 
-    Runs the fixpoint engine with a Clifford-tableau domain: the abstract
-    state before/after each gate is the tableau of the circuit prefix (or
-    [Top] once a non-Clifford gate makes symbolic tracking inexact). Tableau
-    equality proves unitary equality up to global phase at any register
-    width, so this certifies the optimizer on Clifford-dominated benchmarks
-    far beyond the sizes [Equivalence_pass] can elaborate (8+ qubits), and
-    flags identity-composing gate runs as removable dead code.
+    A forward fold keeps the Clifford tableau of the circuit prefix until a
+    non-Clifford gate makes symbolic tracking inexact. Tableau equality
+    proves unitary equality up to global phase at any register width, so
+    this certifies the optimizer on Clifford-dominated benchmarks far beyond
+    the sizes the EQ replay can elaborate (8+ qubits), and flags
+    identity-composing gate runs as removable dead code.
 
     Rules: STAB00 (partial/skipped), STAB01 (optimizer output certified
     equivalent), STAB02 (identity-composing run), STAB03 (optimizer output
     provably different — a compiler bug). *)
 
 open Waltz_circuit
-module Diagnostic = Waltz_verify.Diagnostic
-
-type state = Bot | Tab of Pauli.t | Top
-
-val domain : int -> (Gate.t, state) Engine.domain
-(** The tableau domain over an [n]-qubit register. *)
 
 val tableau_of : Circuit.t -> Pauli.t option
 (** The circuit's tableau, or [None] if any gate is not Clifford-trackable. *)

@@ -141,7 +141,7 @@ let fatal diags =
   List.exists
     (fun (d : Diagnostic.t) ->
       d.Diagnostic.severity = Diagnostic.Error
-      && List.mem d.Diagnostic.rule [ "WF00"; "WF02"; "WF05"; "WF06"; "WF07" ])
+      && List.mem d.Diagnostic.rule [ "WF00"; "WF02"; "WF04"; "WF05"; "WF06"; "WF07" ])
     diags
 
 let check_circuit (c : Circuit.t) =
@@ -182,7 +182,12 @@ let check_circuit (c : Circuit.t) =
           add
             (Diagnostic.error ~op_index:i "CIR03"
                (Printf.sprintf "gate %d (%s): matrix is not unitary" i name))
-      | _ -> ())
+      | kind ->
+        if List.length g.Gate.qubits <> Gate.arity kind then
+          add
+            (Diagnostic.error ~op_index:i "CIR03"
+               (Printf.sprintf "gate %d (%s): %d operands for an arity-%d gate" i label
+                  (List.length g.Gate.qubits) (Gate.arity kind))))
     c.Circuit.gates;
   List.rev !diags
 

@@ -17,7 +17,8 @@ val check_link : Circuit.t -> Waltz_core.Physical.t -> Diagnostic.t list
 
 val fatal : Diagnostic.t list -> bool
 (** True when the structural findings make later passes unsafe to run
-    (out-of-range wires, wrong gate dimensions, broken maps). *)
+    (out-of-range wires, wrong gate dimensions, duplicate target wires,
+    broken maps). *)
 
 val capacity : Waltz_core.Physical.t -> int
 (** Qubits one device can hold: [device_dim / 2]. *)

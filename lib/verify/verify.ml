@@ -10,9 +10,14 @@ type pass =
   | Schedule
   | Calibration_pass
   | Equivalence_pass
+  | Stabilizer_pass
+  | Leakage_pass
+  | Cost_pass
+  | Liveness_pass
 
 let all_passes =
-  [ Structural; Occupancy; Topology_pass; Schedule; Calibration_pass; Equivalence_pass ]
+  [ Structural; Occupancy; Topology_pass; Schedule; Calibration_pass; Equivalence_pass;
+    Stabilizer_pass; Leakage_pass; Cost_pass; Liveness_pass ]
 
 let pass_name = function
   | Structural -> "structural"
@@ -21,6 +26,12 @@ let pass_name = function
   | Schedule -> "schedule"
   | Calibration_pass -> "calibration"
   | Equivalence_pass -> "equivalence"
+  | Stabilizer_pass -> "stabilizer"
+  | Leakage_pass -> "leakage"
+  | Cost_pass -> "cost"
+  | Liveness_pass -> "liveness"
+
+let pass_of_name name = List.find_opt (fun pass -> pass_name pass = name) all_passes
 
 let run ?topology ?(passes = all_passes) ?probes ?seed ?equiv_max_qubits
     (circuit : Circuit.t option) (p : Physical.t) =
@@ -62,29 +73,44 @@ let run ?topology ?(passes = all_passes) ?probes ?seed ?equiv_max_qubits
       timed pass f
     end
   in
+  let on_circuit rule what f =
+    match circuit with
+    | None -> [ Diagnostic.info rule (what ^ " skipped: no source circuit") ]
+    | Some c -> f c
+  in
   let occupancy = when_safe Occupancy (fun () -> Dataflow.check p) in
   let topology = when_safe Topology_pass (fun () -> Conformance.check_topology topo p) in
   let schedule = when_safe Schedule (fun () -> Conformance.check_schedule p) in
   let calibration =
     when_safe Calibration_pass (fun () -> Conformance.check_calibration p)
   in
-  let link_broken =
-    List.exists (fun d -> d.Diagnostic.rule = "CIR04") structural
+  (* The replay cannot elaborate a circuit the CIR rules reject. *)
+  let circuit_error =
+    List.find_opt (fun d -> String.starts_with ~prefix:"CIR" d.Diagnostic.rule) structural
   in
   let equivalence =
     when_safe Equivalence_pass (fun () ->
-        match circuit with
-        | None ->
+        match (circuit, circuit_error) with
+        | None, _ ->
           [ Diagnostic.info "EQ00"
               "equivalence check skipped: no source circuit supplied" ]
-        | Some _ when link_broken ->
+        | Some _, Some d ->
           [ Diagnostic.info "EQ00"
-              "equivalence check skipped: qubit count mismatch (see CIR04)" ]
-        | Some c -> Equivalence.check ?probes ?seed ?max_qubits:equiv_max_qubits c p)
+              (Printf.sprintf "equivalence check skipped: malformed source circuit (see %s)"
+                 d.Diagnostic.rule) ]
+        | Some c, None -> Equivalence.check ?probes ?seed ?max_qubits:equiv_max_qubits c p)
+  in
+  let stabilizer =
+    when_safe Stabilizer_pass (fun () ->
+        on_circuit "STAB00" "stabilizer analysis" Stabilizer.check)
+  in
+  let leakage = when_safe Leakage_pass (fun () -> Leakage.check p) in
+  let cost = when_safe Cost_pass (fun () -> Cost.check p) in
+  let liveness =
+    when_safe Liveness_pass (fun () -> on_circuit "LIVE00" "liveness analysis" Liveness.check)
   in
   { Diagnostic.diagnostics =
-      structural @ occupancy @ topology @ schedule @ calibration @ equivalence;
+      structural @ occupancy @ topology @ schedule @ calibration @ equivalence @ stabilizer
+      @ leakage @ cost @ liveness;
     ops_checked = List.length p.Physical.ops;
     passes_run = List.rev !ran }
-
-let pp_report = Diagnostic.pp_report

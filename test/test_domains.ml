@@ -155,25 +155,23 @@ let () =
           check (l "mean_fidelity") cold.Executor.summary.Executor.mean_fidelity
             warm.Executor.summary.Executor.mean_fidelity;
           check (l "mean_leakage") cold.Executor.mean_leakage warm.Executor.mean_leakage;
-          (* The static analyses must be deterministic under every
+          (* The static checker must be deterministic under every
              WALTZ_DOMAINS setting, and telemetry must stay off-path: the
              SARIF serialization is bit-identical with the flag on. *)
-          let analysis_sarif () =
-            Waltz_analysis.Sarif.to_sarif
-              (Waltz_analysis.Analysis.run (Some circuit) compiled)
+          let verify_sarif () =
+            Waltz_verify.Sarif.to_sarif (Waltz_verify.Verify.run (Some circuit) compiled)
           in
-          let sarif_off = analysis_sarif () in
+          let sarif_off = verify_sarif () in
           Waltz_telemetry.Telemetry.reset ();
           Waltz_telemetry.Telemetry.enable ();
-          let sarif_on = analysis_sarif () in
+          let sarif_on = verify_sarif () in
           Waltz_telemetry.Telemetry.disable ();
           check_string
-            (Printf.sprintf "%s/%s analysis SARIF telemetry-on" cname
-               strategy.Strategy.name)
+            (Printf.sprintf "%s/%s verify SARIF telemetry-on" cname strategy.Strategy.name)
             sarif_off sarif_on;
           check_string
-            (Printf.sprintf "%s/%s analysis SARIF repeat" cname strategy.Strategy.name)
-            sarif_off (analysis_sarif ());
+            (Printf.sprintf "%s/%s verify SARIF repeat" cname strategy.Strategy.name)
+            sarif_off (verify_sarif ());
           (* The resource certificate pins its default shape at 1/1/1
              (never the WALTZ_BATCH/WALTZ_DOMAINS env), so its canonical
              dump must be bit-identical under every grid setting, with
@@ -224,26 +222,19 @@ let () =
   Compile.set_program_cache true;
   Compile.program_cache_clear ();
   check_portfolio "cached" (Compile.compile_all jobs);
-  (* `analyze --all-strategies` rides the same parallel portfolio: the
-     analysis report of every portfolio-compiled program must serialize
-     byte-identically to the report of its serial compile. *)
+  (* The checker report of every portfolio-compiled program must
+     serialize byte-identically to the report of its serial compile. *)
+  let verify_sarif (c, p) = Waltz_verify.Sarif.to_sarif (Waltz_verify.Verify.run (Some c) p) in
   let serial_sarif =
-    Array.of_list
-      (List.map
-         (fun (s, c) ->
-           Waltz_analysis.Sarif.to_sarif
-             (Waltz_analysis.Analysis.run (Some c) (Compile.compile s c)))
-         jobs)
+    Array.of_list (List.map (fun (s, c) -> verify_sarif (c, Compile.compile s c)) jobs)
   in
   let jobs_arr = Array.of_list jobs in
   List.iteri
     (fun i p ->
-      let _, c = jobs_arr.(i) in
-      let s = Waltz_analysis.Sarif.to_sarif (Waltz_analysis.Analysis.run (Some c) p) in
-      if not (String.equal s serial_sarif.(i)) then begin
+      if not (String.equal (verify_sarif (snd jobs_arr.(i), p)) serial_sarif.(i)) then begin
         incr failures;
         Printf.eprintf
-          "MISMATCH analyze portfolio: job %d report differs from the serial compile's\n" i
+          "MISMATCH verify portfolio: job %d report differs from the serial compile's\n" i
       end)
     (Compile.compile_all jobs);
   if !failures > 0 then begin
