@@ -496,13 +496,14 @@ let resynth () =
    report divides by the measured time to get trajectories/sec. *)
 let throughput_trajectories = 8
 
-(* A hand-built three-ququart program whose ops cover all six kernel
-   classes. The compiled benchmark circuits are dominated by diagonal /
-   monomial / single-wire pulses, so the two slowest classes — [two_wire]
-   and [controlled_block] — previously showed zero dispatches in the
-   trajectory-sim telemetry and were only measured in isolation. Every op
-   is a unitary (so the state norm survives bechamel's repetition loop) and
-   all three devices carry two qubits, giving full 4-level supports. *)
+(* A hand-built three-ququart program whose ops cover every kernel class.
+   Compiled programs dispatch only diagonal / monomial / single-wire
+   kernels, so [two_wire] and [generic] would otherwise show zero
+   dispatches in the trajectory-sim telemetry and be measured only in
+   isolation. [mix-cblock] is identity outside a block, which runs the
+   dense [two_wire] kernel. Every op is a unitary (so the state norm
+   survives bechamel's repetition loop) and all three devices carry two
+   qubits, giving full 4-level supports. *)
 let kernel_mix_program =
   lazy
     begin
@@ -589,15 +590,6 @@ let micro () =
      bechamel repetition loop; each constructor is asserted to land in the
      class it is named for, so the benchmark can't silently drift. *)
   let hh = Mat.kron Gates.h Gates.h in
-  let ctrl16 =
-    let m = Mat.identity 16 in
-    for i = 0 to 3 do
-      for j = 0 to 3 do
-        Mat.set m (12 + i) (12 + j) (Mat.get hh i j)
-      done
-    done;
-    m
-  in
   let kernel_cases =
     [ ( "diagonal",
         [| 4; 4; 4 |],
@@ -607,9 +599,6 @@ let micro () =
         [| 4; 4; 4 |],
         Waltz_sim.Kernel.compile ~dims:[| 4; 4; 4 |] ~targets:[ 0; 1 ]
           (Mat.permutation 16 (fun i -> (i + 5) mod 16)) );
-      ( "controlled_block",
-        [| 4; 4; 4 |],
-        Waltz_sim.Kernel.compile ~dims:[| 4; 4; 4 |] ~targets:[ 0; 1 ] ctrl16 );
       ( "single_wire",
         [| 4; 4; 4 |],
         Waltz_sim.Kernel.compile ~dims:[| 4; 4; 4 |] ~targets:[ 1 ] hh );
@@ -772,9 +761,8 @@ let micro () =
        ~config:
          { Executor.default_config with Executor.trajectories = throughput_trajectories }
        cnu7_fq);
-  (* The mix program puts two_wire and controlled_block dispatches on the
-     fig9 path, so the histogram below measures every class where it
-     matters. *)
+  (* The mix program puts two_wire and generic dispatches on the fig9
+     path, so the histogram below measures every class where it matters. *)
   ignore
     (Executor.simulate
        ~config:

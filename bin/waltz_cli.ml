@@ -461,6 +461,7 @@ let verify_cmd =
               let chosen = if all_strategies then Strategy.all else [ strategy ] in
               let rc = ref 0 in
               let buf = Buffer.create 4096 in
+              let sarif_runs = ref [] in
               List.iter
                 (fun strategy ->
                   let devices = Compile.device_count strategy circuit.Circuit.n in
@@ -475,13 +476,20 @@ let verify_cmd =
                     in
                     (match format with
                     | "json" -> Buffer.add_string buf (Sarif.to_json report ^ "\n")
-                    | "sarif" -> Buffer.add_string buf (Sarif.to_sarif report ^ "\n")
+                    | "sarif" -> sarif_runs := (strategy.Strategy.name, report) :: !sarif_runs
                     | _ ->
                       Buffer.add_string buf (Printf.sprintf "== %s ==\n" strategy.Strategy.name);
                       Buffer.add_string buf
                         (Format.asprintf "%a@." Diagnostic.pp_report report));
                     if not (Diagnostic.is_clean report) then rc := 1)
                 chosen;
+              (* One SARIF document: a single report as before, one run per
+                 strategy with --all-strategies. *)
+              (match List.rev !sarif_runs with
+              | [ (_, report) ] when not all_strategies ->
+                Buffer.add_string buf (Sarif.to_sarif report ^ "\n")
+              | _ :: _ as runs -> Buffer.add_string buf (Sarif.to_sarif_runs runs ^ "\n")
+              | [] -> ());
               write_output output (Buffer.contents buf);
               !rc))
   in
@@ -507,8 +515,8 @@ let verify_cmd =
       & opt string "text"
       & info [ "format" ] ~docv:"FMT"
           ~doc:
-            "Output format: text (default), json, or sarif (SARIF 2.1.0; one document \
-             per line with --all-strategies).")
+            "Output format: text (default), json, or sarif (SARIF 2.1.0; one document, \
+             with one run per strategy under --all-strategies).")
   in
   let passes_arg =
     Arg.(

@@ -128,7 +128,7 @@ let select ~index_bits ~system ~selections ~seed =
     (fun value ->
       flip_for value;
       and_chain ();
-      (* Controlled pseudo-random Pauli string on the system register. *)
+      (* A controlled pseudo-random Pauli string on the system register. *)
       for q = 0 to system - 1 do
         match Random.State.int rng 3 with
         | 0 -> add Gate.Cx [ top_anc; sys q ]

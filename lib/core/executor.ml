@@ -32,14 +32,10 @@ let lift_miss_cell = Telemetry.Metrics.cell "executor.lift_gate.miss"
 let lift_collision_cell = Telemetry.Metrics.cell "executor.lift_table.collision"
 let block_us_series = Telemetry.Metrics.series "executor.block_us"
 
-(* Per kernel class, in [Kernel.classes] order: the dispatch counter cells
-   and the names of the plan-time classification counters. *)
+(* Per kernel class, in [Kernel.classes] order: the dispatch counter cells. *)
 let dispatch_cells =
   Array.of_list
     (List.map (fun c -> Telemetry.Metrics.cell ("executor.kernel_dispatch." ^ c)) Kernel.classes)
-
-let kernel_class_names =
-  Array.of_list (List.map (fun c -> "executor.kernel_class." ^ c) Kernel.classes)
 
 let domain_traj_cell : Telemetry.Metrics.cell Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
@@ -278,9 +274,8 @@ let plan_uncached ~model (compiled : Physical.t) =
          (fun acc p -> acc + plan_op_bytes ~lifted:p.lifted ~kernel:p.kernel)
          0 plan_ops)
     "executor.plan.bytes";
-  (* Ops per kernel class. Both class counters are flushed once per class:
-     the classification counter here, the dispatch counter per block from
-     [plan_dispatch]. *)
+  (* Ops per kernel class: each block flushes them to the dispatch counters
+     from [plan_dispatch]. *)
   let per_class = Array.make (Array.length dispatch_cells) 0 in
   List.iter
     (fun p ->
@@ -290,10 +285,7 @@ let plan_uncached ~model (compiled : Physical.t) =
   let plan_dispatch = ref [] in
   Array.iteri
     (fun i n ->
-      if n > 0 then begin
-        Telemetry.Metrics.incr ~by:n kernel_class_names.(i);
-        plan_dispatch := (dispatch_cells.(i), n) :: !plan_dispatch
-      end)
+      if n > 0 then plan_dispatch := (dispatch_cells.(i), n) :: !plan_dispatch)
     per_class;
   { plan_dims;
     plan_ops;

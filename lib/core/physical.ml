@@ -22,7 +22,7 @@ type t = {
   ops : op list;
   initial_map : (int * int) array;
   final_map : (int * int) array;
-  mutable schedule_memo : (op * float) array option;
+  mutable schedule_memo : (op list * (op * float) array) option;
 }
 
 let make_op ~label ~parts ~targets ~gate ~entry ~touches_ww =
@@ -55,14 +55,14 @@ let make_op ~label ~parts ~targets ~gate ~entry ~touches_ww =
     touches_ww }
 
 (* The ASAP schedule is a pure function of [ops], so it is computed once and
-   memoized on the program: [total_duration], [pp_ops], the EPS estimator,
-   the verifier's SCHED pass and the analysis COST pass all re-read it. The
-   unsynchronized memo write is a benign race — every computation yields the
-   same array and programs are otherwise immutable. *)
+   memoized on the program, with the op list it was computed from: a copy
+   [{ p with ops = ... }] carries [p]'s memo and must compute its own. The
+   unsynchronized memo write is a benign race — every computation yields
+   the same array and programs are otherwise immutable. *)
 let schedule_array t =
   match t.schedule_memo with
-  | Some a -> a
-  | None ->
+  | Some (ops, a) when ops == t.ops -> a
+  | _ ->
     let ready = Hashtbl.create 16 in
     let time_of d = Option.value ~default:0. (Hashtbl.find_opt ready d) in
     let a =
@@ -78,7 +78,7 @@ let schedule_array t =
              (op, start))
            t.ops)
     in
-    t.schedule_memo <- Some a;
+    t.schedule_memo <- Some (t.ops, a);
     a
 
 let schedule t = Array.to_list (schedule_array t)

@@ -38,9 +38,9 @@ type t = {
   ops : op list;
   initial_map : (int * int) array;  (** logical qubit → (device, slot) at t=0 *)
   final_map : (int * int) array;
-  mutable schedule_memo : (op * float) array option;
-      (** lazily memoized ASAP schedule — construct with [None] and treat as
-          private; {!schedule_array} fills it on first read *)
+  mutable schedule_memo : (op list * (op * float) array) option;
+      (** lazily memoized ASAP schedule and the [ops] it came from —
+          construct with [None] and treat as private *)
 }
 
 val make_op :
@@ -61,8 +61,8 @@ val schedule : t -> (op * float) list
 
 val schedule_array : t -> (op * float) array
 (** The memoized ASAP schedule, computed on first call and cached on the
-    program (programs are immutable once built, so the schedule never
-    changes). Shared, not a copy — callers must not mutate it. *)
+    program with the op list it came from; a copy with other [ops]
+    recomputes it. Shared, not a copy — callers must not mutate it. *)
 
 val total_duration : t -> float
 

@@ -230,32 +230,6 @@ let monomial_structure m =
     if !ok then Some (src, pre, pim) else None
   end
 
-let active_subspace m =
-  if m.rows <> m.cols then invalid_arg "Mat.active_subspace: not square";
-  let n = m.rows in
-  let active = Array.make n false in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let re = m.re.((i * n) + j) and im = m.im.((i * n) + j) in
-      let id_re = if i = j then 1. else 0. in
-      if re <> id_re || im <> 0. then begin
-        active.(i) <- true;
-        active.(j) <- true
-      end
-    done
-  done;
-  let count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 active in
-  let out = Array.make count 0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun i b ->
-      if b then begin
-        out.(!k) <- i;
-        incr k
-      end)
-    active;
-  out
-
 let process_fidelity u v =
   if u.rows <> v.rows || u.rows <> u.cols || v.rows <> v.cols then
     invalid_arg "Mat.process_fidelity";

@@ -93,12 +93,6 @@ val monomial_structure : t -> (int array * float array * float array) option
     [out(i) = phase(i) · in(src(i))]. Exact zero tests: a near-monomial
     matrix with any 1e-300 residue does not qualify. *)
 
-val active_subspace : t -> int array
-(** The sorted indices [i] whose row or column differs from the identity's
-    (exact comparison). A controlled gate embedded in a larger space returns
-    only its control-active block; the identity returns [[||]]. Raises
-    [Invalid_argument] on non-square input. *)
-
 val process_fidelity : t -> t -> float
 (** [process_fidelity u v] is |Tr(u†·v)|²/n² — the gate fidelity of Eq. 1
     between two same-dimension unitaries. *)

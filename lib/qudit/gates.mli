@@ -38,7 +38,7 @@ val cx : Mat.t
 val cz : Mat.t
 
 val cs : Mat.t
-(** Controlled-S: diag(1, 1, 1, i). *)
+(** The controlled S gate: diag(1, 1, 1, i). *)
 
 val csdg : Mat.t
 

@@ -11,8 +11,8 @@
     of the current call chain — callees must not hold a slot across a call
     that may use the same slot. Slot assignments in this codebase:
 
-    - float slots 0/1: [State.apply] and [State_block.apply_lane] gather
-      buffers (re/im)
+    - float slots 0/1: [State.apply] gather buffers (re/im), also behind
+      [State.apply_planes] and [State_block.apply_lane]
     - float slots 2/3: [State.damp] populations and jump weights
       ([State_block.damp_with] reuses slot 3 for its per-lane weights)
     - float slots 4/5: [Kernel.apply_block] gather buffers (re/im,

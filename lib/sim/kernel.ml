@@ -4,7 +4,6 @@ module Scratch = Waltz_runtime.Scratch
 type body =
   | Diagonal of { dre : float array; dim : float array }
   | Monomial of { src : int array; pre : float array; pim : float array }
-  | Controlled of { k : int; aoff : int array; bre : float array; bim : float array }
   | Dense of { mre : float array; mim : float array }
 
 (* How to enumerate the base indices (target digits all zero). The three
@@ -27,8 +26,7 @@ type t = {
 
 (* The class catalog, in classification order: the one list of names that
    telemetry counters, certificates and benches key on. *)
-let classes =
-  [ "diagonal"; "monomial"; "controlled_block"; "single_wire"; "two_wire"; "generic" ]
+let classes = [ "diagonal"; "monomial"; "single_wire"; "two_wire"; "generic" ]
 
 let class_table = Array.of_list classes
 
@@ -109,21 +107,8 @@ let compile ~dims ~targets m =
       match Mat.monomial_structure m with
       | Some (src, pre, pim) -> (Monomial { src; pre; pim }, 1)
       | None ->
-        let active = Mat.active_subspace m in
-        let k = Array.length active in
-        if k < g then begin
-          let bre = Array.make (k * k) 0. and bim = Array.make (k * k) 0. in
-          for i = 0 to k - 1 do
-            for j = 0 to k - 1 do
-              bre.((i * k) + j) <- m.Mat.re.((active.(i) * g) + active.(j));
-              bim.((i * k) + j) <- m.Mat.im.((active.(i) * g) + active.(j))
-            done
-          done;
-          (Controlled { k; aoff = Array.map (fun i -> offsets.(i)) active; bre; bim }, 2)
-        end
-        else
-          ( Dense { mre = Array.copy m.Mat.re; mim = Array.copy m.Mat.im },
-            match iter with Single _ -> 3 | Pair _ -> 4 | Odometer _ -> 5 )
+        ( Dense { mre = Array.copy m.Mat.re; mim = Array.copy m.Mat.im },
+          match iter with Single _ -> 2 | Pair _ -> 3 | Odometer _ -> 4 )
     end
   in
   { tgt; g; n; offsets; iter; body; cls }
@@ -151,8 +136,6 @@ let footprint_bytes t =
     | Diagonal { dre; dim } -> floats (Array.length dre) + floats (Array.length dim)
     | Monomial { src; pre; pim } ->
       ints (Array.length src) + floats (Array.length pre) + floats (Array.length pim)
-    | Controlled { aoff; bre; bim; _ } ->
-      ints (Array.length aoff) + floats (Array.length bre) + floats (Array.length bim)
     | Dense { mre; mim } -> floats (Array.length mre) + floats (Array.length mim)
   in
   ints (Array.length t.tgt) + ints (Array.length t.offsets) + iter_bytes + body_bytes
@@ -291,38 +274,6 @@ let apply_block t bre' bim' ~cap ~live =
             let re = gre.(row + k) and im = gim.(row + k) in
             bre'.(p + k) <- (a *. re) -. (b *. im);
             bim'.(p + k) <- (a *. im) +. (b *. re)
-          done
-        done)
-  | Controlled { k = kdim; aoff; bre; bim } ->
-    (* Matvec accumulators stay in registers: the lane loop sits outside
-       the column loop (j ascending per lane, whatever the width), and the
-       gathered columns are walked with a stride-[live] cursor. *)
-    let scratch = Scratch.get () in
-    let gre = Scratch.floats scratch 4 (kdim * live)
-    and gim = Scratch.floats scratch 5 (kdim * live) in
-    iterate t (fun base ->
-        for j = 0 to kdim - 1 do
-          let p = (base + aoff.(j)) * cap and row = j * live in
-          for k = 0 to live - 1 do
-            gre.(row + k) <- bre'.(p + k);
-            gim.(row + k) <- bim'.(p + k)
-          done
-        done;
-        for i = 0 to kdim - 1 do
-          let row = i * kdim in
-          let p = (base + aoff.(i)) * cap in
-          for k = 0 to live - 1 do
-            let acc_re = ref 0. and acc_im = ref 0. in
-            let gi = ref k in
-            for j = 0 to kdim - 1 do
-              let a = bre.(row + j) and b = bim.(row + j) in
-              let re = gre.(!gi) and im = gim.(!gi) in
-              acc_re := !acc_re +. (a *. re) -. (b *. im);
-              acc_im := !acc_im +. (a *. im) +. (b *. re);
-              gi := !gi + live
-            done;
-            bre'.(p + k) <- !acc_re;
-            bim'.(p + k) <- !acc_im
           done
         done)
   | Dense { mre; mim } when g = 4 ->

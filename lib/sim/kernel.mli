@@ -2,9 +2,8 @@
 
     The trajectory executor applies the same lifted unitaries thousands of
     times (trajectories × shots × noise points), and most gates the Waltz
-    emits are *structured*: Z-type diagonals (CZ/CCZ/Rz), permutations with
-    phases (X(+m), controlled-X, SWAP, ENC), and controlled blocks that are
-    identity outside a small control subspace. [compile] classifies a lifted
+    emits are *structured*: Z-type diagonals (CZ/CCZ/Rz) and permutations
+    with phases (X(+m), controlled-X, SWAP, ENC). [compile] classifies a lifted
     unitary once, against a fixed register shape, into the cheapest kernel
     class and precomputes every index the per-trajectory application needs
     (subspace offsets, spectator iteration structure), so the per-block
@@ -17,13 +16,14 @@
     - [diagonal] — phase table, one complex multiply per amplitude;
     - [monomial] — permutation + phase, one move-and-multiply per
       amplitude, no inner product;
-    - [controlled_block] — identity outside an active subspace; only the
-      active block of each base is gathered/multiplied/scattered;
     - [single_wire] — dense on one wire, blocked stride loop (no odometer);
-    - [two_wire] — dense on two wires, odometer-free three-level loop (the
-      common ququart-pair case);
+    - [two_wire] — dense on two wires, odometer-free three-level loop;
     - [generic] — dense on three or more wires, spectator-wire odometer
       (the reference gather/multiply/scatter).
+
+    Compiled programs dispatch only the first three (every pulse spanning
+    devices is a permutation with phases); the dense multi-wire classes
+    serve [Gate.Custom] matrices built through the OCaml API.
 
     Classification uses exact (zero-tolerance) structure tests on the
     matrix entries, so a near-diagonal or near-monomial matrix can never be
@@ -65,9 +65,9 @@ val apply_block : t -> float array -> float array -> cap:int -> live:int -> unit
 
 val classes : string list
 (** The class catalog in classification order: ["diagonal"],
-    ["monomial"], ["controlled_block"], ["single_wire"], ["two_wire"],
-    ["generic"] — stable names used by telemetry counters, the resource
-    certificates' dispatch mix and the bench dispatch histogram. *)
+    ["monomial"], ["single_wire"], ["two_wire"], ["generic"] — stable
+    names used by telemetry counters, the resource certificates' dispatch
+    mix and the bench dispatch histogram. *)
 
 val class_name : t -> string
 (** The kernel's class, one of {!classes}. *)

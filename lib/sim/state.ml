@@ -92,27 +92,27 @@ let dims s = Array.copy s.dims
 let dim_total s = Vec.dim s.vec
 let amplitudes s = s.vec
 
-let check_targets s ~targets m =
-  let nw = Array.length s.dims in
+let check_targets dims ~targets m =
+  let nw = Array.length dims in
   List.iter (fun w -> if w < 0 || w >= nw then invalid_arg "State.apply: wire out of range") targets;
   let tgt = Array.of_list targets in
   let nt = Array.length tgt in
   if List.length (List.sort_uniq compare targets) <> nt then
     invalid_arg "State.apply: duplicate targets";
-  let g = Array.fold_left (fun acc w -> acc * s.dims.(w)) 1 tgt in
+  let g = Array.fold_left (fun acc w -> acc * dims.(w)) 1 tgt in
   if m.Mat.rows <> g || m.Mat.cols <> g then invalid_arg "State.apply: matrix dimension mismatch";
   (tgt, g)
 
 (* Offsets of the g target-digit combinations, written into [offsets]
    (a scratch buffer of length >= g). *)
-let offsets_into offsets s tgt g =
+let offsets_into offsets ~dims ~strides tgt g =
   let nt = Array.length tgt in
   for j = 0 to g - 1 do
     let rem = ref j and off = ref 0 in
     for k = nt - 1 downto 0 do
       let w = tgt.(k) in
-      off := !off + (!rem mod s.dims.(w) * s.strides.(w));
-      rem := !rem / s.dims.(w)
+      off := !off + (!rem mod dims.(w) * strides.(w));
+      rem := !rem / dims.(w)
     done;
     offsets.(j) <- !off
   done
@@ -120,8 +120,8 @@ let offsets_into offsets s tgt g =
 (* Odometer over the non-target wires; calls [kernel] once per base index.
    Uses scratch int slots 0 (counters) and 2 (other-wire list); [kernel]
    may use the float slots and int slot 1 but must not touch these. *)
-let iter_bases s tgt kernel =
-  let nw = Array.length s.dims in
+let iter_bases ~dims ~strides tgt kernel =
+  let nw = Array.length dims in
   let scratch = Scratch.get () in
   let others = Scratch.ints scratch 2 nw in
   let no = ref 0 in
@@ -136,7 +136,7 @@ let iter_bases s tgt kernel =
   Array.fill counters 0 (max no 1) 0;
   let n_bases = ref 1 in
   for k = 0 to no - 1 do
-    n_bases := !n_bases * s.dims.(others.(k))
+    n_bases := !n_bases * dims.(others.(k))
   done;
   let base = ref 0 in
   for _ = 1 to !n_bases do
@@ -146,10 +146,10 @@ let iter_bases s tgt kernel =
     while !carried && !k >= 0 do
       let w = others.(!k) in
       counters.(!k) <- counters.(!k) + 1;
-      base := !base + s.strides.(w);
-      if counters.(!k) = s.dims.(w) then begin
+      base := !base + strides.(w);
+      if counters.(!k) = dims.(w) then begin
         counters.(!k) <- 0;
-        base := !base - (s.dims.(w) * s.strides.(w));
+        base := !base - (dims.(w) * strides.(w));
         decr k
       end
       else carried := false
@@ -158,20 +158,21 @@ let iter_bases s tgt kernel =
 
 (* The reference gather/multiply/scatter: per base, gather the g
    amplitudes of the target subspace, multiply by the full matrix with j
-   ascending, scatter back. *)
-let apply s ~targets m =
-  let tgt, g = check_targets s ~targets m in
+   ascending, scatter back. Amplitude [idx] sits at [idx * cap + lane] of
+   the planes; the stride and lane offset only move the index, so every
+   layout performs the same floating-point operations in the same order. *)
+let apply_strided ~dims ~strides vre vim ~cap ~lane ~targets m =
+  let tgt, g = check_targets dims ~targets m in
   let scratch = Scratch.get () in
   let offsets = Scratch.ints scratch 1 g in
-  offsets_into offsets s tgt g;
-  let vre = s.vec.Vec.re and vim = s.vec.Vec.im in
+  offsets_into offsets ~dims ~strides tgt g;
   let gre = Scratch.floats scratch 0 g and gim = Scratch.floats scratch 1 g in
   let mre = m.Mat.re and mim = m.Mat.im in
-  iter_bases s tgt (fun base ->
+  iter_bases ~dims ~strides tgt (fun base ->
       for j = 0 to g - 1 do
-        let idx = base + offsets.(j) in
-        gre.(j) <- vre.(idx);
-        gim.(j) <- vim.(idx)
+        let p = ((base + offsets.(j)) * cap) + lane in
+        gre.(j) <- vre.(p);
+        gim.(j) <- vim.(p)
       done;
       for i = 0 to g - 1 do
         let acc_re = ref 0. and acc_im = ref 0. in
@@ -181,10 +182,20 @@ let apply s ~targets m =
           acc_re := !acc_re +. (a *. gre.(j)) -. (b *. gim.(j));
           acc_im := !acc_im +. (a *. gim.(j)) +. (b *. gre.(j))
         done;
-        let idx = base + offsets.(i) in
-        vre.(idx) <- !acc_re;
-        vim.(idx) <- !acc_im
+        let p = ((base + offsets.(i)) * cap) + lane in
+        vre.(p) <- !acc_re;
+        vim.(p) <- !acc_im
       done)
+
+let apply s ~targets m =
+  apply_strided ~dims:s.dims ~strides:s.strides s.vec.Vec.re s.vec.Vec.im ~cap:1 ~lane:0
+    ~targets m
+
+let apply_planes ~dims re im ~cap ~lane ~targets m =
+  if lane < 0 || lane >= cap then invalid_arg "State.apply_planes: lane out of range";
+  if Array.length re < total dims * cap || Array.length im < total dims * cap then
+    invalid_arg "State.apply_planes: planes shorter than n * cap";
+  apply_strided ~dims ~strides:(strides_of dims) re im ~cap ~lane ~targets m
 
 (* Marginal populations over a blocked loop (blocks of d * stride, then
    each level's contiguous inner range): no per-index division, and each

@@ -63,6 +63,14 @@ val apply : t -> targets:int list -> Mat.t -> unit
     Repeated applications of one matrix belong in {!Kernel.compile} and
     {!Kernel.apply_block}. *)
 
+val apply_planes :
+  dims:int array -> float array -> float array -> cap:int -> lane:int ->
+  targets:int list -> Mat.t -> unit
+(** {!apply} on the register held at [idx * cap + lane] of the [re]/[im]
+    planes (one {!State_block} lane), through the same loop and so with the
+    same bits. Raises [Invalid_argument] on a [lane] outside [0, cap),
+    planes shorter than [n * cap] and {!apply}'s target errors. *)
+
 val populations : t -> wire:int -> float array
 (** Marginal probability of each level of one wire. *)
 

@@ -295,96 +295,14 @@ let apply_kernel t kern =
     invalid_arg "State_block.apply_kernel: kernel compiled for another amplitude count";
   Kernel.apply_block kern t.re t.im ~cap:t.cap ~live:t.live
 
-(* Odometer over the non-target wires, shared with [apply_lane] below —
-   same shape and scratch slots (ints 0/2) as [State.iter_bases]. *)
-let iter_bases t tgt kernel =
-  let nw = Array.length t.dims in
-  let scratch = Scratch.get () in
-  let others = Scratch.ints scratch 2 nw in
-  let no = ref 0 in
-  for w = 0 to nw - 1 do
-    if not (Array.mem w tgt) then begin
-      others.(!no) <- w;
-      incr no
-    end
-  done;
-  let no = !no in
-  let counters = Scratch.ints scratch 0 (max no 1) in
-  Array.fill counters 0 (max no 1) 0;
-  let n_bases = ref 1 in
-  for l = 0 to no - 1 do
-    n_bases := !n_bases * t.dims.(others.(l))
-  done;
-  let base = ref 0 in
-  for _ = 1 to !n_bases do
-    kernel !base;
-    let l = ref (no - 1) in
-    let carried = ref true in
-    while !carried && !l >= 0 do
-      let w = others.(!l) in
-      counters.(!l) <- counters.(!l) + 1;
-      base := !base + t.strides.(w);
-      if counters.(!l) = t.dims.(w) then begin
-        counters.(!l) <- 0;
-        base := !base - (t.dims.(w) * t.strides.(w));
-        decr l
-      end
-      else carried := false
-    done
-  done
-
-(* Gate application to one lane: [State.apply]'s gather/multiply/scatter,
-   in the same floating-point order, at lane positions [idx * cap + k].
-   Used for the rare divergent branches — per-lane error injections —
-   where lanes apply different operators and lockstep would be wrong.
-   Reuses [State.apply]'s scratch slots (floats 0/1, ints 0/1/2); never
+(* Gate application to one lane: [State.apply]'s own loop at lane
+   positions [idx * cap + k], so the lane gets a state vector's bits. Used
+   for the rare divergent branches — per-lane error injections — where
+   lanes apply different operators and lockstep would be wrong. Never
    nested inside a batched kernel sweep. *)
 let apply_lane t k ~targets m =
   if k < 0 || k >= t.live then invalid_arg "State_block.apply_lane";
-  let nw = Array.length t.dims in
-  List.iter
-    (fun w -> if w < 0 || w >= nw then invalid_arg "State_block.apply_lane: wire out of range")
-    targets;
-  let tgt = Array.of_list targets in
-  let nt = Array.length tgt in
-  if List.length (List.sort_uniq compare targets) <> nt then
-    invalid_arg "State_block.apply_lane: duplicate targets";
-  let g = Array.fold_left (fun acc w -> acc * t.dims.(w)) 1 tgt in
-  if m.Mat.rows <> g || m.Mat.cols <> g then
-    invalid_arg "State_block.apply_lane: matrix dimension mismatch";
-  let cap = t.cap in
-  let vre = t.re and vim = t.im in
-  let mre = m.Mat.re and mim = m.Mat.im in
-  let scratch = Scratch.get () in
-  let offsets = Scratch.ints scratch 1 g in
-  for j = 0 to g - 1 do
-    let rem = ref j and off = ref 0 in
-    for l = nt - 1 downto 0 do
-      let w = tgt.(l) in
-      off := !off + (!rem mod t.dims.(w) * t.strides.(w));
-      rem := !rem / t.dims.(w)
-    done;
-    offsets.(j) <- !off
-  done;
-  let gre = Scratch.floats scratch 0 g and gim = Scratch.floats scratch 1 g in
-  iter_bases t tgt (fun base ->
-      for j = 0 to g - 1 do
-        let p = ((base + offsets.(j)) * cap) + k in
-        gre.(j) <- vre.(p);
-        gim.(j) <- vim.(p)
-      done;
-      for i = 0 to g - 1 do
-        let acc_re = ref 0. and acc_im = ref 0. in
-        let row = i * g in
-        for j = 0 to g - 1 do
-          let a = mre.(row + j) and b = mim.(row + j) in
-          acc_re := !acc_re +. (a *. gre.(j)) -. (b *. gim.(j));
-          acc_im := !acc_im +. (a *. gim.(j)) +. (b *. gre.(j))
-        done;
-        let p = ((base + offsets.(i)) * cap) + k in
-        vre.(p) <- !acc_re;
-        vim.(p) <- !acc_im
-      done)
+  State.apply_planes ~dims:t.dims t.re t.im ~cap:t.cap ~lane:k ~targets m
 
 (* |⟨a_k|b_k⟩|² per lane, into [out]. Per lane the accumulation matches
    [Vec.overlap2]'s ascending-index order. *)

@@ -78,9 +78,9 @@ val apply_kernel : t -> Kernel.t -> unit
     ({!Kernel.dim_total}), however long the planes are. *)
 
 val apply_lane : t -> int -> targets:int list -> Mat.t -> unit
-(** Application of a unitary to one lane, {!State.apply}'s generic
-    gather/multiply/scatter in the same floating-point order, bit-exactly.
-    For divergent per-lane branches (error injection); never lockstep. *)
+(** Application of a unitary to one live lane, {!State.apply}'s own loop
+    ({!State.apply_planes}), so bit-exactly a state vector's result. For
+    divergent per-lane branches (error injection); never lockstep. *)
 
 val populations_into : float array -> t -> wire:int -> unit
 (** Marginal level populations of one wire for every live lane, into a

@@ -46,8 +46,9 @@ let result_json ~rule_index (d : Diagnostic.t) =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-let to_sarif ?(families = checker_families)
-    ?(driver = ("waltz_verify", "doc/VERIFIER.md")) (report : Diagnostic.report) =
+(* One run object; [id], when given, names the run in its
+   [automationDetails]. *)
+let run_json ~families ~driver ~id (report : Diagnostic.report) =
   let driver_name, driver_uri = driver in
   let rules = owned_rules families in
   let index_of =
@@ -57,12 +58,14 @@ let to_sarif ?(families = checker_families)
   in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
-    "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{";
-  Buffer.add_string buf
-    (Printf.sprintf "\"tool\":{\"driver\":{\"name\":\"%s\",\"informationUri\":\"%s\",\"rules\":["
+    (Printf.sprintf "{\"tool\":{\"driver\":{\"name\":\"%s\",\"informationUri\":\"%s\",\"rules\":["
        (Json.escape driver_name) (Json.escape driver_uri));
   Buffer.add_string buf (String.concat "," (List.map rule_json rules));
-  Buffer.add_string buf "]}},\"columnKind\":\"utf16CodeUnits\",";
+  Buffer.add_string buf "]}},";
+  (match id with
+  | Some id -> Printf.bprintf buf "\"automationDetails\":{\"id\":\"%s\"}," (Json.escape id)
+  | None -> ());
+  Buffer.add_string buf "\"columnKind\":\"utf16CodeUnits\",";
   Buffer.add_string buf
     (Printf.sprintf "\"properties\":{\"opsChecked\":%d,\"passes\":[%s]},"
        report.Diagnostic.ops_checked
@@ -72,8 +75,24 @@ let to_sarif ?(families = checker_families)
   Buffer.add_string buf
     (String.concat ","
        (List.map (result_json ~rule_index:index_of) report.Diagnostic.diagnostics));
-  Buffer.add_string buf "]}]}";
+  Buffer.add_string buf "]}";
   Buffer.contents buf
+
+let document runs =
+  "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":["
+  ^ String.concat "," runs ^ "]}"
+
+let checker_driver = ("waltz_verify", "doc/VERIFIER.md")
+
+let to_sarif ?(families = checker_families) ?(driver = checker_driver) report =
+  document [ run_json ~families ~driver ~id:None report ]
+
+let to_sarif_runs named =
+  document
+    (List.map
+       (fun (id, report) ->
+         run_json ~families:checker_families ~driver:checker_driver ~id:(Some id) report)
+       named)
 
 let to_json (report : Diagnostic.report) =
   let buf = Buffer.create 1024 in

@@ -1,11 +1,12 @@
 (** SARIF 2.1.0 output for checker reports, plus a self-contained validator.
 
-    The writer emits one run whose tool driver is [waltz_verify], with the
-    rule catalog of every checker family (WF/CIR/OCC/TOP/SCHED/CAL/EQ/STAB/
-    LEAK/COST/LIVE) plus RES inlined and one result per diagnostic (severity
-    mapped to error/warning/note, op anchors as logical locations ["op[i]"],
-    fixes as a result property). Output is deterministic: fixed key order,
-    no timestamps.
+    The writer emits one run (or, for {!to_sarif_runs}, one per report)
+    whose tool driver is [waltz_verify], with the rule catalog of every
+    checker family (WF/CIR/OCC/TOP/SCHED/CAL/EQ/STAB/LEAK/COST/LIVE) plus
+    RES inlined and one result per diagnostic (severity mapped to
+    error/warning/note, op anchors as logical locations ["op[i]"], fixes as
+    a result property). Output is deterministic: fixed key order, no
+    timestamps.
 
     The validator parses with [Waltz_telemetry.Json] (the parser behind the
     trace validator too) and runs the schema checks CI relies on (version,
@@ -18,6 +19,12 @@ val to_sarif :
     reporting through the shared {!Rules} catalog (e.g. the concurrency
     sanitizer's RACE/LOCK/OWN families) pass their own [?families] prefix
     list and [?driver] (name, informationUri) pair. *)
+
+val to_sarif_runs : (string * Diagnostic.report) list -> string
+(** [to_sarif_runs [(id, report); ...]] is one document holding one
+    checker run per report, in list order, each named by its [id] in the
+    run's [automationDetails] (e.g. one run per strategy). A one-element
+    list differs from {!to_sarif} only by that name. *)
 
 val to_json : Diagnostic.report -> string
 (** Plain machine-readable JSON (not SARIF): passes, op count, diagnostics. *)

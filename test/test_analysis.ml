@@ -380,7 +380,28 @@ let test_sarif_golden () =
   (match Sarif.validate s with
   | Ok n -> check_int "golden has three results" 3 n
   | Error e -> Alcotest.failf "golden SARIF rejected: %s" e);
-  Alcotest.(check string) "golden SARIF byte-identical" golden_sarif s
+  Alcotest.(check string) "golden SARIF byte-identical" golden_sarif s;
+  (* Several reports make one document, one named run each, in order. *)
+  let module Json = Waltz_telemetry.Json in
+  let runs = Sarif.to_sarif_runs [ ("first", golden_report); ("second", golden_report) ] in
+  (match Sarif.validate runs with
+  | Ok n -> check_int "two runs of three results" 6 n
+  | Error e -> Alcotest.failf "multi-run SARIF rejected: %s" e);
+  let run_ids =
+    match Json.parse runs with
+    | Ok doc -> (
+      match Json.member "runs" doc with
+      | Some (Json.Arr l) ->
+        List.map
+          (fun run ->
+            match Option.bind (Json.member "automationDetails" run) (Json.member "id") with
+            | Some (Json.Str id) -> id
+            | _ -> Alcotest.fail "run without automationDetails.id")
+          l
+      | _ -> Alcotest.fail "no runs array")
+    | Error e -> Alcotest.failf "multi-run SARIF unparsable: %s" e
+  in
+  Alcotest.(check (list string)) "runs in report order" [ "first"; "second" ] run_ids
 
 let test_sarif_validator_rejects () =
   (match Sarif.validate "nonsense" with
@@ -615,9 +636,37 @@ let test_resource_dump_roundtrip_determinism () =
     (String.length d1 > 24 && String.sub d1 0 24 = "resource-certificate v2\n");
   (* Every kernel class appears in the dispatch mix, catalogue order. *)
   let cert = Resource.certify compiled in
-  check_int "dispatch mix lists every class" 6 (List.length cert.Resource.dispatch_mix);
+  check_int "dispatch mix lists every class" (List.length Waltz_sim.Kernel.classes)
+    (List.length cert.Resource.dispatch_mix);
   check_int "mix total matches op count" cert.Resource.ops
     (List.fold_left (fun acc (_, n) -> acc + n) 0 cert.Resource.dispatch_mix)
+
+(* Compiled programs dispatch only the diagonal, monomial and single-wire
+   kernels: every pulse that spans devices is a permutation with phases,
+   and dense matrices act on one device. A dispatch elsewhere means a pulse
+   changed shape under the kernel catalog's traffic claim. *)
+let test_compiled_dispatch_classes () =
+  let compiled_classes = [ "diagonal"; "monomial"; "single_wire" ] in
+  List.iter
+    (fun family ->
+      List.iter
+        (fun n ->
+          let circuit = Bench.by_total_qubits family n in
+          List.iter
+            (fun strategy ->
+              let cert = Resource.certify (Compile.compile strategy circuit) in
+              List.iter
+                (fun (cls, count) ->
+                  if count > 0 && not (List.mem cls compiled_classes) then
+                    Alcotest.failf
+                      "%s-%d under %s dispatches %d %s kernel(s); the kernel catalog in \
+                       doc/PERF.md says compiled programs use only diagonal, monomial \
+                       and single_wire"
+                      (Bench.family_name family) n strategy.Strategy.name count cls)
+                cert.Resource.dispatch_mix)
+            Strategy.all)
+        [ 5; 7; 9 ])
+    Bench.all_families
 
 let suite =
   [ case "leakage lattice laws" test_leakage_lattice_laws;
@@ -641,4 +690,5 @@ let suite =
     case "resource budget RES01" test_resource_budget_res01;
     case "resource cache blowup RES03" test_resource_cache_blowup_res03;
     case "certify a compiled program" test_certify_compiled_program;
-    case "resource certificate determinism" test_resource_dump_roundtrip_determinism ]
+    case "resource certificate determinism" test_resource_dump_roundtrip_determinism;
+    case "compiled programs dispatch three classes" test_compiled_dispatch_classes ]

@@ -146,7 +146,7 @@ let test_class_coverage () =
   List.iter
     (fun cls ->
       check_bool (Printf.sprintf "class %s covered" cls) true (Hashtbl.mem seen cls))
-    [ "diagonal"; "monomial"; "controlled_block"; "single_wire"; "two_wire"; "generic" ]
+    Kernel.classes
 
 (* State_block.fill_random_supported: lane k must see exactly the gaussian
    stream State.fill_random_supported sees with the same seed. *)
@@ -361,32 +361,40 @@ let test_damp_divergence () =
 
 (* apply_lane (the divergent error-branch path) must mirror State.apply
    bit-exactly on diagonal, single-wire-dense and multi-wire matrices,
-   while leaving the other lanes untouched. *)
+   while leaving the other lanes untouched — on a middle lane, on the last
+   lane of a wide block and inside a partial block ([live < cap]). *)
 let test_apply_lane () =
   let dims = [| 4; 2; 4 |] in
   let r = rng 644 in
-  let live = 3 in
-  List.iter
-    (fun (targets, m) ->
-      let blk, lanes = random_block r ~dims ~cap:live ~live in
-      let k = 1 in
-      State_block.apply_lane blk k ~targets m;
-      Array.iteri
-        (fun k' s ->
-          if k' = k then State.apply s ~targets m;
-          let got = State_block.read_lane blk k' and want = State.amplitudes s in
-          for idx = 0 to Vec.dim want - 1 do
-            if
-              not
-                (Float.equal got.Vec.re.(idx) want.Vec.re.(idx)
-                && Float.equal got.Vec.im.(idx) want.Vec.im.(idx))
-            then Alcotest.failf "apply_lane lane %d differs at %d" k' idx
-          done)
-        lanes)
+  let gates =
     [ ([ 0 ], random_diag r 4);
       ([ 1 ], random_dense r 2);
       ([ 0; 2 ], random_dense r 16);
       ([ 2; 1 ], random_diag r 8) ]
+  in
+  List.iter
+    (fun (cap, live, k) ->
+      List.iter
+        (fun (targets, m) ->
+          let blk, lanes = random_block r ~dims ~cap ~live in
+          State_block.apply_lane blk k ~targets m;
+          Array.iteri
+            (fun k' s ->
+              if k' = k then State.apply s ~targets m;
+              let got = State_block.read_lane blk k' and want = State.amplitudes s in
+              for idx = 0 to Vec.dim want - 1 do
+                if
+                  not
+                    (Float.equal got.Vec.re.(idx) want.Vec.re.(idx)
+                    && Float.equal got.Vec.im.(idx) want.Vec.im.(idx))
+                then Alcotest.failf "apply_lane cap %d lane %d differs at %d" cap k' idx
+              done)
+            lanes;
+          if live < cap then
+            Alcotest.check_raises "lane past live" (Invalid_argument "State_block.apply_lane")
+              (fun () -> State_block.apply_lane blk live ~targets m))
+        gates)
+    [ (3, 3, 1); (8, 8, 7); (8, 5, 4) ]
 
 (* The acceptance bar: simulation statistics bit-identical across the full
    batch × domains grid, against the one-lane-block (batch=1) sequential
@@ -513,7 +521,7 @@ let test_stale_planes_never_leak () =
 
 let suite =
   [ case "every batched kernel class agrees with one-lane blocks" test_kernel_classes;
-    case "generators cover all six kernel classes" test_class_coverage;
+    case "generators cover Kernel.classes" test_class_coverage;
     case "block random fill is bit-identical per lane" test_fill_bit_identity;
     case "block random fill allocates <= 6 words per amplitude-lane" test_fill_allocation;
     case "Rng draws match the boxed Box-Muller oracle" test_rng_matches_boxed_oracle;

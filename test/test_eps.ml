@@ -97,8 +97,7 @@ let prop_eps_monotone_under_append =
       in
       let extended =
         { base with
-          Physical.ops = base.Physical.ops @ List.filter keeps_occupancy tail.Physical.ops;
-          schedule_memo = None }
+          Physical.ops = base.Physical.ops @ List.filter keeps_occupancy tail.Physical.ops }
       in
       let eps p = (Eps.estimate p).Eps.total_eps in
       eps extended <= eps base +. 1e-9)

@@ -203,7 +203,7 @@ let test_failed_lift_leaves_executor_usable () =
     match good.Physical.ops with
     | op :: rest ->
       let gate = Mat.identity (2 * op.Physical.gate.Mat.rows) in
-      { good with Physical.ops = { op with Physical.gate } :: rest; schedule_memo = None }
+      { good with Physical.ops = { op with Physical.gate } :: rest }
     | [] -> Alcotest.fail "compiled toffoli has no ops"
   in
   (* A model no other case uses, so neither plan can already be cached. *)

@@ -255,11 +255,36 @@ let delayed_last_op () =
   Array.iteri (fun i e -> if finish e > finish schedule.(!last) then last := i) schedule;
   let o, start = schedule.(!last) in
   schedule.(!last) <- (o, start +. 100.);
-  let delayed = { compiled with Physical.schedule_memo = Some schedule } in
+  let delayed =
+    { compiled with Physical.schedule_memo = Some (compiled.Physical.ops, schedule) }
+  in
   close ~tol:1e-6 "total_duration moves by the delay"
     (Physical.total_duration compiled +. 100.)
     (Physical.total_duration delayed);
   expect_only "SCHED02" delayed
+
+(* A copy [{ p with ops }] carries [p]'s warm schedule memo; its schedule
+   must still list its own ops, in order, or every reader of the schedule
+   (the executor's plan, EPS, SCHED) would see [p]'s program. *)
+let test_memo_follows_ops () =
+  let compiled =
+    Compile.compile Strategy.mixed_radix_ccz
+      (Waltz_benchmarks.Bench_circuits.by_total_qubits Cuccaro 6)
+  in
+  ignore (Physical.schedule_array compiled);
+  let ops = compiled.Physical.ops in
+  let same_ops what (p : Physical.t) =
+    let sched = Physical.schedule_array p in
+    check_int (what ^ ": one entry per op") (List.length p.Physical.ops) (Array.length sched);
+    List.iteri
+      (fun i o ->
+        check_bool (Printf.sprintf "%s: entry %d is op %d" what i i) true (fst sched.(i) == o))
+      p.Physical.ops
+  in
+  same_ops "reversed" { compiled with Physical.ops = List.rev ops };
+  same_ops "last op dropped"
+    { compiled with Physical.ops = List.filteri (fun i _ -> i < List.length ops - 1) ops };
+  same_ops "original" compiled
 
 (* SCHED03: a negative duration (pass-selected so CAL01 stays out of frame). *)
 let negative_duration () =
@@ -310,8 +335,6 @@ let tampered_gate_caught_by_equivalence () =
   let compiled = Compile.compile Strategy.qubit_only circuit in
   check_bool "fixture has a CX_2 to tamper" true
     (List.exists (fun (o : Physical.op) -> o.Physical.label = "CX_2") compiled.Physical.ops);
-  (* The copy drops the schedule memo: the cached program may already hold
-     one, and the executor plans from the memo's ops. *)
   let tampered =
     { compiled with
       Physical.ops =
@@ -319,8 +342,7 @@ let tampered_gate_caught_by_equivalence () =
           (fun (o : Physical.op) ->
             if o.Physical.label = "CX_2" then { o with Physical.gate = Mat.identity 4 }
             else o)
-          compiled.Physical.ops;
-      schedule_memo = None }
+          compiled.Physical.ops }
   in
   expect_only "EQ01" ~circuit tampered
 
@@ -408,4 +430,5 @@ let test_fixture_sarif () =
 let suite =
   List.map (fun (name, fixture) -> case name (fun () -> check_fixture (fixture ()))) fixtures
   @ [ case "SARIF of every fixture report" test_fixture_sarif;
+      case "schedule memo follows a copy's ops" test_memo_follows_ops;
       case "op classification" test_classification ]
