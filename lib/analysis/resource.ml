@@ -23,6 +23,7 @@ type t = {
   state_bytes : int;
   block_workspace_bytes : int;
   scratch_bytes : int;
+  lift_bytes : int;
   plan_bytes : int;
   plan_table_bytes : int;
   cache_bytes : int;
@@ -41,33 +42,32 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
   let trajectories = max 1 trajectories and batch = max 1 batch and domains = max 1 domains in
   let device_dim = p.Physical.device_dim in
   let device_count = p.Physical.device_count in
-  let dims = Array.make device_count device_dim in
-  let dim = Array.fold_left ( * ) 1 dims in
   let nops = List.length p.Physical.ops in
-  (* Dispatch mix and plan-resident bytes: replay the executor's planning
-     pipeline — the memoized gate lift then kernel classification against
-     the same register shape — so the mix is the exact [plan_dispatch] the
-     instrumented wrappers will flush and the byte sum goes through
-     [Executor.plan_op_bytes], the very formula the executor observes
-     with. *)
+  (* Dispatch mix and plan-resident bytes: the executor's own placement
+     of the lift table's bodies, built fresh so the program's kernel memo
+     is neither read nor written. The mix is the exact [plan_dispatch] the
+     instrumented wrappers will flush, and the placed bytes are what a memo
+     build observes. *)
+  let placement = Executor.place p in
+  let dims = placement.Executor.dims in
+  let dim = Array.fold_left ( * ) 1 dims in
   let mix = Array.make (List.length Kernel.classes) 0 in
-  let plan_bytes = ref 0 and g_max = ref 1 in
-  List.iter
-    (fun (op : Physical.op) ->
-      let devices, lifted = Executor.lift_gate ~device_dim op in
-      let kernel = Kernel.compile ~dims ~targets:devices lifted in
+  let g_max = ref 1 in
+  Array.iter
+    (fun kernel ->
       let cls = Kernel.class_index kernel in
       mix.(cls) <- mix.(cls) + 1;
-      plan_bytes := !plan_bytes + Executor.plan_op_bytes ~lifted ~kernel;
-      g_max := max !g_max lifted.Waltz_linalg.Mat.rows)
-    p.Physical.ops;
+      g_max := max !g_max (Kernel.dim_targets kernel))
+    placement.Executor.kernels;
+  let plan_bytes = placement.Executor.placed_bytes
+  and lift_bytes = placement.Executor.lift_bytes in
   (* Every class of Kernel's catalog, in its order, so serializations have
      a fixed shape. *)
   let dispatch_mix = List.mapi (fun i cls -> (cls, mix.(i))) Kernel.classes in
-  (* Plan-side lookup tables (support and leakage level tables, damping
-     specs, dispatch cells): each bound covers the corresponding structure
-     in the executor's [plan] record with room to spare. None grows with
-     the amplitude count. *)
+  (* Per-call plan tables (support and leakage level tables, damping specs,
+     dispatch cells): each bound covers the corresponding structure in the
+     executor's [plan] record with room to spare. None grows with the
+     amplitude count. *)
   let plan_table_bytes =
     (2 * 8 * device_count * device_dim) (* allowed-level tables, both maps *)
     + (2 * 8 * device_dim * (nops + device_count)) (* damp lambdas+scales *)
@@ -95,13 +95,13 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
     8 * ((2 * !g_max) + (2 * !g_max * batch_eff) + (2 * device_dim) + (2 * batch_eff) + 64)
   in
   let peak_bytes =
-    program_bytes + !plan_bytes + plan_table_bytes
+    program_bytes + lift_bytes + plan_bytes + plan_table_bytes
     + (seat_demand * (block_workspace_bytes + scratch_bytes))
   in
+  (* Placed kernels live in their program's memo, so the program cache
+     holds them with the programs; the per-call tables are not kept. *)
   let cache_bytes =
-    (Executor.plan_cache_capacity * (!plan_bytes + plan_table_bytes))
-    + (Compile.program_cache_capacity * program_bytes)
-    + !plan_bytes (* lift-table residency: one lifted matrix per distinct key *)
+    (Compile.program_cache_capacity * (program_bytes + plan_bytes)) + lift_bytes
   in
   (* Modeled duration: one schedule replay takes the memoized ASAP
      makespan, the figure the executor reports as its schedule gauge. Each
@@ -128,7 +128,8 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
     state_bytes;
     block_workspace_bytes;
     scratch_bytes;
-    plan_bytes = !plan_bytes;
+    lift_bytes;
+    plan_bytes;
     plan_table_bytes;
     cache_bytes;
     peak_bytes;
@@ -256,15 +257,16 @@ let summary t =
 
 let dump t =
   let b = Buffer.create 512 in
-  Printf.bprintf b "resource-certificate v2\n";
+  Printf.bprintf b "resource-certificate v3\n";
   Printf.bprintf b "strategy %s devices %d dim %d n %d ops %d\n" t.strategy
     t.device_count t.device_dim t.dim t.ops;
   Printf.bprintf b "shape trajectories %d batch %d domains %d\n" t.shape.trajectories
     t.shape.batch t.shape.domains;
   Printf.bprintf b
-    "bytes program %d state %d block %d scratch %d plan %d tables %d caches %d peak %d\n"
-    t.program_bytes t.state_bytes t.block_workspace_bytes t.scratch_bytes t.plan_bytes
-    t.plan_table_bytes t.cache_bytes t.peak_bytes;
+    "bytes program %d state %d block %d scratch %d lift %d plan %d tables %d caches %d \
+     peak %d\n"
+    t.program_bytes t.state_bytes t.block_workspace_bytes t.scratch_bytes t.lift_bytes
+    t.plan_bytes t.plan_table_bytes t.cache_bytes t.peak_bytes;
   Printf.bprintf b "schedule_ns %h %h total_ns %h %h expected_ns %h\n" t.schedule_ns.lo
     t.schedule_ns.hi t.total_ns.lo t.total_ns.hi t.expected_ns;
   Printf.bprintf b "pool seats %d queue %d\n" t.seat_demand t.queue_depth;

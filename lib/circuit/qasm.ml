@@ -1,35 +1,49 @@
-let gate_line (g : Gate.t) =
-  let q i = Printf.sprintf "q[%d]" (List.nth g.Gate.qubits i) in
-  let simple name arity =
-    Printf.sprintf "%s %s;" name (String.concat "," (List.init arity q))
-  in
-  let rotation name theta arity =
-    Printf.sprintf "%s(%.17g) %s;" name theta (String.concat "," (List.init arity q))
-  in
-  match g.Gate.kind with
-  | Gate.X -> simple "x" 1
-  | Gate.Y -> simple "y" 1
-  | Gate.Z -> simple "z" 1
-  | Gate.H -> simple "h" 1
-  | Gate.S -> simple "s" 1
-  | Gate.Sdg -> simple "sdg" 1
-  | Gate.T -> simple "t" 1
-  | Gate.Tdg -> simple "tdg" 1
-  | Gate.Rx theta -> rotation "rx" theta 1
-  | Gate.Ry theta -> rotation "ry" theta 1
-  | Gate.Rz theta -> rotation "rz" theta 1
-  | Gate.Phase theta -> rotation "u1" theta 1
-  | Gate.Cx -> simple "cx" 2
-  | Gate.Cz -> simple "cz" 2
-  | Gate.Swap -> simple "swap" 2
-  | Gate.Csdg -> simple "csdg" 2
-  | Gate.Ccx -> simple "ccx" 3
-  | Gate.Ccz -> simple "ccz" 3
-  | Gate.Cswap -> simple "cswap" 3
-  | Gate.Cccx -> simple "c3x" 4
-  | Gate.Cccz -> simple "cccz" 4
+let export_name = function
+  | Gate.X -> "x"
+  | Gate.Y -> "y"
+  | Gate.Z -> "z"
+  | Gate.H -> "h"
+  | Gate.S -> "s"
+  | Gate.Sdg -> "sdg"
+  | Gate.T -> "t"
+  | Gate.Tdg -> "tdg"
+  | Gate.Rx _ -> "rx"
+  | Gate.Ry _ -> "ry"
+  | Gate.Rz _ -> "rz"
+  | Gate.Phase _ -> "u1"
+  | Gate.Cx -> "cx"
+  | Gate.Cz -> "cz"
+  | Gate.Swap -> "swap"
+  | Gate.Csdg -> "csdg"
+  | Gate.Ccx -> "ccx"
+  | Gate.Ccz -> "ccz"
+  | Gate.Cswap -> "cswap"
+  | Gate.Cccx -> "c3x"
+  | Gate.Cccz -> "cccz"
   | Gate.Custom (label, _) ->
     failwith (Printf.sprintf "Qasm.to_string: cannot export custom gate %s" label)
+
+(* Appends one statement, e.g. "rz(0.5) q[1];", piecewise into [buf]: the
+   angle is the only intermediate string. *)
+let add_gate buf (g : Gate.t) =
+  let kind = g.Gate.kind in
+  Buffer.add_string buf (export_name kind);
+  (match kind with
+  | Gate.Rx theta | Gate.Ry theta | Gate.Rz theta | Gate.Phase theta ->
+    Printf.bprintf buf "(%.17g)" theta
+  | _ -> ());
+  let arity = Gate.arity kind in
+  let rec operands i = function
+    | _ when i = arity -> ()
+    | q :: rest ->
+      Buffer.add_string buf (if i = 0 then " q[" else ",q[");
+      Buffer.add_string buf (string_of_int q);
+      Buffer.add_char buf ']';
+      operands (i + 1) rest
+    | [] -> invalid_arg "Qasm.to_string: gate has fewer operands than its arity"
+  in
+  operands 0 g.Gate.qubits;
+  Buffer.add_string buf ";\n"
 
 let prelude =
   "OPENQASM 2.0;\n\
@@ -39,22 +53,20 @@ let prelude =
    gate cccz a,b,c,d { h d; c3x a,b,c,d; h d; }\n"
 
 let to_string (c : Circuit.t) =
-  let buf = Buffer.create 256 in
+  let buf = Buffer.create (String.length prelude + 16 + (24 * List.length c.Circuit.gates)) in
   Buffer.add_string buf prelude;
-  Buffer.add_string buf (Printf.sprintf "qreg q[%d];\n" c.Circuit.n);
-  List.iter
-    (fun g ->
-      Buffer.add_string buf (gate_line g);
-      Buffer.add_char buf '\n')
-    c.Circuit.gates;
+  Buffer.add_string buf "qreg q[";
+  Buffer.add_string buf (string_of_int c.Circuit.n);
+  Buffer.add_string buf "];\n";
+  List.iter (add_gate buf) c.Circuit.gates;
   Buffer.contents buf
 
 (* ---- import ---- *)
 
 (* Angle expressions: products/quotients of numbers and [pi] with unary
    minus, e.g. "-3*pi/4". *)
-let eval_angle line_no expr =
-  let fail () = failwith (Printf.sprintf "QASM line %d: bad angle %S" line_no expr) in
+let eval_angle ~located expr =
+  let fail () = raise (located (Printf.sprintf "bad angle %S" expr)) in
   let expr = String.trim expr in
   let negative, expr =
     if String.length expr > 0 && expr.[0] = '-' then
@@ -108,117 +120,171 @@ let rotation_gates =
   [ ("rx", fun t -> Gate.Rx t); ("ry", fun t -> Gate.Ry t); ("rz", fun t -> Gate.Rz t);
     ("u1", fun t -> Gate.Phase t); ("p", fun t -> Gate.Phase t) ]
 
+(* 1-based line of byte [pos] of [text]. Only error paths call it, so
+   parsing never counts lines. *)
+let line_of text pos =
+  let line = ref 1 in
+  for i = 0 to min pos (String.length text) - 1 do
+    if text.[i] = '\n' then incr line
+  done;
+  !line
+
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
 let of_string text =
-  (* Strip comments, split statements on ';'. *)
-  let without_comments =
-    String.split_on_char '\n' text
-    |> List.map (fun line ->
-           match String.index_opt line '/' with
-           | Some i when i + 1 < String.length line && line.[i + 1] = '/' ->
-             String.sub line 0 i
-           | _ -> line)
-    |> String.concat "\n"
+  let len = String.length text in
+  (* Comments and gate definitions are blanked in place rather than cut
+     out, keeping every newline, so a byte offset into [clean] is one into
+     [text] and names a source line. *)
+  let clean = Bytes.of_string text in
+  let blank i j =
+    for k = i to j - 1 do
+      if Bytes.get clean k <> '\n' then Bytes.set clean k ' '
+    done
   in
-  (* Excise gate definitions (gate NAME … { body }) before splitting on
-     ';' so their bodies are not parsed as top-level applications. *)
-  let without_defs =
-    let buf = Buffer.create (String.length without_comments) in
-    let len = String.length without_comments in
-    let rec scan i =
-      if i >= len then ()
-      else if
-        i + 5 <= len
-        && String.sub without_comments i 5 = "gate "
-        && (i = 0
-           ||
-           match without_comments.[i - 1] with
-           | ' ' | '\n' | '\t' | ';' -> true
-           | _ -> false)
-      then begin
-        match String.index_from_opt without_comments i '}' with
-        | Some close -> scan (close + 1)
-        | None -> failwith "QASM: unterminated gate definition"
-      end
-      else begin
-        Buffer.add_char buf without_comments.[i];
-        scan (i + 1)
-      end
-    in
-    scan 0;
-    Buffer.contents buf
+  let located_at pos msg =
+    Failure (Printf.sprintf "QASM line %d: %s" (line_of text pos) msg)
   in
-  let statements = String.split_on_char ';' without_defs in
+  let rec strip_comments i =
+    if i + 1 < len then
+      if text.[i] = '/' && text.[i + 1] = '/' then begin
+        let eol = Option.value ~default:len (String.index_from_opt text i '\n') in
+        blank i eol;
+        strip_comments eol
+      end
+      else strip_comments (i + 1)
+  in
+  strip_comments 0;
+  (* Gate definitions (gate NAME … { body }) go before splitting on ';' so
+     their bodies are not parsed as top-level applications. *)
+  let gate_keyword_at i =
+    i + 5 <= len
+    && Bytes.get clean i = 'g'
+    && Bytes.sub_string clean i 5 = "gate "
+    && (i = 0 || match Bytes.get clean (i - 1) with ' ' | '\n' | '\t' | ';' -> true | _ -> false)
+  in
+  let rec strip_defs i =
+    if i < len then
+      if gate_keyword_at i then begin
+        match Bytes.index_from_opt clean i '}' with
+        | Some close ->
+          blank i (close + 1);
+          strip_defs (close + 1)
+        | None -> raise (located_at i "unterminated gate definition")
+      end
+      else strip_defs (i + 1)
+  in
+  strip_defs 0;
+  let clean = Bytes.unsafe_to_string clean in
   let n = ref 0 in
   let register = ref "" in
   let gates = ref [] in
-  let parse_operands line_no s =
+  let parse_operands ~located s =
     String.split_on_char ',' s
     |> List.map (fun operand ->
            let operand = String.trim operand in
+           let bad () = raise (located (Printf.sprintf "bad operand %S" operand)) in
            match String.index_opt operand '[' with
            | Some i
              when String.length operand > i + 1 && operand.[String.length operand - 1] = ']'
              ->
              let name = String.sub operand 0 i in
              if !register <> "" && name <> !register then
-               failwith
-                 (Printf.sprintf "QASM line %d: unknown register %s" line_no name);
-             int_of_string (String.sub operand (i + 1) (String.length operand - i - 2))
-           | _ -> failwith (Printf.sprintf "QASM line %d: bad operand %S" line_no operand))
+               raise (located (Printf.sprintf "unknown register %s" name));
+             (match
+                int_of_string_opt (String.sub operand (i + 1) (String.length operand - i - 2))
+              with
+             | Some q -> q
+             | None -> bad ())
+           | _ -> bad ())
   in
-  List.iteri
-    (fun line_no statement ->
-      let s = String.trim statement in
-      if s = "" then ()
+  (* One statement: [raw] is its text, [start] its byte offset. *)
+  let statement start raw =
+    let s = String.trim raw in
+    if s = "" then ()
+    else begin
+      (* A statement's line is that of its first non-blank character. *)
+      let located msg =
+        let lead = ref 0 in
+        while is_blank raw.[!lead] do
+          incr lead
+        done;
+        located_at (start + !lead) msg
+      in
+      let lower = String.lowercase_ascii s in
+      let starts prefix =
+        String.length lower >= String.length prefix
+        && String.sub lower 0 (String.length prefix) = prefix
+      in
+      if starts "openqasm" || starts "include" || starts "creg" || starts "barrier"
+         || starts "measure" || starts "gate " || s.[0] = '{' || s.[0] = '}'
+         || starts "}"
+      then ()
+      else if starts "qreg" then begin
+        match (String.index_opt s '[', String.index_opt s ']') with
+        | Some i, Some j when j > i ->
+          let size = String.trim (String.sub s (i + 1) (j - i - 1)) in
+          (match int_of_string_opt size with
+          | Some k when k > 0 -> n := k
+          | _ ->
+            raise
+              (located (Printf.sprintf "qreg size must be a positive integer, got %S" size)));
+          let name_part = String.trim (String.sub s 4 (i - 4)) in
+          register := name_part
+        | _ -> raise (located "bad qreg")
+      end
       else begin
-        let lower = String.lowercase_ascii s in
-        let starts prefix =
-          String.length lower >= String.length prefix
-          && String.sub lower 0 (String.length prefix) = prefix
+        (* gate application: NAME[(angle)] operands *)
+        let name_end =
+          match (String.index_opt s ' ', String.index_opt s '(') with
+          | Some i, Some j -> min i j
+          | Some i, None -> i
+          | None, Some j -> j
+          | None, None -> raise (located (Printf.sprintf "bad statement %S" s))
         in
-        if starts "openqasm" || starts "include" || starts "creg" || starts "barrier"
-           || starts "measure" || starts "gate " || s.[0] = '{' || s.[0] = '}'
-           || starts "}"
-        then ()
-        else if starts "qreg" then begin
-          match (String.index_opt s '[', String.index_opt s ']') with
-          | Some i, Some j when j > i ->
-            n := int_of_string (String.sub s (i + 1) (j - i - 1));
-            let name_part = String.trim (String.sub s 4 (i - 4)) in
-            register := name_part
-          | _ -> failwith (Printf.sprintf "QASM line %d: bad qreg" line_no)
-        end
-        else begin
-          (* gate application: NAME[(angle)] operands *)
-          let name_end =
-            match (String.index_opt s ' ', String.index_opt s '(') with
-            | Some i, Some j -> min i j
-            | Some i, None -> i
-            | None, Some j -> j
-            | None, None -> failwith (Printf.sprintf "QASM line %d: bad statement %S" line_no s)
-          in
-          let name = String.lowercase_ascii (String.sub s 0 name_end) in
-          let rest = String.sub s name_end (String.length s - name_end) in
-          let kind, operand_str =
-            match List.assoc_opt name rotation_gates with
-            | Some make -> begin
-              match (String.index_opt rest '(', String.index_opt rest ')') with
-              | Some i, Some j when j > i ->
-                let theta = eval_angle line_no (String.sub rest (i + 1) (j - i - 1)) in
-                (make theta, String.sub rest (j + 1) (String.length rest - j - 1))
-              | _ -> failwith (Printf.sprintf "QASM line %d: %s needs an angle" line_no name)
-            end
-            | None -> begin
-              match List.assoc_opt name named_gates with
-              | Some (kind, _) -> (kind, rest)
-              | None ->
-                failwith (Printf.sprintf "QASM line %d: unsupported gate %s" line_no name)
-            end
-          in
-          let operands = parse_operands line_no operand_str in
-          gates := Gate.make kind operands :: !gates
-        end
-      end)
-    statements;
+        let name = String.lowercase_ascii (String.sub s 0 name_end) in
+        let rest = String.sub s name_end (String.length s - name_end) in
+        let kind, operand_str =
+          match List.assoc_opt name rotation_gates with
+          | Some make -> begin
+            match (String.index_opt rest '(', String.index_opt rest ')') with
+            | Some i, Some j when j > i ->
+              let theta = eval_angle ~located (String.sub rest (i + 1) (j - i - 1)) in
+              (make theta, String.sub rest (j + 1) (String.length rest - j - 1))
+            | _ -> raise (located (Printf.sprintf "%s needs an angle" name))
+          end
+          | None -> begin
+            match List.assoc_opt name named_gates with
+            | Some (kind, _) -> (kind, rest)
+            | None -> raise (located (Printf.sprintf "unsupported gate %s" name))
+          end
+        in
+        if !n = 0 then raise (located (Printf.sprintf "%s before any qreg declaration" name));
+        let operands = parse_operands ~located operand_str in
+        let gate =
+          match Gate.make kind operands with
+          | g -> g
+          | exception Invalid_argument msg -> raise (located msg)
+        in
+        List.iter
+          (fun q ->
+            if q >= !n then
+              raise
+                (located
+                   (Printf.sprintf "%s operand q[%d] is outside the %d-qubit register" name q
+                      !n)))
+          operands;
+        gates := gate :: !gates
+      end
+    end
+  in
+  let rec statements start =
+    if start <= len then begin
+      let stop = Option.value ~default:len (String.index_from_opt clean start ';') in
+      statement start (String.sub clean start (stop - start));
+      statements (stop + 1)
+    end
+  in
+  statements 0;
   if !n = 0 then failwith "QASM: no qreg declaration found";
   Circuit.of_gates ~n:!n (List.rev !gates)

@@ -11,4 +11,8 @@
 val to_string : Circuit.t -> string
 
 val of_string : string -> Circuit.t
-(** Raises [Failure] with a line-numbered message on unsupported input. *)
+(** Raises one [Failure "QASM line N: ..."], [N] the 1-based source line of
+    the offending statement, on malformed or unsupported input: a bad
+    angle or operand, an unknown gate or register, a register size that is
+    not a positive integer, a gate before the [qreg] declaration, and
+    negative, duplicate or out-of-range operands. *)

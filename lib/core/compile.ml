@@ -435,18 +435,19 @@ let compile_uncached ~topo strategy circuit =
         ops;
         initial_map;
         final_map = Layout.snapshot_map layout;
-        schedule_memo = None })
+        schedule_memo = None;
+        kernel_memo = None })
 
 (* ---- Compiled-program cache ---- *)
 
-(* MRU cache over finished programs, the admission-side twin of the
-   executor's plan cache: sweeps and repeated service requests compile the
-   same (circuit, strategy, topology) over and over. Keyed by a cheap
-   circuit fingerprint, confirmed by structural equality — fingerprints may
-   collide, equal values may not. Programs are immutable once built, so
-   sharing one across callers (and domains) is safe; it also keeps the
-   executor's identity-keyed plan cache hot. Bounded MRU list: hits move to
-   the front, inserts evict the tail. *)
+(* MRU cache over finished programs: sweeps and repeated service requests
+   compile the same (circuit, strategy, topology) over and over. Keyed by a
+   cheap circuit fingerprint, confirmed by structural equality —
+   fingerprints may collide, equal values may not. Programs are immutable
+   once built (their memos aside), so sharing one across callers (and
+   domains) is safe; a hit also returns the executor's kernel memo with the
+   program. Bounded MRU list: hits move to the front, inserts evict the
+   tail. *)
 type cache_entry = {
   key_fp : int;
   key_strategy : Strategy.t;
@@ -514,8 +515,8 @@ let compile ?topology strategy circuit =
       Sanitize.Lock.acquire "compile.program_cache_mutex";
       (* Re-check before inserting: compilation ran outside the lock, so a
          concurrent caller may have compiled and inserted the same key in
-         the meantime. Adopting the winner keeps the executor's [==]-keyed
-         plan reuse exact and the effective capacity undiluted. *)
+         the meantime. Adopting the winner keeps one kernel memo per key
+         and the effective capacity undiluted. *)
       let program =
         match cache_find ~fp ~strategy ~topo circuit with
         | Some entry -> entry.program

@@ -18,7 +18,7 @@ val compile : ?topology:Topology.t -> Strategy.t -> Circuit.t -> Physical.t
     Compilations go through a bounded MRU program cache keyed by (circuit,
     strategy, topology): a hit returns the previously compiled program
     itself, which is safe to share because programs are immutable, and
-    keeps the executor's identity-keyed plan cache hot. Disable with
+    with it the executor's kernel memo. Disable with
     [WALTZ_COMPILE_CACHE=0] or {!set_program_cache}; hit/miss counts surface
     as [compile.program_cache.hit]/[.miss]. *)
 

@@ -25,8 +25,8 @@ let trajectories_cell = Telemetry.Metrics.cell "executor.trajectories"
 let blocks_cell = Telemetry.Metrics.cell "executor.batch.blocks"
 let lane_windows_cell = Telemetry.Metrics.cell "executor.batch.lane_windows"
 let mask_divergence_cell = Telemetry.Metrics.cell "executor.batch.mask_divergence"
-let plan_hit_cell = Telemetry.Metrics.cell "executor.plan_cache.hit"
-let plan_miss_cell = Telemetry.Metrics.cell "executor.plan_cache.miss"
+let kernel_memo_hit_cell = Telemetry.Metrics.cell "executor.kernel_memo.hit"
+let kernel_memo_miss_cell = Telemetry.Metrics.cell "executor.kernel_memo.miss"
 let lift_hit_cell = Telemetry.Metrics.cell "executor.lift_gate.hit"
 let lift_miss_cell = Telemetry.Metrics.cell "executor.lift_gate.miss"
 let lift_collision_cell = Telemetry.Metrics.cell "executor.lift_table.collision"
@@ -43,15 +43,15 @@ let domain_traj_cell : Telemetry.Metrics.cell Domain.DLS.key =
         (Printf.sprintf "executor.domain.%d.trajectories" (Domain.self () :> int)))
 
 (* An idle window resolved at plan time: the damping lambdas and the
-   no-jump Kraus scales are pure functions of the window length, so both
-   are computed once per plan and only read by worker domains. *)
+   no-jump Kraus scales are pure functions of the window length and the
+   noise model, so both are computed once per simulate call and only read
+   by worker domains. *)
 type damp_spec = { dwire : int; lambdas : float array; scales : float array }
 
-(* A compiled op, prepared for fast repeated execution. *)
+(* A compiled op under one noise model: its placed kernel (shared with the
+   program's kernel memo) plus what the model decides for it. *)
 type plan_op = {
-  devices : int list;  (** state wires the lifted gate acts on, in order *)
-  lifted : Mat.t;  (** unitary over those device wires *)
-  kernel : Kernel.t;  (** plan-time classified apply path for [lifted] *)
+  kernel : Kernel.t;
   error_p : float;
   error_parts : (int * Physical.noise_role) list;  (** device, role *)
   error_dims : int list;  (** radix of each error part's Pauli draw *)
@@ -60,13 +60,13 @@ type plan_op = {
 
 (* The per-trajectory schedule: idle-window bookkeeping is identical for
    every trajectory, so start times, damping lambdas and Pauli radices are
-   all resolved once per plan and only read from the worker domains. No
+   all resolved once per call and only read from the worker domains. No
    field grows with the amplitude count: the input support and the leakage
    subspace are Cartesian products of per-device level sets, held as
    device × level tables and walked by [State.iter_supported]. *)
 type plan = {
-  plan_dims : int array;  (** register shape the kernels were compiled for *)
-  plan_ops : plan_op list;
+  plan_dims : int array;  (** register shape the kernels were placed for *)
+  plan_ops : plan_op array;
   final_damp : damp_spec list;  (** windows closing at the end *)
   plan_allowed : bool array array;  (** initial-map support tables *)
   plan_leak : bool array array;
@@ -74,7 +74,7 @@ type plan = {
   plan_dispatch : (Telemetry.Metrics.cell * int) array;
       (** per kernel class with ops: (dispatch counter cell, its ops). The
           dispatch tally per trajectory or block is a static function of
-          the plan, so the instrumented wrappers flush one increment per
+          the kernels, so the instrumented wrappers flush one increment per
           class instead of one per op application. *)
 }
 
@@ -105,17 +105,22 @@ let lift_gate_uncached ~device_dim (op : Physical.op) =
   in
   (devices, lifted)
 
+type lift = { lifted : Mat.t; body : Kernel.body }
+
 (* The lifted unitary depends on the gate and the *pattern* of targets —
    which of the op's devices each (device, slot) wire belongs to — not on
    absolute device ids, so ops that repeat a gate on different devices share
-   one Kronecker lift. Keyed on the op's label plus dimensions rather than
-   the gate's full float arrays, so lookups never hash 256 floats; ops that
-   share a label but carry different matrices (the two ENC encode directions,
-   parameterized rotations) land in one bucket and are told apart by matrix
-   equality, counted as [executor.lift_table.collision]. The mutex makes the
-   table safe for concurrent planners; the lift itself is built outside it,
-   so a gate that does not fit its targets raises with no lock held. *)
-let lift_table : (int * (int * int) list * string * int, (Mat.t * Mat.t) list) Hashtbl.t =
+   one Kronecker lift, and one kernel body classified from it when the entry
+   is inserted. Keyed on the op's label plus dimensions rather than the
+   gate's full float arrays, so lookups never hash 256 floats; ops that
+   share a label but carry different matrices (the two ENC encode
+   directions, parameterized rotations) land in one bucket and are told
+   apart by matrix equality, counted as [executor.lift_table.collision].
+   The mutex makes the table safe for concurrent planners; the lift and its
+   classification run outside it, so a gate that does not fit its targets
+   raises with no lock held, and the table holds no [Lazy.t] for two
+   domains to force at once. *)
+let lift_table : (int * (int * int) list * string * int, (Mat.t * lift) list) Hashtbl.t =
   Hashtbl.create 64
 
 let lift_mutex = Mutex.create ()
@@ -126,7 +131,7 @@ let lift_find key gate =
   Sanitize.Shared.read "executor.lift_table";
   List.assoc_opt gate (lift_bucket key)
 
-let lift_gate ~device_dim (op : Physical.op) =
+let lift ~device_dim (op : Physical.op) =
   let devices = unique_devices op.Physical.targets in
   let index_of d =
     let rec go i = function
@@ -144,30 +149,35 @@ let lift_gate ~device_dim (op : Physical.op) =
   Sanitize.Lock.release "executor.lift_mutex";
   Mutex.unlock lift_mutex;
   match cached with
-  | Some lifted ->
+  | Some entry ->
     Telemetry.Metrics.cell_incr lift_hit_cell;
-    (devices, lifted)
+    (devices, entry)
   | None ->
     let _, lifted = lift_gate_uncached ~device_dim op in
+    let fresh = { lifted; body = Kernel.classify lifted } in
     Mutex.lock lift_mutex;
     Sanitize.Lock.acquire "executor.lift_mutex";
-    (* Re-check before inserting, like the plan and program caches: a
-       concurrent planner may have inserted the same lift meanwhile. *)
-    let lifted, collision =
+    (* Re-check before inserting, like the program cache: a concurrent
+       planner may have inserted the same lift meanwhile. *)
+    let entry, collision =
       match lift_find key gate with
       | Some winner -> (winner, false)
       | None ->
         let b = lift_bucket key in
         if b = [] && Hashtbl.length lift_table > 4096 then Hashtbl.reset lift_table;
         Sanitize.Shared.write "executor.lift_table";
-        Hashtbl.replace lift_table key ((gate, lifted) :: b);
-        (lifted, b <> [])
+        Hashtbl.replace lift_table key ((gate, fresh) :: b);
+        (fresh, b <> [])
     in
     Sanitize.Lock.release "executor.lift_mutex";
     Mutex.unlock lift_mutex;
     Telemetry.Metrics.cell_incr lift_miss_cell;
     if collision then Telemetry.Metrics.cell_incr lift_collision_cell;
-    (devices, lifted)
+    (devices, entry)
+
+let lift_gate ~device_dim op =
+  let devices, entry = lift ~device_dim op in
+  (devices, entry.lifted)
 
 (* Allowed levels per device under a placement map: a device's computational
    subspace depends on how many qubits it holds and in which slots. *)
@@ -212,14 +222,84 @@ let block_lane_bytes ~cap = 2 * 8 * cap
 let block_workspace_bytes ~dims ~cap =
   block_plane_bytes ~dims ~cap + block_lane_bytes ~cap
 
-let plan_op_bytes ~lifted ~kernel =
-  (2 * 8 * lifted.Mat.rows * lifted.Mat.cols) + Kernel.footprint_bytes kernel
+type placement = {
+  dims : int array;
+  kernels : Kernel.t array;
+  placed_bytes : int;
+  lift_bytes : int;
+}
 
-let plan_uncached ~model (compiled : Physical.t) =
-  Telemetry.Span.with_ ~name:"executor/plan" @@ fun () ->
+(* Places every op's lift-table body against the program's register. Ops
+   that repeat one lift entry on the same devices share one placement,
+   found by physical equality of the entry within a per-devices bucket. *)
+let place (compiled : Physical.t) =
   let device_dim = compiled.Physical.device_dim in
-  let plan_dims = Array.make compiled.Physical.device_count device_dim in
-  let schedule = Physical.schedule compiled in
+  let dims = Array.make compiled.Physical.device_count device_dim in
+  let placed = Hashtbl.create 16 in
+  let placed_bytes = ref 0 and lift_bytes = ref 0 in
+  let place_op op =
+    let devices, entry = lift ~device_dim op in
+    let bucket = Option.value ~default:[] (Hashtbl.find_opt placed devices) in
+    match List.assq_opt entry bucket with
+    | Some kernel -> kernel
+    | None ->
+      let kernel = Kernel.place ~dims ~targets:devices entry.body in
+      placed_bytes := !placed_bytes + Kernel.footprint_bytes kernel;
+      lift_bytes :=
+        !lift_bytes + (2 * 8 * entry.lifted.Mat.rows * entry.lifted.Mat.cols)
+        + Kernel.body_bytes entry.body;
+      Hashtbl.replace placed devices ((entry, kernel) :: bucket);
+      kernel
+  in
+  let kernels = Array.of_list (List.map place_op compiled.Physical.ops) in
+  { dims; kernels; placed_bytes = !placed_bytes; lift_bytes = !lift_bytes }
+
+(* The program's placed kernels, memoized on the program with the op list
+   and register shape they were placed for, like [Physical.schedule_array]:
+   a copy [{ p with ops = ... }] carries [p]'s memo and places its own. The
+   unsynchronized memo write is a benign race — concurrent first calls each
+   place an equal array and use their own, and programs are otherwise
+   immutable. The placed bytes are flushed once per memo build. *)
+let program_kernels (compiled : Physical.t) =
+  let ops = compiled.Physical.ops in
+  let device_count = compiled.Physical.device_count
+  and device_dim = compiled.Physical.device_dim in
+  match compiled.Physical.kernel_memo with
+  | Some m
+    when m.Physical.kops == ops
+         && Array.length m.Physical.kdims = device_count
+         && Array.for_all (Int.equal device_dim) m.Physical.kdims ->
+    Telemetry.Metrics.cell_incr kernel_memo_hit_cell;
+    m
+  | _ ->
+    Telemetry.Metrics.cell_incr kernel_memo_miss_cell;
+    let p = place compiled in
+    Telemetry.Metrics.incr ~by:p.placed_bytes "executor.plan.bytes";
+    let m = { Physical.kops = ops; kdims = p.dims; kernels = p.kernels } in
+    compiled.Physical.kernel_memo <- Some m;
+    m
+
+(* Ops per kernel class, as (dispatch counter cell, ops) for each class
+   with ops. *)
+let dispatch_tally kernels =
+  let per_class = Array.make (Array.length dispatch_cells) 0 in
+  Array.iter
+    (fun k ->
+      let i = Kernel.class_index k in
+      per_class.(i) <- per_class.(i) + 1)
+    kernels;
+  let tally = ref [] in
+  Array.iteri (fun i n -> if n > 0 then tally := (dispatch_cells.(i), n) :: !tally) per_class;
+  Array.of_list !tally
+
+(* One simulate call's plan: the program's memoized kernels, plus the error
+   probabilities and damping tables of [model], the only parts that depend
+   on it. *)
+let plan ~model (compiled : Physical.t) =
+  Telemetry.Span.with_ ~name:"executor/plan" @@ fun () ->
+  let memo = program_kernels compiled in
+  let kernels = memo.Physical.kernels in
+  let device_dim = compiled.Physical.device_dim in
   let total_duration = Physical.total_duration compiled in
   let last_busy = Array.make compiled.Physical.device_count 0. in
   let window device until =
@@ -231,10 +311,8 @@ let plan_uncached ~model (compiled : Physical.t) =
     else None
   in
   let plan_ops =
-    List.map
-      (fun ((op : Physical.op), start) ->
-        let devices, lifted = lift_gate ~device_dim op in
-        let kernel = Kernel.compile ~dims:plan_dims ~targets:devices lifted in
+    Array.mapi
+      (fun i ((op : Physical.op), start) ->
         let err = 1. -. op.Physical.fidelity in
         let err = if op.Physical.touches_ww then err *. model.Noise.ww_error_scale else err in
         let error_parts =
@@ -245,108 +323,34 @@ let plan_uncached ~model (compiled : Physical.t) =
               | role -> Some (p.Physical.device, role))
             op.Physical.parts
         in
-        let part_devices =
-          List.map (fun (p : Physical.device_part) -> p.Physical.device) op.Physical.parts
+        let pre_damp =
+          List.filter_map
+            (fun (p : Physical.device_part) -> window p.Physical.device start)
+            op.Physical.parts
         in
-        let pre_damp = List.filter_map (fun d -> window d start) part_devices in
-        List.iter (fun d -> last_busy.(d) <- start +. op.Physical.duration_ns) part_devices;
-        { devices;
-          lifted;
-          kernel;
+        List.iter
+          (fun (p : Physical.device_part) ->
+            last_busy.(p.Physical.device) <- start +. op.Physical.duration_ns)
+          op.Physical.parts;
+        { kernel = kernels.(i);
           error_p = Float.max 0. err;
           error_parts;
           error_dims =
             List.map (fun (_, role) -> match role with Physical.P4 -> 4 | _ -> 2) error_parts;
           pre_damp })
-      schedule
+      (Physical.schedule_array compiled)
   in
   let final_damp =
     List.filter_map
       (fun d -> window d total_duration)
       (List.init compiled.Physical.device_count Fun.id)
   in
-  (* Plan-resident payload bytes, through the same formula the resource
-     certificates use — fires once per plan build (cache misses only), so a
-     single certified run observes exactly one plan's worth. *)
-  Telemetry.Metrics.incr
-    ~by:
-      (List.fold_left
-         (fun acc p -> acc + plan_op_bytes ~lifted:p.lifted ~kernel:p.kernel)
-         0 plan_ops)
-    "executor.plan.bytes";
-  (* Ops per kernel class: each block flushes them to the dispatch counters
-     from [plan_dispatch]. *)
-  let per_class = Array.make (Array.length dispatch_cells) 0 in
-  List.iter
-    (fun p ->
-      let i = Kernel.class_index p.kernel in
-      per_class.(i) <- per_class.(i) + 1)
-    plan_ops;
-  let plan_dispatch = ref [] in
-  Array.iteri
-    (fun i n ->
-      if n > 0 then plan_dispatch := (dispatch_cells.(i), n) :: !plan_dispatch)
-    per_class;
-  { plan_dims;
+  { plan_dims = memo.Physical.kdims;
     plan_ops;
     final_damp;
     plan_allowed = allowed_table compiled compiled.Physical.initial_map;
     plan_leak = allowed_table compiled compiled.Physical.final_map;
-    plan_dispatch = Array.of_list !plan_dispatch }
-
-(* Cross-call plan cache. Repeated [simulate] calls on one compiled program
-   (benchmark reps, parameter sweeps over trajectories/seeds) replan from
-   scratch without it. Keyed by physical identity of the compiled program —
-   a [Physical.t] is immutable once built, and recompiling yields a fresh
-   value, so [==] is exactly "same compilation" — plus structural equality
-   of the noise model, which feeds the damping tables and error scaling.
-   Bounded MRU list: hits move to the front, inserts evict the tail. *)
-let plan_cache : (Physical.t * Noise.model * plan) list ref = ref []
-let plan_cache_mutex = Mutex.create ()
-let plan_cache_capacity = 8
-
-let plan_cache_find ~model compiled =
-  List.find_opt (fun (c, m, _) -> c == compiled && m = model) !plan_cache
-
-let plan ~model (compiled : Physical.t) =
-  Mutex.lock plan_cache_mutex;
-  Sanitize.Lock.acquire "executor.plan_cache_mutex";
-  match plan_cache_find ~model compiled with
-  | Some ((_, _, p) as entry) ->
-    Sanitize.Shared.write "executor.plan_cache";
-    plan_cache := entry :: List.filter (fun e -> not (e == entry)) !plan_cache;
-    Sanitize.Lock.release "executor.plan_cache_mutex";
-    Mutex.unlock plan_cache_mutex;
-    Telemetry.Metrics.cell_incr plan_hit_cell;
-    p
-  | None ->
-    Sanitize.Lock.release "executor.plan_cache_mutex";
-    Mutex.unlock plan_cache_mutex;
-    Telemetry.Metrics.cell_incr plan_miss_cell;
-    let p = plan_uncached ~model compiled in
-    Mutex.lock plan_cache_mutex;
-    Sanitize.Lock.acquire "executor.plan_cache_mutex";
-    (* Re-check before inserting: planning runs outside the lock, so a
-       concurrent caller may have planned and inserted the same
-       (compiled, model) in the meantime. Without this, both planners
-       insert and the duplicate silently halves the effective capacity;
-       adopting the winner also keeps [run_ideal]'s [==]-keyed reuse
-       exact. *)
-    let p =
-      match plan_cache_find ~model compiled with
-      | Some (_, _, p') -> p'
-      | None ->
-        Sanitize.Shared.write "executor.plan_cache";
-        plan_cache :=
-          (compiled, model, p)
-          :: (if List.length !plan_cache >= plan_cache_capacity then
-                List.filteri (fun i _ -> i < plan_cache_capacity - 1) !plan_cache
-              else !plan_cache);
-        p
-    in
-    Sanitize.Lock.release "executor.plan_cache_mutex";
-    Mutex.unlock plan_cache_mutex;
-    p
+    plan_dispatch = dispatch_tally kernels }
 
 let embed_error ~device_dim role pauli =
   match (role, device_dim) with
@@ -361,13 +365,12 @@ let embed_error ~device_dim role pauli =
    ([idx * 1 + 0]) is the state vector's own, so the kernels sweep the
    copy's planes in place — no wrapper, no de-interleave. *)
 let run_ideal (compiled : Physical.t) state =
-  let plan = plan ~model:Noise.default compiled in
+  let kernels = (program_kernels compiled).Physical.kernels in
   let out = State.copy state in
   let v = State.amplitudes out in
-  List.iter
-    (fun p -> Kernel.apply_block p.kernel v.Vec.re v.Vec.im ~cap:1 ~live:1)
-    plan.plan_ops;
-  Array.iter (fun (c, n) -> Telemetry.Metrics.cell_incr ~by:n c) plan.plan_dispatch;
+  Array.iter (fun k -> Kernel.apply_block k v.Vec.re v.Vec.im ~cap:1 ~live:1) kernels;
+  if Telemetry.metrics_enabled () then
+    Array.iter (fun (c, n) -> Telemetry.Metrics.cell_add c n) (dispatch_tally kernels);
   out
 
 type detailed = { summary : result; mean_leakage : float; mean_error_draws : float }
@@ -514,7 +517,7 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
     (* Per op, one dispatch on the plan-time kernel class. Dispatch counters
        are flushed per block from [plan_dispatch], so the apply loops carry
        no instrumentation at all. *)
-    List.iter (fun p -> State_block.apply_kernel ws.bideal p.kernel) plan.plan_ops;
+    Array.iter (fun p -> State_block.apply_kernel ws.bideal p.kernel) plan.plan_ops;
     let draws = Array.make live 0 in
     let windows = ref 0 and diverged = ref 0 in
     let damp_block specs =
@@ -525,7 +528,7 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
             !diverged + State_block.damp_with ws.bnoisy rngs ~wire:dwire ~lambdas ~scales)
         specs
     in
-    List.iter
+    Array.iter
       (fun p ->
         damp_block p.pre_damp;
         State_block.apply_kernel ws.bnoisy p.kernel;

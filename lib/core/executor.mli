@@ -25,8 +25,15 @@ val max_devices : device_dim:int -> int
 val simulate : ?config:config -> ?domains:int -> ?batch:int -> Physical.t -> result
 (** Raises [Invalid_argument] if the compiled circuit exceeds
     [max_devices] or the trajectory count is negative. Zero trajectories
-    is a plan-only call: the execution plan is built (or found in the plan
-    cache), no trajectory runs, and the statistics are NaN.
+    is a plan-only call: the execution plan is built, no trajectory runs,
+    and the statistics are NaN.
+
+    A plan has three parts, each built once at its own level. A distinct
+    lifted gate gets its kernel body classified once, in its lift-table
+    entry ({!lift}). A program gets one placed kernel per op, memoized on
+    the program ([Physical.kernel_memo]) on its first call. Each call
+    builds only its model's error probabilities and damping tables, so a
+    sweep over noise models places every program's kernels once.
 
     Trajectories fan out across [domains] OCaml domains (default: the
     [WALTZ_DOMAINS] environment knob, else the machine's recommended domain
@@ -68,13 +75,23 @@ val run_ideal : Physical.t -> Waltz_sim.State.t -> Waltz_sim.State.t
 
 (** {1 Internals shared with the exact (density-matrix) executor} *)
 
+type lift = {
+  lifted : Waltz_linalg.Mat.t;  (** the op's unitary over its devices' joint space *)
+  body : Waltz_sim.Kernel.body;  (** [Kernel.classify lifted], computed on insertion *)
+}
+(** A lift-table entry. *)
+
+val lift : device_dim:int -> Physical.op -> int list * lift
+(** The devices an op touches (in target order) and its lift-table entry.
+    Memoized on (device_dim, target-slot pattern, op label, gate
+    dimension), so lookups never hash the gate's float arrays; same-key ops
+    with different matrices fall back to matrix equality within the bucket
+    (counted as [executor.lift_table.collision]). Ops repeating a gate on
+    different devices share one entry: one Kronecker lift and one
+    classified body. *)
+
 val lift_gate : device_dim:int -> Physical.op -> int list * Waltz_linalg.Mat.t
-(** The devices an op touches (in target order) and its unitary lifted to
-    their joint space. Memoized on (device_dim, target-slot pattern, op
-    label, gate dimension), so lookups never hash the gate's float arrays;
-    same-key ops with different matrices fall back to matrix equality within
-    the bucket (counted as [executor.lift_table.collision]). Ops repeating a
-    gate on different devices share one Kronecker lift. *)
+(** [lift]'s devices and lifted unitary. *)
 
 val lift_gate_uncached : device_dim:int -> Physical.op -> int list * Waltz_linalg.Mat.t
 (** The raw (un-memoized) lift; exposed so tests can check the cache against
@@ -94,7 +111,8 @@ val initial_allowed : Physical.t -> int list array
     [Waltz_analysis.Resource] certifies through the same ones, so the
     soundness invariant "certified >= observed" cannot be broken by the two
     sides counting different things. Counter [executor.plan.bytes] is
-    flushed when a plan is built. Counter [executor.workspace.block_bytes]
+    flushed when a program's kernel memo is built, with
+    [placement.placed_bytes]. Counter [executor.workspace.block_bytes]
     counts the bytes allocated when a domain's workspace grows: each domain
     keeps its planes and lane buffers across calls and allocates only when
     they are shorter than the call needs, so a domain's first simulate
@@ -110,11 +128,23 @@ val block_workspace_bytes : dims:int array -> cap:int -> int
     the largest workspace it has run, so its residency is this figure at
     the largest [n·cap] (and [cap]) simulated on it. *)
 
-val plan_op_bytes :
-  lifted:Waltz_linalg.Mat.t -> kernel:Waltz_sim.Kernel.t -> int
-(** Plan-resident payload bytes of one compiled op: the lifted unitary plus
-    the kernel's {!Waltz_sim.Kernel.footprint_bytes}. *)
+type placement = {
+  dims : int array;  (** the register shape, one entry per device *)
+  kernels : Waltz_sim.Kernel.t array;
+      (** one per op, in op order, placed from the lift table's bodies; ops
+          that repeat one lift entry on the same devices share one *)
+  placed_bytes : int;
+      (** {!Waltz_sim.Kernel.footprint_bytes} summed over the distinct
+          placements — what a memo build adds to [executor.plan.bytes] *)
+  lift_bytes : int;
+      (** lifted matrix plus {!Waltz_sim.Kernel.body_bytes} of the lift
+          entry under each distinct placement: a bound on the lift-table
+          entries the program reads (an entry placed on two device sets
+          counts twice) *)
+}
 
-val plan_cache_capacity : int
-(** MRU capacity of the cross-call plan cache — the multiplier in the
-    certificate's worst-case cache-residency bound (RES03). *)
+val place : Physical.t -> placement
+(** A fresh placement of the program's kernels, built exactly as the
+    kernel memo builds it but neither reading nor writing the memo — the
+    resource certificate's view of the plan. Classifies nothing that is
+    already in the lift table. *)

@@ -14,6 +14,12 @@ type op = {
   touches_ww : bool;
 }
 
+type kernel_memo = {
+  kops : op list;
+  kdims : int array;
+  kernels : Waltz_sim.Kernel.t array;
+}
+
 type t = {
   strategy : Strategy.t;
   n_logical : int;
@@ -23,6 +29,7 @@ type t = {
   initial_map : (int * int) array;
   final_map : (int * int) array;
   mutable schedule_memo : (op list * (op * float) array) option;
+  mutable kernel_memo : kernel_memo option;
 }
 
 let make_op ~label ~parts ~targets ~gate ~entry ~touches_ww =

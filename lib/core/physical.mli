@@ -30,6 +30,17 @@ type op = {
   touches_ww : bool;  (** pulse uses levels |2⟩/|3⟩ (Fig. 9b scaling) *)
 }
 
+type kernel_memo = {
+  kops : op list;  (** the op list the kernels were placed for *)
+  kdims : int array;  (** the register shape they were placed against *)
+  kernels : Waltz_sim.Kernel.t array;
+      (** one placed kernel per op, in op order; ops that repeat one lifted
+          gate on the same devices share one *)
+}
+(** The executor's placed kernels for a program. They depend on the ops and
+    the register shape only, never on the noise model, so every model
+    simulated on the program reuses them. *)
+
 type t = {
   strategy : Strategy.t;
   n_logical : int;
@@ -41,6 +52,9 @@ type t = {
   mutable schedule_memo : (op list * (op * float) array) option;
       (** lazily memoized ASAP schedule and the [ops] it came from —
           construct with [None] and treat as private *)
+  mutable kernel_memo : kernel_memo option;
+      (** the executor's placed kernels, written on the program's first
+          simulate — construct with [None] and treat as private *)
 }
 
 val make_op :

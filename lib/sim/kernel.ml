@@ -1,6 +1,8 @@
 open Waltz_linalg
 module Scratch = Waltz_runtime.Scratch
 
+(* A classified matrix: the entries the apply loops read, independent of
+   the register it is placed in, so placements at any shape share it. *)
 type body =
   | Diagonal of { dre : float array; dim : float array }
   | Monomial of { src : int array; pre : float array; pim : float array }
@@ -55,7 +57,26 @@ let offsets_of ~dims ~strides tgt g =
   done;
   offsets
 
-let compile ~dims ~targets m =
+(* Structure of a matrix, independent of where it is applied. Exact
+   (zero-tolerance) tests, so only true diagonals and true permutations with
+   phases take the specialized bodies. *)
+let classify m =
+  if m.Mat.rows <> m.Mat.cols then invalid_arg "Kernel.compile: matrix dimension mismatch";
+  match Mat.diagonal_entries m with
+  | Some (dre, dim) -> Diagonal { dre; dim }
+  | None -> begin
+    match Mat.monomial_structure m with
+    | Some (src, pre, pim) -> Monomial { src; pre; pim }
+    | None -> Dense { mre = Array.copy m.Mat.re; mim = Array.copy m.Mat.im }
+  end
+
+let body_fits body g =
+  match body with
+  | Diagonal { dre; _ } -> Array.length dre = g
+  | Monomial { src; _ } -> Array.length src = g
+  | Dense { mre; _ } -> Array.length mre = g * g
+
+let place ~dims ~targets body =
   let nw = Array.length dims in
   List.iter
     (fun w -> if w < 0 || w >= nw then invalid_arg "Kernel.compile: wire out of range")
@@ -67,8 +88,7 @@ let compile ~dims ~targets m =
     invalid_arg "Kernel.compile: duplicate targets";
   let strides = strides_of dims in
   let g = Array.fold_left (fun acc w -> acc * dims.(w)) 1 tgt in
-  if m.Mat.rows <> g || m.Mat.cols <> g then
-    invalid_arg "Kernel.compile: matrix dimension mismatch";
+  if not (body_fits body g) then invalid_arg "Kernel.compile: matrix dimension mismatch";
   let n = Array.fold_left ( * ) 1 dims in
   let offsets = offsets_of ~dims ~strides tgt g in
   let iter =
@@ -100,45 +120,45 @@ let compile ~dims ~targets m =
           n_bases = Array.fold_left (fun acc w -> acc * dims.(w)) 1 others }
     end
   in
-  let body, cls =
-    match Mat.diagonal_entries m with
-    | Some (dre, dim) -> (Diagonal { dre; dim }, 0)
-    | None -> begin
-      match Mat.monomial_structure m with
-      | Some (src, pre, pim) -> (Monomial { src; pre; pim }, 1)
-      | None ->
-        ( Dense { mre = Array.copy m.Mat.re; mim = Array.copy m.Mat.im },
-          match iter with Single _ -> 2 | Pair _ -> 3 | Odometer _ -> 4 )
-    end
+  let cls =
+    match (body, iter) with
+    | Diagonal _, _ -> 0
+    | Monomial _, _ -> 1
+    | Dense _, Single _ -> 2
+    | Dense _, Pair _ -> 3
+    | Dense _, Odometer _ -> 4
   in
   { tgt; g; n; offsets; iter; body; cls }
+
+let compile ~dims ~targets m = place ~dims ~targets (classify m)
 
 let class_index t = t.cls
 let class_name t = class_table.(t.cls)
 let targets t = Array.to_list t.tgt
 let dim_total t = t.n
+let dim_targets t = t.g
 
-(* Payload bytes of the compiled representation (float/int array contents,
-   excluding OCaml block headers) — the per-kernel-class byte table backing
-   the static resource certificates. Must track the fields allocated by
-   [compile] exactly: an undercount here voids the certificate soundness
+let body_bytes body =
+  let ints len = 8 * len and floats len = 8 * len in
+  match body with
+  | Diagonal { dre; dim } -> floats (Array.length dre) + floats (Array.length dim)
+  | Monomial { src; pre; pim } ->
+    ints (Array.length src) + floats (Array.length pre) + floats (Array.length pim)
+  | Dense { mre; mim } -> floats (Array.length mre) + floats (Array.length mim)
+
+(* Payload bytes a placement adds over its shared body (int array contents,
+   excluding OCaml block headers). Must track the fields allocated by
+   [place] exactly: an undercount here voids the certificate soundness
    argument. *)
 let footprint_bytes t =
-  let ints len = 8 * len and floats len = 8 * len in
+  let ints len = 8 * len in
   let iter_bytes =
     match t.iter with
     | Single _ | Pair _ -> 0
     | Odometer { odims; ostrides; _ } ->
       ints (Array.length odims) + ints (Array.length ostrides)
   in
-  let body_bytes =
-    match t.body with
-    | Diagonal { dre; dim } -> floats (Array.length dre) + floats (Array.length dim)
-    | Monomial { src; pre; pim } ->
-      ints (Array.length src) + floats (Array.length pre) + floats (Array.length pim)
-    | Dense { mre; mim } -> floats (Array.length mre) + floats (Array.length mim)
-  in
-  ints (Array.length t.tgt) + ints (Array.length t.offsets) + iter_bytes + body_bytes
+  ints (Array.length t.tgt) + ints (Array.length t.offsets) + iter_bytes
 
 (* Enumerate bases in ascending order; [f] must not re-enter the same
    scratch slots. The closure is allocated once per [apply_block], not per

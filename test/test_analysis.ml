@@ -184,7 +184,8 @@ let mk_program ~devices ~initial ~final ops =
     ops;
     initial_map = initial;
     final_map = final;
-    schedule_memo = None }
+    schedule_memo = None;
+    kernel_memo = None }
 
 let enc_fixture_op =
   mk_op ~ww:true ~label:"ENC"
@@ -632,8 +633,8 @@ let test_resource_dump_roundtrip_determinism () =
   let d1 = Resource.dump (Resource.certify ~trajectories:7 ~batch:3 ~domains:2 compiled) in
   let d2 = Resource.dump (Resource.certify ~trajectories:7 ~batch:3 ~domains:2 compiled) in
   Alcotest.(check string) "certificates are bit-stable" d1 d2;
-  check_bool "dump carries the v2 header" true
-    (String.length d1 > 24 && String.sub d1 0 24 = "resource-certificate v2\n");
+  check_bool "dump carries the v3 header" true
+    (String.length d1 > 24 && String.sub d1 0 24 = "resource-certificate v3\n");
   (* Every kernel class appears in the dispatch mix, catalogue order. *)
   let cert = Resource.certify compiled in
   check_int "dispatch mix lists every class" (List.length Waltz_sim.Kernel.classes)

@@ -224,7 +224,8 @@ let test_schedule_asap () =
           dummy_op ~devices:[ 2 ] ~dur:10. "d" ];
       initial_map = [| (0, 0); (1, 0) |];
       final_map = [| (0, 0); (1, 0) |];
-      schedule_memo = None }
+      schedule_memo = None;
+      kernel_memo = None }
   in
   let sched = Physical.schedule compiled in
   let start label = List.assoc label (List.map (fun (o, s) -> (o.Physical.label, s)) sched) in

@@ -137,12 +137,13 @@ let () =
               strategy.Strategy.name f.Sanitize.rule f.Sanitize.site f.Sanitize.message);
           Sanitize.reset ();
           compare "sanitizer-off" (Executor.simulate_detailed ~config compiled);
-          (* The plan cache must be semantically invisible: every repeat
-             above already hit it, but pin it down — one more warm call must
-             reproduce the cold-plan statistics bit-for-bit, and a changed
-             noise model (different damping tables, so a different cache key)
-             must not be served a stale plan. *)
-          compare "plan-cache-warm" (Executor.simulate_detailed ~config compiled);
+          (* The kernel memo must be semantically invisible: every repeat
+             above already read it, but pin it down — one more warm call
+             must reproduce the cold-plan statistics bit-for-bit, and a
+             changed noise model (different error probabilities and damping
+             tables over the same kernels) must not be served stale
+             tables. *)
+          compare "kernel-memo-warm" (Executor.simulate_detailed ~config compiled);
           let scaled =
             { config with
               Executor.model =

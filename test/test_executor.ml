@@ -64,13 +64,19 @@ let test_sem_reported () =
   check_int "trajectory count" 10 r.Executor.trajectories;
   check_bool "sem non-negative" true (r.Executor.sem >= 0.)
 
+(* A compile that returns a new program: its kernel memo starts cold. *)
+let compile_fresh strategy circuit =
+  Compile.set_program_cache false;
+  Fun.protect
+    ~finally:(fun () -> Compile.set_program_cache true)
+    (fun () -> Compile.compile strategy circuit)
+
 (* Zero trajectories is a plan-only call (the plan is built, no block
    runs, nothing raises); a negative count is a typed error. *)
 let test_trajectory_count_guard () =
   let module Telemetry = Waltz_telemetry.Telemetry in
-  let compiled = Compile.compile Strategy.mixed_radix_ccz toffoli in
-  (* A model no other case uses, so the plan cannot already be cached. *)
-  let model = { Noise.default with Noise.ww_error_scale = 1.375 } in
+  let compiled = compile_fresh Strategy.mixed_radix_ccz toffoli in
+  let model = Noise.default in
   Telemetry.reset ();
   Telemetry.enable ();
   let d =
@@ -79,7 +85,7 @@ let test_trajectory_count_guard () =
           ~config:{ Executor.model; trajectories = 0; base_seed = 1 }
           ~batch:8 compiled)
   in
-  check_int "plan built" 1 (Telemetry.Metrics.counter "executor.plan_cache.miss");
+  check_int "plan built" 1 (Telemetry.Metrics.counter "executor.kernel_memo.miss");
   check_int "no block ran" 0 (Telemetry.Metrics.counter "executor.batch.blocks");
   check_int "zero trajectories reported" 0 d.Executor.summary.Executor.trajectories;
   Alcotest.check_raises "negative count"
@@ -98,10 +104,9 @@ let test_plan_at_ceiling () =
       (List.init 21 (fun q -> Gate.make Gate.Cx [ q; q + 1 ])
       @ [ Gate.make Gate.Ccx [ 0; 11; 21 ] ])
   in
-  let compiled = Compile.compile Strategy.full_ququart circuit in
+  let compiled = compile_fresh Strategy.full_ququart circuit in
   check_int "11 devices" 11 compiled.Physical.device_count;
-  (* A model no other case uses, so the plan cache misses. *)
-  let model = { Noise.default with Noise.ww_error_scale = 1.4375 } in
+  let model = Noise.default in
   (* [Gc.minor_words] counts the live minor heap too, which the minor
      figure of [Gc.quick_stat] does not. *)
   let words () = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
@@ -113,6 +118,71 @@ let test_plan_at_ceiling () =
   check_bool
     (Printf.sprintf "plan-only call allocated %.0f words < 4^11" allocated)
     true (allocated < amplitudes)
+
+(* The noise workload's sweep at 5 qubits: three families x four
+   strategies, under the nine models of Fig. 9b/c (ququart gate error x1-6,
+   |2>/|3> T1 divided by 2-16). *)
+let sweep_programs () =
+  List.concat_map
+    (fun family ->
+      let circuit = Waltz_benchmarks.Bench_circuits.by_total_qubits family 5 in
+      List.map
+        (fun strategy -> (strategy, circuit, compile_fresh strategy circuit))
+        [ Strategy.qubit_only; Strategy.qubit_itoffoli; Strategy.mixed_radix_ccz;
+          Strategy.full_ququart ])
+    [ Waltz_benchmarks.Bench_circuits.Cuccaro; Qram; Cnu ]
+
+let sweep_models =
+  List.map (fun x -> { Noise.default with Noise.ww_error_scale = x }) [ 1.; 2.; 3.; 4.; 6. ]
+  @ List.map (fun x -> { Noise.default with Noise.t1_high_scale = x }) [ 2.; 4.; 8.; 16. ]
+
+(* Kernels depend on the program only: plan-only calls under nine models
+   place each of the twelve programs' kernels once. *)
+let test_model_sweep_places_once () =
+  let module Telemetry = Waltz_telemetry.Telemetry in
+  let programs = sweep_programs () in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable (fun () ->
+      List.iter
+        (fun model ->
+          List.iter
+            (fun (_, _, compiled) ->
+              ignore
+                (Executor.simulate_detailed
+                   ~config:{ Executor.model; trajectories = 0; base_seed = 1 }
+                   compiled))
+            programs)
+        sweep_models);
+  check_int "kernel builds" 12 (Telemetry.Metrics.counter "executor.kernel_memo.miss");
+  check_int "kernel memo hits" 96 (Telemetry.Metrics.counter "executor.kernel_memo.hit")
+
+(* A warm memo changes no bit: under every model, a simulate on a program
+   whose kernels were placed under other models matches one on a fresh
+   compile. *)
+let test_warm_memo_bit_identical () =
+  let programs = sweep_programs () in
+  List.iteri
+    (fun i model ->
+      List.iter
+        (fun ((strategy : Strategy.t), circuit, warm) ->
+          let config = { Executor.model; trajectories = 4; base_seed = 11 } in
+          let a = Executor.simulate_detailed ~config ~domains:1 warm in
+          let b =
+            Executor.simulate_detailed ~config ~domains:1 (compile_fresh strategy circuit)
+          in
+          let tag field = Printf.sprintf "model %d %s %s" i strategy.Strategy.name field in
+          check_bool (tag "mean_fidelity") true
+            (a.Executor.summary.Executor.mean_fidelity
+            = b.Executor.summary.Executor.mean_fidelity);
+          check_bool (tag "sem") true
+            (a.Executor.summary.Executor.sem = b.Executor.summary.Executor.sem);
+          check_bool (tag "mean_leakage") true
+            (a.Executor.mean_leakage = b.Executor.mean_leakage);
+          check_bool (tag "mean_error_draws") true
+            (a.Executor.mean_error_draws = b.Executor.mean_error_draws))
+        programs)
+    sweep_models
 
 let chain n =
   Compile.compile Strategy.full_ququart
@@ -193,12 +263,13 @@ let test_workspace_bytes_certified () =
     cert.Resource.block_workspace_bytes (observe big);
   check_int "a smaller register reuses the planes" 0 (observe small)
 
-(* A gate that does not fit its targets makes the lift raise while a plan is
-   built. The raise must leave the executor usable: a later simulate on the
-   same domain has to build its own plan, lifts included. *)
+(* A gate that does not fit its targets makes the lift raise while a
+   kernel memo is built. The raise must leave the executor usable: a later
+   simulate on the same domain has to place its own kernels, lifts
+   included. *)
 let test_failed_lift_leaves_executor_usable () =
   let module Mat = Waltz_linalg.Mat in
-  let good = Compile.compile Strategy.mixed_radix_ccz toffoli in
+  let good = compile_fresh Strategy.mixed_radix_ccz toffoli in
   let bad =
     match good.Physical.ops with
     | op :: rest ->
@@ -206,8 +277,7 @@ let test_failed_lift_leaves_executor_usable () =
       { good with Physical.ops = { op with Physical.gate } :: rest }
     | [] -> Alcotest.fail "compiled toffoli has no ops"
   in
-  (* A model no other case uses, so neither plan can already be cached. *)
-  let model = { Noise.default with Noise.ww_error_scale = 1.46875 } in
+  let model = Noise.default in
   let config = { Executor.model; trajectories = 4; base_seed = 1 } in
   (match Executor.simulate ~config ~domains:1 bad with
   | _ -> Alcotest.fail "a malformed op was simulated"
@@ -223,6 +293,9 @@ let suite =
     case "memory guard" test_memory_guard;
     case "sem reported" test_sem_reported;
     case "trajectory count guard" test_trajectory_count_guard;
+    case "a model sweep places kernels once per program" test_model_sweep_places_once;
+    case "a warm kernel memo is bit-identical to a fresh compile"
+      test_warm_memo_bit_identical;
     case "plan-only call at the 11-device ceiling" test_plan_at_ceiling;
     case "workspace holds two blocks" test_workspace_two_blocks;
     case "alternating shapes allocate no planes" test_workspace_alternating_shapes;

@@ -46,11 +46,7 @@ let max_abs_diff a b =
 (* One agreement check: a one-lane block application on a raw vector (the
    [cap = 1] layout is the vector's own) vs the reference State.apply on
    the same random state. *)
-let check_agrees ?expect_class r ~dims ~targets m =
-  let kernel = Kernel.compile ~dims ~targets m in
-  (match expect_class with
-  | Some cls -> Alcotest.(check string) "kernel class" cls (Kernel.class_name kernel)
-  | None -> ());
+let check_placed r ~dims ~targets kernel m =
   let state = State.random r ~dims in
   let reference = State.of_vec ~dims (State.amplitudes state) in
   let v = Vec.copy (State.amplitudes state) in
@@ -60,6 +56,26 @@ let check_agrees ?expect_class r ~dims ~targets m =
   if diff > 1e-12 then
     Alcotest.failf "kernel %s disagrees with State.apply by %g"
       (Kernel.class_name kernel) diff
+
+let check_agrees ?expect_class r ~dims ~targets m =
+  let kernel = Kernel.compile ~dims ~targets m in
+  (match expect_class with
+  | Some cls -> Alcotest.(check string) "kernel class" cls (Kernel.class_name kernel)
+  | None -> ());
+  check_placed r ~dims ~targets kernel m
+
+(* One classified body placed at two register shapes, as given and behind
+   an extra leading qubit wire: both placements read the same entries and
+   must both agree with State.apply. *)
+let check_shared_body r ~dims ~targets m =
+  let body = Kernel.classify m in
+  let wider = Array.append [| 2 |] dims and shifted = List.map succ targets in
+  let here = Kernel.place ~dims ~targets body
+  and there = Kernel.place ~dims:wider ~targets:shifted body in
+  Alcotest.(check string) "class at both shapes" (Kernel.class_name here)
+    (Kernel.class_name there);
+  check_placed r ~dims ~targets here m;
+  check_placed r ~dims:wider ~targets:shifted there m
 
 (* Every (dims, targets) shape the executor produces: 1 to 3 targets over
    qubit, ququart and mixed registers, including reordered target lists
@@ -85,10 +101,14 @@ let test_random_agreement () =
   List.iter
     (fun (dims, targets) ->
       let g = gate_dim dims targets in
+      let both ?expect_class m =
+        check_agrees r ~dims ~targets ?expect_class m;
+        check_shared_body r ~dims ~targets m
+      in
       for _ = 1 to 5 do
-        check_agrees r ~dims ~targets ~expect_class:"diagonal" (random_diag r g);
-        check_agrees r ~dims ~targets (random_monomial r g);
-        check_agrees r ~dims ~targets (random_dense r g)
+        both ~expect_class:"diagonal" (random_diag r g);
+        both (random_monomial r g);
+        both (random_dense r g)
       done)
     shapes
 

@@ -86,12 +86,13 @@ let test_lift_cache_matches_uncached () =
           let device_dim = compiled.Physical.device_dim in
           List.iter
             (fun (op : Physical.op) ->
-              let devices, cached = Executor.lift_gate ~device_dim op in
+              let devices, cached = Executor.lift ~device_dim op in
               let devices', fresh = Executor.lift_gate_uncached ~device_dim op in
+              let what = Printf.sprintf "%s (%s)" op.Physical.label strategy.Strategy.name in
               check_bool "same devices" true (devices = devices');
-              mat_equal ~tol:0.
-                (Printf.sprintf "lift of %s (%s)" op.Physical.label strategy.Strategy.name)
-                fresh cached)
+              mat_equal ~tol:0. ("lift of " ^ what) fresh cached.Executor.lifted;
+              check_bool ("body of " ^ what) true
+                (cached.Executor.body = Waltz_sim.Kernel.classify fresh))
             compiled.Physical.ops)
         [ Strategy.qubit_only; Strategy.mixed_radix_ccz; Strategy.full_ququart ])
     Waltz_benchmarks.Bench_circuits.all_families

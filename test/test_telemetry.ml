@@ -50,8 +50,8 @@ let identical_on_off ~domains () =
     on.Executor.mean_error_draws
 
 (* These observe compile- and plan-time work, which the program cache
-   elides on a hit (the same program object comes back, so the executor's
-   identity-keyed plan cache fires too) — force fresh compiles. *)
+   elides on a hit (the same program object comes back, with its kernel
+   memo) — force fresh compiles. *)
 let without_program_cache f =
   Compile.set_program_cache false;
   Fun.protect ~finally:(fun () -> Compile.set_program_cache true) f

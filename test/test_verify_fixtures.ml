@@ -34,7 +34,8 @@ let program ?(strategy = Strategy.mixed_radix_ccz) ?(device_dim = 4) ~n ~devices
     ops;
     initial_map = initial;
     final_map = final;
-    schedule_memo = None }
+    schedule_memo = None;
+    kernel_memo = None }
 
 type fixture = {
   rule : string;
@@ -263,9 +264,10 @@ let delayed_last_op () =
     (Physical.total_duration delayed);
   expect_only "SCHED02" delayed
 
-(* A copy [{ p with ops }] carries [p]'s warm schedule memo; its schedule
-   must still list its own ops, in order, or every reader of the schedule
-   (the executor's plan, EPS, SCHED) would see [p]'s program. *)
+(* A copy [{ p with ops }] carries [p]'s warm schedule and kernel memos;
+   its schedule must still list its own ops, in order, or every reader of
+   the schedule (the executor's plan, EPS, SCHED) would see [p]'s
+   program. *)
 let test_memo_follows_ops () =
   let compiled =
     Compile.compile Strategy.mixed_radix_ccz
@@ -284,7 +286,27 @@ let test_memo_follows_ops () =
   same_ops "reversed" { compiled with Physical.ops = List.rev ops };
   same_ops "last op dropped"
     { compiled with Physical.ops = List.filteri (fun i _ -> i < List.length ops - 1) ops };
-  same_ops "original" compiled
+  same_ops "original" compiled;
+  (* The executor's kernel memo follows the same rule: once [compiled] has
+     run, a reversed copy places and runs its own kernels, and its
+     statistics match a copy whose memo starts cold. *)
+  let module Telemetry = Waltz_telemetry.Telemetry in
+  let config = { Executor.default_config with Executor.trajectories = 4 } in
+  ignore (Executor.simulate ~config ~domains:1 compiled);
+  let reversed = { compiled with Physical.ops = List.rev ops } in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let warm =
+    Fun.protect ~finally:Telemetry.disable (fun () ->
+        Executor.simulate_detailed ~config ~domains:1 reversed)
+  in
+  check_int "reversed: places its own kernels" 1
+    (Telemetry.Metrics.counter "executor.kernel_memo.miss");
+  let cold =
+    Executor.simulate_detailed ~config ~domains:1
+      { reversed with Physical.kernel_memo = None }
+  in
+  check_bool "reversed: statistics of its own kernels" true (warm = cold)
 
 (* SCHED03: a negative duration (pass-selected so CAL01 stays out of frame). *)
 let negative_duration () =
