@@ -1,6 +1,5 @@
 .PHONY: all build test lint bench-json bench-smoke compile-smoke trace-smoke \
-	verify-smoke budget-smoke sanitize-smoke metrics-smoke flight-smoke \
-	regress-check clean
+	verify-smoke budget-smoke sanitize-smoke regress-check clean
 
 all: build test
 
@@ -68,22 +67,6 @@ trace-smoke:
 	dune exec bin/waltz_cli.exe -- simulate -c cuccaro -n 5 --trajectories 5 \
 	  --trace /tmp/waltz_trace.json --stats
 	dune exec bin/waltz_cli.exe -- check /tmp/waltz_trace.json
-
-# Metrics smoke outside the dune sandbox: run an instrumented compile +
-# simulate, export the telemetry catalog as OpenMetrics text, then validate
-# the exposition with the built-in checker. Also runs inside `make lint`.
-metrics-smoke:
-	dune exec bin/waltz_cli.exe -- metrics -c cuccaro -n 5 --trajectories 5 \
-	  -o /tmp/waltz_metrics.txt
-	dune exec bin/waltz_cli.exe -- check /tmp/waltz_metrics.txt
-
-# Flight-recorder smoke: run with the recorder armed, dump the per-domain
-# rings on demand, then validate the Chrome trace side of the dump.
-flight-smoke:
-	dune exec bin/waltz_cli.exe -- flight-dump -c cuccaro -n 5 \
-	  --trajectories 16 --batch 4 --domains 2 -o /tmp/waltz_flight
-	dune exec bin/waltz_cli.exe -- check \
-	  $$(ls -t /tmp/waltz_flight/waltz-flight-*.trace.json | head -1)
 
 # Verify smoke outside the dune sandbox: compile + run every checker pass,
 # emit SARIF, then validate it with the built-in schema checker.

@@ -15,7 +15,6 @@ open Waltz_noise
 module Telemetry = Waltz_telemetry.Telemetry
 module Recorder = Waltz_telemetry.Recorder
 module Profiler = Waltz_telemetry.Profiler
-module Openmetrics = Waltz_telemetry.Openmetrics
 module Regress = Waltz_telemetry.Regress
 
 (* ---- shared arguments ---- *)
@@ -50,21 +49,25 @@ let circuit_of ~family ~n ~cx_fraction ~qasm ~optimize =
       | Invalid_argument msg -> Error msg
     end
     | None -> begin
-      match String.lowercase_ascii family with
-      | "cnu" -> Ok (Waltz_benchmarks.Bench_circuits.by_total_qubits Cnu n)
-      | "cuccaro" -> Ok (Waltz_benchmarks.Bench_circuits.by_total_qubits Cuccaro n)
-      | "qram" -> Ok (Waltz_benchmarks.Bench_circuits.by_total_qubits Qram n)
-      | "select" -> Ok (Waltz_benchmarks.Bench_circuits.by_total_qubits Select n)
-      | "grover" ->
-        let bits = max 2 ((n + 1) / 2) in
-        Ok
-          (Waltz_benchmarks.Bench_circuits.grover ~address_bits:bits
-             ~marked:((1 lsl bits) - 1) ~iterations:1)
-      | "synthetic" ->
-        Ok
-          (Waltz_benchmarks.Bench_circuits.synthetic ~n ~gates:(4 * n) ~cx_fraction
-             ~seed:42)
-      | other -> Error (Printf.sprintf "unknown circuit family %s" other)
+      (* The generators reject sizes they cannot build with
+         Invalid_argument. *)
+      try
+        match String.lowercase_ascii family with
+        | "cnu" -> Ok (Waltz_benchmarks.Bench_circuits.by_total_qubits Cnu n)
+        | "cuccaro" -> Ok (Waltz_benchmarks.Bench_circuits.by_total_qubits Cuccaro n)
+        | "qram" -> Ok (Waltz_benchmarks.Bench_circuits.by_total_qubits Qram n)
+        | "select" -> Ok (Waltz_benchmarks.Bench_circuits.by_total_qubits Select n)
+        | "grover" ->
+          let bits = max 2 ((n + 1) / 2) in
+          Ok
+            (Waltz_benchmarks.Bench_circuits.grover ~address_bits:bits
+               ~marked:((1 lsl bits) - 1) ~iterations:1)
+        | "synthetic" ->
+          Ok
+            (Waltz_benchmarks.Bench_circuits.synthetic ~n ~gates:(4 * n) ~cx_fraction
+               ~seed:42)
+        | other -> Error (Printf.sprintf "unknown circuit family %s" other)
+      with Invalid_argument msg -> Error (Printf.sprintf "%s -n %d: %s" family n msg)
     end
   in
   Result.map (fun c -> if optimize then Optimizer.simplify c else c) base
@@ -209,6 +212,36 @@ let with_circuit ?(qasm = None) ?(optimize = false) ?(reroll = false) family n c
     1
   | Ok circuit -> f circuit
 
+(* The executor refuses a register past its memory guard with
+   Invalid_argument; the subcommands that simulate check each program
+   first, and [with_simulable] reports the first one too large in one
+   line. *)
+exception Unsimulable of string
+
+let check_simulable (p : Physical.t) =
+  let limit = Executor.max_devices ~device_dim:p.Physical.device_dim in
+  if p.Physical.device_count > limit then
+    raise
+      (Unsimulable
+         (Printf.sprintf "%s needs %d devices of dimension %d; the simulator holds at most %d"
+            p.Physical.strategy.Strategy.name p.Physical.device_count p.Physical.device_dim
+            limit))
+
+let with_simulable cmd f =
+  try f ()
+  with Unsimulable msg ->
+    Printf.eprintf "%s: %s\n" cmd msg;
+    1
+
+(* The four benchmark families at [n] qubits, for the grid subcommands. *)
+let with_families cmd n f =
+  let module B = Waltz_benchmarks.Bench_circuits in
+  match List.map (fun family -> (family, B.by_total_qubits family n)) B.all_families with
+  | circuits -> f circuits
+  | exception Invalid_argument msg ->
+    Printf.eprintf "%s: -n %d: %s\n" cmd n msg;
+    1
+
 (* Subcommands that report trajectory statistics need at least one
    trajectory: with none, every mean is 0/0. *)
 let with_trajectories cmd trajectories f =
@@ -314,8 +347,10 @@ let simulate_cmd =
       stats trace =
     with_trajectories "simulate" trajectories @@ fun () ->
     with_circuit ~qasm ~optimize family n cx_fraction (fun circuit ->
+        with_simulable "simulate" @@ fun () ->
         with_telemetry ~stats ~trace (fun () ->
             let compiled = Compile.compile strategy circuit in
+            check_simulable compiled;
             let d =
               Executor.simulate_detailed
                 ~config:{ Executor.model = Noise.default; trajectories; base_seed = seed }
@@ -341,6 +376,7 @@ let simulate_cmd =
 let sweep_cmd =
   let run family n cx_fraction knob values trajectories domains batch =
     with_trajectories "sweep" trajectories @@ fun () ->
+    with_simulable "sweep" @@ fun () ->
     with_circuit family n cx_fraction (fun circuit ->
         let strategies =
           [ Strategy.qubit_only; Strategy.qubit_itoffoli; Strategy.mixed_radix_ccz;
@@ -352,16 +388,16 @@ let sweep_cmd =
           | "coherence" -> Ok { Noise.default with Noise.t1_high_scale = v }
           | other -> Error (Printf.sprintf "unknown knob %s (gate-error, coherence)" other)
         in
-        let values = List.map float_of_string (String.split_on_char ',' values) in
-        Printf.printf "%-8s" "value";
-        List.iter (fun s -> Printf.printf " %-16s" s.Strategy.name) strategies;
-        print_newline ();
         (* The compiled programs do not depend on the noise knob, so the
            whole strategy portfolio is compiled once up front — in
            parallel over the shared pool — and reused for every value. *)
         let compiled_portfolio =
           Compile.compile_all ?domains (List.map (fun s -> (s, circuit)) strategies)
         in
+        List.iter check_simulable compiled_portfolio;
+        Printf.printf "%-8s" "value";
+        List.iter (fun s -> Printf.printf " %-16s" s.Strategy.name) strategies;
+        print_newline ();
         let rc = ref 0 in
         List.iter
           (fun v ->
@@ -393,7 +429,7 @@ let sweep_cmd =
   let values =
     Arg.(
       value
-      & opt string "1,2,4"
+      & opt (list float) [ 1.; 2.; 4. ]
       & info [ "values" ] ~docv:"V1,V2,…" ~doc:"Comma-separated knob values.")
   in
   Cmd.v
@@ -539,6 +575,7 @@ let verify_cmd =
 
 let budget_cmd =
   let module Resource = Waltz_analysis.Resource in
+  let module Diagnostic = Waltz_verify.Diagnostic in
   let module Sarif = Waltz_verify.Sarif in
   let module Pool = Waltz_runtime.Pool in
   let run family n cx_fraction strategy trajectories seed qasm optimize domains batch
@@ -559,57 +596,61 @@ let budget_cmd =
           let batch =
             match batch with Some b -> max 1 b | None -> Executor.default_batch ()
           in
-          let cert = Resource.certify ~trajectories ~batch ~domains compiled in
-          let budget_diags =
-            Resource.check_budget cert { Resource.limit_bytes; limit_ms }
+          let emit ~dump ~summary diagnostics =
+            let report =
+              { Diagnostic.diagnostics = summary @ diagnostics;
+                ops_checked = List.length compiled.Physical.ops;
+                passes_run = [ "res" ] }
+            in
+            let body =
+              match format with
+              | "sarif" -> Sarif.to_sarif report ^ "\n"
+              | _ ->
+                let buf = Buffer.create 1024 in
+                Buffer.add_string buf dump;
+                List.iter
+                  (fun d -> Buffer.add_string buf (Format.asprintf "%a@." Diagnostic.pp d))
+                  diagnostics;
+                Buffer.add_string buf
+                  (if Diagnostic.is_clean report then "within budget: admitted\n"
+                   else "over budget or diverged: rejected\n");
+                Buffer.contents buf
+            in
+            write_output output body;
+            if Diagnostic.is_clean report then 0 else 1
           in
-          let observed_diags =
-            if static then []
-            else begin
-              (* Single-run readback discipline (see Resource.check_observed):
-                 the telemetry window must hold exactly this run, or the
-                 dispatch/trajectory equalities would see foreign counts. *)
-              Telemetry.reset ();
-              Telemetry.enable ();
-              Pool.set_seat_hint (Some cert.Resource.seat_demand);
-              Fun.protect
-                ~finally:(fun () ->
-                  Pool.set_seat_hint None;
-                  Telemetry.disable ())
-                (fun () ->
-                  ignore
-                    (Executor.simulate_detailed
-                       ~config:
-                         { Executor.model = Noise.default; trajectories; base_seed = seed }
-                       ~domains ~batch compiled);
-                  Resource.check_observed cert)
-            end
-          in
-          let report =
-            { Waltz_verify.Diagnostic.diagnostics =
-                (Resource.summary cert :: budget_diags) @ observed_diags;
-              ops_checked = List.length compiled.Physical.ops;
-              passes_run = [ "res" ] }
-          in
-          let body =
-            match format with
-            | "sarif" -> Sarif.to_sarif report ^ "\n"
-            | _ ->
-              let buf = Buffer.create 1024 in
-              Buffer.add_string buf (Resource.dump cert);
-              List.iter
-                (fun d ->
-                  Buffer.add_string buf
-                    (Format.asprintf "%a@." Waltz_verify.Diagnostic.pp d))
-                (budget_diags @ observed_diags);
-              Buffer.add_string buf
-                (if Waltz_verify.Diagnostic.is_clean report then
-                   "within budget: admitted\n"
-                 else "over budget or diverged: rejected\n");
-              Buffer.contents buf
-          in
-          write_output output body;
-          if Waltz_verify.Diagnostic.is_clean report then 0 else 1)
+          match Resource.certify ~trajectories ~batch ~domains compiled with
+          | exception Resource.Too_large ->
+            emit ~dump:"" ~summary:[]
+              [ Diagnostic.error "RES01"
+                  (Printf.sprintf
+                     "%s on %d devices of dimension %d: the amplitude count or a byte \
+                      figure exceeds %d, so the run cannot be certified"
+                     strategy.Strategy.name compiled.Physical.device_count
+                     compiled.Physical.device_dim max_int) ]
+          | cert ->
+            let budget_diags = Resource.check_budget cert { Resource.limit_bytes; limit_ms } in
+            let dump = Resource.dump cert and summary = [ Resource.summary cert ] in
+            if static then emit ~dump ~summary budget_diags
+            else
+              with_simulable "budget" (fun () ->
+                  check_simulable compiled;
+                  (* Single-run readback discipline (see Resource.check_observed):
+                     the telemetry window must hold exactly this run, or the
+                     dispatch/trajectory equalities would see foreign counts. *)
+                  Telemetry.reset ();
+                  Telemetry.enable ();
+                  let observed_diags =
+                    Fun.protect ~finally:Telemetry.disable (fun () ->
+                        ignore
+                          (Executor.simulate_detailed
+                             ~config:
+                               { Executor.model = Noise.default; trajectories;
+                                 base_seed = seed }
+                             ~domains ~batch compiled);
+                        Resource.check_observed cert)
+                  in
+                  emit ~dump ~summary (budget_diags @ observed_diags)))
   in
   let seed = Arg.(value & opt int 2023 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   let limit_bytes_arg =
@@ -703,26 +744,27 @@ let sanitize_cmd =
            sanitizer watching the runtime's shared state; any finding on
            production code is a failure. *)
         let grid_rc =
+          with_families "sanitize" n @@ fun circuits ->
+          with_simulable "sanitize" @@ fun () ->
           with_telemetry ~stats ~trace:None (fun () ->
               Sanitize.reset ();
               Sanitize.enable ();
               List.iter
-                (fun family ->
-                  let circuit =
-                    Waltz_benchmarks.Bench_circuits.by_total_qubits family n
-                  in
+                (fun (_, circuit) ->
                   List.iter
                     (fun (strategy : Strategy.t) ->
                       let compiled = Compile.compile strategy circuit in
-                      if trajectories > 0 then
+                      if trajectories > 0 then begin
+                        check_simulable compiled;
                         ignore
                           (Executor.simulate
                              ~config:
                                { Executor.model = Noise.default; trajectories;
                                  base_seed = 2023 }
-                             ?domains compiled))
+                             ?domains compiled)
+                      end)
                     Strategy.fig7_set)
-                Waltz_benchmarks.Bench_circuits.all_families;
+                circuits;
               Sanitize.disable ();
               SReport.flush_telemetry ();
               let report = SReport.to_report ~summary:true () in
@@ -847,6 +889,8 @@ let report_cmd =
       1
   in
   let grid n trajectories domains trace =
+    with_families "report" n @@ fun circuits ->
+    with_simulable "report" @@ fun () ->
     Telemetry.reset ();
     Telemetry.enable ();
     let strategies = Strategy.fig7_set in
@@ -859,8 +903,7 @@ let report_cmd =
       "(ms)" "(ms)" "";
     let cells () =
       List.iter
-        (fun family ->
-          let circuit = Waltz_benchmarks.Bench_circuits.by_total_qubits family n in
+        (fun (family, circuit) ->
           List.iter
             (fun (strategy : Strategy.t) ->
               (* Per-cell span totals come from the cell's time window over
@@ -871,12 +914,14 @@ let report_cmd =
               let (), agg =
                 Telemetry.Span.aggregate_during (fun () ->
                     let compiled = Compile.compile strategy circuit in
-                    if trajectories > 0 then
+                    if trajectories > 0 then begin
+                      check_simulable compiled;
                       ignore
                         (Executor.simulate
                            ~config:
                              { Executor.model = Noise.default; trajectories; base_seed = 2023 }
-                           ?domains compiled))
+                           ?domains compiled)
+                    end)
               in
               let total name =
                 match
@@ -900,7 +945,7 @@ let report_cmd =
                 (total "executor/simulate")
                 (rate "executor.lift_gate.hit" "executor.lift_gate.miss"))
             strategies)
-        Waltz_benchmarks.Bench_circuits.all_families
+        circuits
     in
     let cells = try Ok (cells ()) with Telemetry.Span.Overwritten lost -> Error lost in
     Telemetry.disable ();
@@ -959,70 +1004,16 @@ let report_cmd =
       const run $ n_arg $ trajectories_arg $ domains_arg $ trace_arg $ baseline_arg
       $ current_arg $ threshold_arg)
 
-(* ---- metrics ---- *)
-
-let metrics_cmd =
-  let run family n cx_fraction strategy trajectories domains batch format out =
-    with_circuit family n cx_fraction (fun circuit ->
-        let render =
-          match String.lowercase_ascii format with
-          | "openmetrics" | "prometheus" -> Ok Telemetry.export_openmetrics
-          | "json" -> Ok Telemetry.export_json
-          | other ->
-            Error (Printf.sprintf "unknown metrics format %s (openmetrics, json)" other)
-        in
-        match render with
-        | Error e ->
-          prerr_endline e;
-          1
-        | Ok render ->
-          Telemetry.reset ();
-          Telemetry.enable ();
-          let compiled = Compile.compile strategy circuit in
-          ignore
-            (Executor.simulate_detailed
-               ~config:{ Executor.model = Noise.default; trajectories; base_seed = 2023 }
-               ?domains ?batch compiled);
-          Telemetry.disable ();
-          let text = render () in
-          (match out with
-          | Some path ->
-            let oc = open_out path in
-            output_string oc text;
-            close_out oc;
-            Printf.printf "wrote metrics %s\n" path
-          | None -> print_string text);
-          0)
-  in
-  let format =
-    Arg.(
-      value
-      & opt string "openmetrics"
-      & info [ "format" ] ~docv:"FMT" ~doc:"openmetrics (default) or json.")
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Run an instrumented compile + simulate and export the full telemetry \
-          catalog (counters, gauges, histogram sketch quantiles) as OpenMetrics \
-          text or JSON — the scrape surface a future serve mode exposes")
-    Term.(
-      const run $ family_arg $ n_arg $ cx_fraction_arg $ strategy_arg $ trajectories_arg
-      $ domains_arg $ batch_arg $ format $ output_file_arg)
-
 (* ---- check ---- *)
 
-(* One validator front end for every artifact the CLI writes, chosen from
-   the content: a JSON object with [traceEvents] is a Chrome trace (--trace,
-   flight-dump), one with [runs] is SARIF (verify/budget/sanitize --format
-   sarif), other text opening with '{' or '[' is rejected as JSON (a
-   truncated trace gets the parser's error), and anything else is judged as
-   an OpenMetrics exposition (metrics). *)
+(* One validator front end for the artifacts the CLI writes, chosen from
+   the content: a JSON object with [traceEvents] is a Chrome trace
+   (--trace), one with [runs] is SARIF (verify/budget/sanitize --format
+   sarif). Anything else is rejected as JSON, with the parser's error for
+   text that does not parse (a truncated trace, say). *)
 let check_cmd =
   let run file =
     let text = read_file file in
-    let trimmed = String.trim text in
-    let json = trimmed <> "" && (trimmed.[0] = '{' || trimmed.[0] = '[') in
     let kind, verdict =
       match Waltz_telemetry.Json.parse text with
       | Ok doc when Waltz_telemetry.Json.member "traceEvents" doc <> None ->
@@ -1034,14 +1025,8 @@ let check_cmd =
       | Ok doc when Waltz_telemetry.Json.member "runs" doc <> None ->
         ( "SARIF 2.1.0",
           Result.map (Printf.sprintf "%d results") (Waltz_verify.Sarif.validate text) )
-      | Ok _ when json -> ("JSON", Error "neither a trace (traceEvents) nor SARIF (runs)")
-      | Error msg when json -> ("JSON", Error msg)
-      | _ ->
-        ( "openmetrics",
-          Result.map
-            (fun (samples, families) ->
-              Printf.sprintf "%d samples, %d families" samples families)
-            (Openmetrics.validate text) )
+      | Ok _ -> ("JSON", Error "neither a trace (traceEvents) nor SARIF (runs)")
+      | Error msg -> ("JSON", Error (msg ^ "; check accepts a trace or a SARIF report"))
     in
     match verdict with
     | Ok summary ->
@@ -1056,51 +1041,14 @@ let check_cmd =
       required
       & pos 0 (some file) None
       & info [] ~docv:"FILE"
-          ~doc:
-            "A Chrome trace (--trace, flight-dump), a SARIF report (--format sarif) or an \
-             OpenMetrics exposition (metrics).")
+          ~doc:"A Chrome trace (--trace) or a SARIF report (--format sarif).")
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Validate a trace, SARIF or OpenMetrics file written by this tool; the kind \
-          is detected from the content")
+         "Validate a trace or SARIF file written by this tool; the kind is detected \
+          from the content")
     Term.(const run $ file)
-
-(* ---- flight-dump ---- *)
-
-let flight_dump_cmd =
-  let run family n cx_fraction strategy trajectories domains batch out_dir =
-    with_circuit family n cx_fraction (fun circuit ->
-        (match out_dir with Some d -> Recorder.set_dump_dir d | None -> ());
-        Recorder.reset ();
-        Recorder.arm ();
-        let compiled = Compile.compile strategy circuit in
-        ignore
-          (Executor.simulate_detailed
-             ~config:{ Executor.model = Noise.default; trajectories; base_seed = 2023 }
-             ?domains ?batch compiled);
-        let trace_path, text_path = Recorder.dump ~reason:"on-demand" () in
-        Recorder.disarm ();
-        Printf.printf "wrote flight dump:\n  %s\n  %s\n" trace_path text_path;
-        0)
-  in
-  let out_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output-dir" ] ~docv:"DIR"
-          ~doc:"Dump directory (default: \\$(b,WALTZ_FLIGHT_DIR) or the temp dir).")
-  in
-  Cmd.v
-    (Cmd.info "flight-dump"
-       ~doc:
-         "Run a compile + simulate with the flight recorder armed and dump the \
-          per-domain event rings as a Chrome trace + text post-mortem (the same \
-          dump a crash or an Error diagnostic produces with WALTZ_FLIGHT=1)")
-    Term.(
-      const run $ family_arg $ n_arg $ cx_fraction_arg $ strategy_arg $ trajectories_arg
-      $ domains_arg $ batch_arg $ out_dir)
 
 (* ---- profile ---- *)
 
@@ -1252,8 +1200,7 @@ let () =
   let group =
     Cmd.group info
       [ compile_cmd; estimate_cmd; simulate_cmd; sweep_cmd; breakdown_cmd; verify_cmd;
-        budget_cmd; sanitize_cmd; report_cmd; metrics_cmd; check_cmd; flight_dump_cmd;
-        profile_cmd; rb_cmd; pulse_cmd ]
+        budget_cmd; sanitize_cmd; report_cmd; check_cmd; profile_cmd; rb_cmd; pulse_cmd ]
   in
   dispatch_ref := (fun argv -> Cmd.eval' ~argv group);
   exit (Cmd.eval' group)

@@ -38,11 +38,23 @@ type t = {
 
 let mat_bytes (m : Waltz_linalg.Mat.t) = 2 * 8 * m.Waltz_linalg.Mat.rows * m.Waltz_linalg.Mat.cols
 
+exception Too_large
+
+(* Checked arithmetic on the nonnegative counts that grow with the register
+   or the run shape: past [max_int] the certificate is refused rather than
+   wrapped into a bound that is negative or too small. *)
+let ( +! ) a b = if a > max_int - b then raise Too_large else a + b
+let ( *! ) a b = if a <> 0 && b > max_int / a then raise Too_large else a * b
+
 let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
   let trajectories = max 1 trajectories and batch = max 1 batch and domains = max 1 domains in
   let device_dim = p.Physical.device_dim in
   let device_count = p.Physical.device_count in
   let nops = List.length p.Physical.ops in
+  (* The amplitude count and the state bytes first: placement computes
+     strides from the count, and they must not wrap either. *)
+  let dim = Array.fold_left ( *! ) 1 (Array.make device_count device_dim) in
+  let state_bytes = 2 * 8 *! dim in
   (* Dispatch mix and plan-resident bytes: the executor's own placement
      of the lift table's bodies, built fresh so the program's kernel memo
      is neither read nor written. The mix is the exact [plan_dispatch] the
@@ -50,7 +62,6 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
      build observes. *)
   let placement = Executor.place p in
   let dims = placement.Executor.dims in
-  let dim = Array.fold_left ( * ) 1 dims in
   let mix = Array.make (List.length Kernel.classes) 0 in
   let g_max = ref 1 in
   Array.iter
@@ -78,25 +89,31 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
       p.Physical.ops
     + (2 * 2 * 8 * p.Physical.n_logical) (* initial/final placement maps *)
   in
-  let state_bytes = 2 * 8 * dim in
   (* Run-shape folding mirrors the executor's clamps exactly: the batch
      never exceeds the trajectory count, the queue holds one item per
      lockstep block, and the parallel path only engages with more than one
      block and more than one domain. *)
   let batch_eff = min batch trajectories in
-  let queue_depth = (trajectories + batch_eff - 1) / batch_eff in
+  let queue_depth = 1 + ((trajectories - 1) / batch_eff) in
   let seat_demand = if domains > 1 && queue_depth > 1 then min domains queue_depth else 1 in
-  let block_workspace_bytes = Executor.block_workspace_bytes ~dims ~cap:batch_eff in
+  (* The executor's formula, once the same sum in checked arithmetic has
+     shown that it does not wrap. *)
+  let block_workspace_bytes =
+    let (_ : int) = (2 *! state_bytes *! batch_eff) +! (2 * 8 *! batch_eff) in
+    Executor.block_workspace_bytes ~dims ~cap:batch_eff
+  in
   (* Per-domain scratch arena: gather buffers scale with the widest kernel
      subspace (per-lane error-injection slots) and with subspace × lanes
      (batched slots); damping scratch scales with device_dim and lanes. The
      flat constant absorbs the odometer/int slots. *)
   let scratch_bytes =
-    8 * ((2 * !g_max) + (2 * !g_max * batch_eff) + (2 * device_dim) + (2 * batch_eff) + 64)
+    8
+    *! ((2 * !g_max) +! (2 * !g_max *! batch_eff) +! (2 * device_dim) +! (2 *! batch_eff)
+       +! 64)
   in
   let peak_bytes =
     program_bytes + lift_bytes + plan_bytes + plan_table_bytes
-    + (seat_demand * (block_workspace_bytes + scratch_bytes))
+    +! (seat_demand *! (block_workspace_bytes +! scratch_bytes))
   in
   (* Placed kernels live in their program's memo, so the program cache
      holds them with the programs; the per-call tables are not kept. *)

@@ -75,6 +75,11 @@ type t = {
       (** static ops per kernel class, every class listed, catalog order *)
 }
 
+exception Too_large
+(** Raised by {!certify} when the register's amplitude count or one of the
+    run's byte figures exceeds [max_int]: such a run cannot be counted, so
+    it cannot be admitted ([waltz_cli budget] reports RES01). *)
+
 val certify :
   ?trajectories:int -> ?batch:int -> ?domains:int -> Physical.t -> t
 (** Certify one run configuration (defaults: 1 trajectory, batch 1, 1
@@ -83,7 +88,8 @@ val certify :
     Pure apart from warming the executor's lift table (lifted gates and
     their classified kernel bodies), which the determinism suite proves
     observationally invisible. The kernels are placed fresh: the program's
-    kernel memo is neither read nor written. *)
+    kernel memo is neither read nor written. Raises {!Too_large} rather
+    than return figures that wrapped. *)
 
 type budget = { limit_bytes : int option; limit_ms : float option }
 

@@ -104,6 +104,10 @@ let make kind qubits =
           (Printf.sprintf "Gate.make: %s operand %d is the negative qubit index %d"
              (name kind) i q))
     qubits;
+  (match kind with
+  | (Rx theta | Ry theta | Rz theta | Phase theta) when not (Float.is_finite theta) ->
+    invalid_arg (Printf.sprintf "Gate.make: %s needs a finite angle" (name kind))
+  | _ -> ());
   { kind; qubits }
 
 let is_three_qubit g = arity g.kind = 3

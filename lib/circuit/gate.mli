@@ -35,7 +35,8 @@ type kind =
 type t = { kind : kind; qubits : int list }
 
 val make : kind -> int list -> t
-(** Builds a gate, checking operand count and distinctness. *)
+(** Builds a gate, checking operand count and distinctness, and that a
+    rotation's angle is finite. Raises [Invalid_argument] otherwise. *)
 
 val arity : kind -> int
 

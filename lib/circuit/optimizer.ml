@@ -14,6 +14,16 @@ let norm_angle theta =
 
 let is_zero_angle theta = Float.abs (norm_angle theta) < 1e-12
 
+(* The sum of two angles, in (-π, π]. Past [max_float], each angle is
+   first reduced through [sin] and [cos], whose argument reduction is
+   exact; a [Float.rem] by the rounded 2π is not, at that size. *)
+let sum_angle ta tb =
+  let sum = ta +. tb in
+  if Float.is_finite sum then norm_angle sum
+  else
+    let reduce t = Float.atan2 (sin t) (cos t) in
+    norm_angle (reduce ta +. reduce tb)
+
 (* Do two adjacent gates on identical operands cancel? *)
 let cancels (a : Gate.kind) (b : Gate.kind) =
   match (a, b) with
@@ -21,16 +31,16 @@ let cancels (a : Gate.kind) (b : Gate.kind) =
   | Gate.S, Gate.Sdg | Gate.Sdg, Gate.S | Gate.T, Gate.Tdg | Gate.Tdg, Gate.T -> true
   | Gate.Rx ta, Gate.Rx tb | Gate.Ry ta, Gate.Ry tb | Gate.Rz ta, Gate.Rz tb
   | Gate.Phase ta, Gate.Phase tb ->
-    is_zero_angle (ta +. tb)
+    Float.abs (sum_angle ta tb) < 1e-12
   | _ -> false
 
 (* Fuse two adjacent rotations of the same axis into one. *)
 let fuse (a : Gate.kind) (b : Gate.kind) =
   match (a, b) with
-  | Gate.Rx ta, Gate.Rx tb -> Some (Gate.Rx (norm_angle (ta +. tb)))
-  | Gate.Ry ta, Gate.Ry tb -> Some (Gate.Ry (norm_angle (ta +. tb)))
-  | Gate.Rz ta, Gate.Rz tb -> Some (Gate.Rz (norm_angle (ta +. tb)))
-  | Gate.Phase ta, Gate.Phase tb -> Some (Gate.Phase (norm_angle (ta +. tb)))
+  | Gate.Rx ta, Gate.Rx tb -> Some (Gate.Rx (sum_angle ta tb))
+  | Gate.Ry ta, Gate.Ry tb -> Some (Gate.Ry (sum_angle ta tb))
+  | Gate.Rz ta, Gate.Rz tb -> Some (Gate.Rz (sum_angle ta tb))
+  | Gate.Phase ta, Gate.Phase tb -> Some (Gate.Phase (sum_angle ta tb))
   | Gate.S, Gate.S -> Some Gate.Z
   | Gate.T, Gate.T -> Some Gate.S
   | Gate.Tdg, Gate.Tdg -> Some Gate.Sdg

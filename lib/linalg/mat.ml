@@ -137,11 +137,12 @@ let one_norm m =
   done;
   !best
 
+(* NaN once any entry is NaN, so that every [<= tol] test on it fails. *)
 let max_abs m =
   let best = ref 0. in
   for k = 0 to Array.length m.re - 1 do
     let v = sqrt ((m.re.(k) *. m.re.(k)) +. (m.im.(k) *. m.im.(k))) in
-    if v > !best then best := v
+    if v > !best || Float.is_nan v then best := v
   done;
   !best
 

@@ -69,6 +69,8 @@ val one_norm : t -> float
 (** Maximum absolute column sum. *)
 
 val max_abs : t -> float
+(** Largest entry modulus; NaN if any entry is NaN, so that [equal] and
+    [is_unitary] reject a NaN matrix. *)
 
 val max_abs_diff : t -> t -> float
 

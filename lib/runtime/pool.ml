@@ -32,17 +32,19 @@ type t = {
 (* Sanitizer shims for [m]: the acquire shim runs after [Mutex.lock]
    returns and the release shim before [Mutex.unlock], so the recorder sees
    handoffs in true acquisition order. [Condition.wait] atomically releases
-   and reacquires, hence the bracket. *)
+   and reacquires, hence the bracket. Idle workers cycle through [m]
+   between jobs, so a section can begin before the sanitizer is enabled
+   and end after: its release is [release_seen]. *)
 let lock_m pool =
   Mutex.lock pool.m;
   Sanitize.Lock.acquire "pool.m"
 
 let unlock_m pool =
-  Sanitize.Lock.release "pool.m";
+  Sanitize.Lock.release_seen "pool.m";
   Mutex.unlock pool.m
 
 let wait_on pool cv =
-  Sanitize.Lock.release "pool.m";
+  Sanitize.Lock.release_seen "pool.m";
   Condition.wait cv pool.m;
   Sanitize.Lock.acquire "pool.m"
 
@@ -173,28 +175,10 @@ let shutdown pool =
     pool.handles;
   pool.handles <- []
 
-(* Advisory seat cap (admission hint). 0 encodes "no hint" so the common
-   path is a single atomic load; writes are rare (one per admitted job in a
-   serve-mode deployment). Determinism makes the cap observationally
-   invisible in the results, so consulting it cannot change statistics. *)
-let seat_hint_state = Atomic.make 0
-
-let set_seat_hint hint =
-  let v = match hint with None -> 0 | Some h -> max 1 h in
-  Atomic.set seat_hint_state v;
-  if Waltz_telemetry.Telemetry.metrics_enabled () then
-    Waltz_telemetry.Telemetry.Metrics.set_gauge "pool.seat_hint" (float_of_int v)
-
-let seat_hint () =
-  match Atomic.get seat_hint_state with 0 -> None | h -> Some h
-
 let map_array ?domains pool ~n ~f =
   if n < 0 then invalid_arg "Pool.map_array: negative length";
   let budget =
     match domains with Some d -> max 1 d | None -> pool.n_workers + 1
-  in
-  let budget =
-    match seat_hint () with Some h -> min budget h | None -> budget
   in
   let results = Array.make (max n 1) None in
   if budget = 1 || pool.n_workers = 0 || n <= 1 then
@@ -208,8 +192,8 @@ let map_array ?domains pool ~n ~f =
       Waltz_telemetry.Telemetry.Metrics.incr "pool.jobs";
       Waltz_telemetry.Telemetry.Metrics.incr ~by:seats "pool.seats.offered";
       (* Queue depth at publish: items admitted in this job. A gauge (last
-         write wins) — the daemon-facing "how much work is queued right
-         now" signal, surfaced in --stats and the OpenMetrics export. *)
+         write wins), printed by --stats and bounded by a resource
+         certificate's [queue_depth]. *)
       Waltz_telemetry.Telemetry.Metrics.set_gauge "pool.queue_depth" (float_of_int n)
     end;
     let job =

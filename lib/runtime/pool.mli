@@ -67,16 +67,3 @@ val shared : ?domains:int -> unit -> t
     The pool is published through an [Atomic.t]: the common path is one
     lock-free load, and growth is double-checked under a mutex so two
     concurrent first callers (or growers) cannot both install a pool. *)
-
-val set_seat_hint : int option -> unit
-(** Advisory admission hint: an upper bound on the seats (caller included)
-    the next jobs should occupy, typically the [seat_demand] field of a
-    static resource certificate (doc/ANALYSIS.md, RES family). While set,
-    [map_array] caps its domain budget at the hint — the future serve
-    mode's admission controller consumes certificates through this knob
-    instead of rewriting the pool. Item-to-slot determinism makes the cap
-    observationally invisible in the results. [None] (the initial state)
-    clears the hint. Also publishes the [pool.seat_hint] gauge. *)
-
-val seat_hint : unit -> int option
-(** The current advisory seat cap, if any. *)

@@ -199,17 +199,19 @@ module Lock = struct
       Mutex.unlock mu
     end
 
-  let release name =
+  (* Drops the innermost occurrence of the lock and hands off: the lock's
+     clock absorbs the thread's, which then ticks. With [strict], releasing
+     a lock the thread does not hold is a LOCK02 finding instead. *)
+  let release_checked ~strict name =
     if Atomic.get enabled_flag then begin
       Mutex.lock mu;
       let tid = current_tid_locked () in
       let th = thread_of tid in
-      if not (List.mem name th.held) then
+      if strict && not (List.mem name th.held) then
         report "LOCK02" name
           (Printf.sprintf "release of lock %s which the thread does not hold" name)
           [ anchor_of tid th ]
       else begin
-        (* Drop the innermost occurrence only. *)
         let rec drop = function
           | [] -> []
           | h :: rest -> if h = name then rest else h :: drop rest
@@ -223,6 +225,12 @@ module Lock = struct
       end;
       Mutex.unlock mu
     end
+
+  let release name = release_checked ~strict:true name
+
+  (* An unheld lock here was acquired before [enable] or [reset]; the real
+     unlock still orders the section before the next holder's acquire. *)
+  let release_seen name = release_checked ~strict:false name
 end
 
 module Shared = struct

@@ -69,6 +69,14 @@ module Lock : sig
   (** Record the release: the lock's clock becomes the thread's clock and
       the thread's clock ticks. Releasing a lock the thread does not hold is
       a LOCK02 finding. *)
+
+  val release_seen : string -> unit
+  (** {!release} for a lock whose critical sections can begin before
+      {!enable} or {!reset}, like the pool mutex that idle workers cycle
+      through between jobs. Pops the lock if the recorder saw the thread
+      take it; if it did not, the release is no LOCK02 finding. Either way
+      its happens-before handoff is recorded, so the next holder is
+      ordered after the section. *)
 end
 
 module Shared : sig

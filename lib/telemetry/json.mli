@@ -1,6 +1,5 @@
 (** Minimal self-contained JSON parsing and escaping (trace and SARIF
-    validation, OpenMetrics export, bench regression records).
-    Deliberately dependency-free. *)
+    validation, bench regression records). Deliberately dependency-free. *)
 
 type t =
   | Null

@@ -1,8 +1,8 @@
 (* Flight recorder: a fixed-size per-domain ring buffer of recent span
    begin/end and counter events. It is the only span store — the Chrome
    trace export, span aggregates, --stats and the profiler all read it — and
-   is cheap enough to leave on in a long-running server, dumped post-mortem
-   when something goes wrong.
+   is cheap enough to leave armed on long runs, dumped post-mortem when
+   something goes wrong.
 
    Design points:
    - One process-wide arm flag (an [Atomic.t], also settable via the
@@ -392,38 +392,32 @@ let sanitize_label label =
       match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> c | _ -> '-')
     label
 
-let dump ~reason () =
-  let per_track = events () in
-  let seq = Atomic.fetch_and_add dump_seq 1 in
-  (try Unix.mkdir !dump_dir 0o755 with Unix.Unix_error _ -> ());
-  let prefix =
-    Filename.concat !dump_dir
-      (Printf.sprintf "waltz-flight-%d-%d-%s" (Unix.getpid ()) seq (sanitize_label reason))
-  in
-  let trace_path = prefix ^ ".trace.json" in
-  let text_path = prefix ^ ".txt" in
-  let write path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc
-  in
-  write trace_path (trace_json_of per_track);
-  write text_path (text_dump ~reason per_track);
-  last_dump_ref := Some (trace_path, text_path);
-  (trace_path, text_path)
+(* Dumps are rate-limited per process so an error storm (every Error
+   diagnostic fires one) cannot fill the disk. *)
+let dump_budget = Atomic.make 8
 
-(* Automatic dumps are rate-limited per process so an error storm (every
-   Error diagnostic fires one) cannot fill the disk. On-demand [dump] is
-   not limited. *)
-let auto_budget = Atomic.make 8
-
-let auto_dump ~reason =
-  if Atomic.get armed_flag then begin
-    let remaining = Atomic.fetch_and_add auto_budget (-1) in
-    if remaining > 0 then ignore (dump ~reason ())
+let dump ~reason =
+  if Atomic.get armed_flag && Atomic.fetch_and_add dump_budget (-1) > 0 then begin
+    let per_track = events () in
+    let seq = Atomic.fetch_and_add dump_seq 1 in
+    (try Unix.mkdir !dump_dir 0o755 with Unix.Unix_error _ -> ());
+    let prefix =
+      Filename.concat !dump_dir
+        (Printf.sprintf "waltz-flight-%d-%d-%s" (Unix.getpid ()) seq (sanitize_label reason))
+    in
+    let trace_path = prefix ^ ".trace.json" in
+    let text_path = prefix ^ ".txt" in
+    let write path contents =
+      let oc = open_out path in
+      output_string oc contents;
+      close_out oc
+    in
+    write trace_path (trace_json_of per_track);
+    write text_path (text_dump ~reason per_track);
+    last_dump_ref := Some (trace_path, text_path)
   end
 
-let note_error ~reason = auto_dump ~reason:("diagnostic:" ^ reason)
+let note_error ~reason = dump ~reason:("diagnostic:" ^ reason)
 
 let with_crash_dump ~label f =
   if not (Atomic.get armed_flag) then f ()
@@ -431,5 +425,5 @@ let with_crash_dump ~label f =
     try f ()
     with exn ->
       let bt = Printexc.get_raw_backtrace () in
-      auto_dump ~reason:("crash:" ^ label);
+      dump ~reason:("crash:" ^ label);
       Printexc.raise_with_backtrace exn bt

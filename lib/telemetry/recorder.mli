@@ -103,13 +103,10 @@ val trace_json : unit -> string
     write time and suffixed " (unclosed)". Passes
     [Telemetry.Trace.validate]. *)
 
-val dump : reason:string -> unit -> string * string
-(** Writes the ring contents as [(trace.json, txt)] files ({!trace_json}
-    plus an event log) and returns both paths. *)
-
 val note_error : reason:string -> unit
-(** Automatic dump hook for Error-severity diagnostics. No-op when
-    disarmed; rate-limited to 8 automatic dumps per process. *)
+(** Dump hook for Error-severity diagnostics: writes the ring contents as
+    a [trace.json] file ({!trace_json}) and a [txt] event log. No-op when
+    disarmed; rate-limited to 8 dumps per process. *)
 
 val with_crash_dump : label:string -> (unit -> 'a) -> 'a
 (** Runs the thunk; if it raises while the recorder is armed, dumps the
@@ -120,4 +117,5 @@ val last_dump : unit -> (string * string) option
 (** Paths written by the most recent dump, if any. *)
 
 val set_dump_dir : string -> unit
-(** Overrides the dump directory (tests; the CLI's [flight-dump -o]). *)
+(** Overrides the dump directory that [WALTZ_FLIGHT_DIR] set at startup;
+    tests use it to keep their dumps apart. *)

@@ -274,7 +274,6 @@ module Metrics = struct
     p50 : float;
     p90 : float;
     p99 : float;
-    buckets : (float * int) list;  (** non-empty sketch bins as (upper bound, count) *)
   }
 
   (* Merge a series' live shards. Shard contents are read without
@@ -296,8 +295,7 @@ module Metrics = struct
       Some
         { count = Sketch.count h; sum = Sketch.sum h; min = Sketch.min_value h;
           max = Sketch.max_value h; p50 = Sketch.quantile h 0.5;
-          p90 = Sketch.quantile h 0.9; p99 = Sketch.quantile h 0.99;
-          buckets = Sketch.nonempty_buckets h }
+          p90 = Sketch.quantile h 0.9; p99 = Sketch.quantile h 0.99 }
 
   let histogram name =
     lock_state ();
@@ -338,52 +336,6 @@ let reset () =
       s.Metrics.se_shards <- [])
     Metrics.series_tbl;
   unlock_state ()
-
-(* ---- exports ---- *)
-
-let openmetrics_summaries () =
-  List.map
-    (fun (name, (h : Metrics.histogram)) ->
-      { Openmetrics.s_name = name; s_count = h.Metrics.count; s_sum = h.Metrics.sum;
-        s_p50 = h.Metrics.p50; s_p90 = h.Metrics.p90; s_p99 = h.Metrics.p99;
-        s_max = h.Metrics.max })
-    (Metrics.histograms ())
-
-let export_openmetrics () =
-  Openmetrics.render ~counters:(Metrics.counters ()) ~gauges:(Metrics.gauges ())
-    ~summaries:(openmetrics_summaries ())
-
-let export_json () =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"counters\": {";
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_char b ',';
-    Buffer.add_string b "\n    "
-  in
-  List.iter
-    (fun (name, v) -> sep (); Buffer.add_string b (Printf.sprintf "\"%s\": %d" (Json.escape name) v))
-    (Metrics.counters ());
-  Buffer.add_string b "\n  },\n  \"gauges\": {";
-  first := true;
-  List.iter
-    (fun (name, v) ->
-      sep ();
-      Buffer.add_string b (Printf.sprintf "\"%s\": %.6g" (Json.escape name) v))
-    (Metrics.gauges ());
-  Buffer.add_string b "\n  },\n  \"histograms\": {";
-  first := true;
-  List.iter
-    (fun (name, (h : Metrics.histogram)) ->
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "\"%s\": {\"count\": %d, \"sum\": %.6g, \"min\": %.6g, \"max\": %.6g, \"p50\": %.6g, \"p90\": %.6g, \"p99\": %.6g}"
-           (Json.escape name) h.Metrics.count h.Metrics.sum h.Metrics.min h.Metrics.max
-           h.Metrics.p50 h.Metrics.p90 h.Metrics.p99))
-    (Metrics.histograms ());
-  Buffer.add_string b "\n  }\n}\n";
-  Buffer.contents b
 
 module Report = struct
   let to_string () =

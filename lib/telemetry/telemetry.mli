@@ -137,8 +137,6 @@ module Metrics : sig
     p50 : float;  (** sketch quantiles, rank-accurate to one log bucket *)
     p90 : float;
     p99 : float;
-    buckets : (float * int) list;
-        (** non-empty sketch bins as (upper bound, count) *)
   }
 
   val histogram : string -> histogram option
@@ -149,15 +147,6 @@ module Metrics : sig
   val hit_rate : hit:string -> miss:string -> float
   (** [counter hit / (counter hit + counter miss)]; 0 when both are zero. *)
 end
-
-val export_openmetrics : unit -> string
-(** The full counter/gauge/histogram catalog as OpenMetrics text
-    (histograms as summaries with p50/p90/p99/max quantiles), terminated
-    by [# EOF]. Passes {!Openmetrics.validate}. *)
-
-val export_json : unit -> string
-(** The same catalog as a JSON object with "counters", "gauges" and
-    "histograms" members. *)
 
 module Report : sig
   val to_string : unit -> string

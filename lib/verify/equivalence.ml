@@ -71,7 +71,8 @@ let check ?(probes = 3) ?(seed = 2023) ?(max_qubits = default_max_qubits)
         let final = Executor.run_ideal p (embed_logical p psi) in
         let actual = extract_logical p final in
         let support = Vec.norm2 actual in
-        if Float.abs (support -. 1.) > tol then
+        (* Negated [<=], so that a NaN state fails both tests. *)
+        if not (Float.abs (support -. 1.) <= tol) then
           diags :=
             Diagnostic.error "EQ02"
               (Printf.sprintf
@@ -80,7 +81,7 @@ let check ?(probes = 3) ?(seed = 2023) ?(max_qubits = default_max_qubits)
             :: !diags
         else begin
           let overlap = Vec.overlap2 expected actual in
-          if Float.abs (overlap -. 1.) > tol then
+          if not (Float.abs (overlap -. 1.) <= tol) then
             diags :=
               Diagnostic.error "EQ01"
                 (Printf.sprintf

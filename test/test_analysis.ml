@@ -599,6 +599,31 @@ let test_resource_budget_res01 () =
     over;
   check_bool "both are RES01" true (rule_ids over = [ "RES01"; "RES01" ])
 
+(* Past max_int the certificate is refused, not wrapped. cnu-28 (27
+   ququarts) still counts, and its 5.8e17-byte peak trips RES01. cnu-30
+   (29 ququarts) has 4^29 amplitudes, whose state bytes pass max_int;
+   cnu-33 (33 ququarts) has an amplitude count past max_int, which must
+   not reach Kernel.place. *)
+let test_resource_too_large () =
+  let compile n = Compile.compile Strategy.mixed_radix_ccz (Bench.by_total_qubits Cnu n) in
+  let certify = Resource.certify ~trajectories:1 ~batch:8 ~domains:2 in
+  let counted = certify (compile 28) in
+  check_bool "cnu-28 peak counted" true (counted.Resource.peak_bytes > 500_000_000_000_000_000);
+  check_bool "cnu-28 over a 1e8-byte budget" true
+    (rule_ids
+       (Resource.check_budget counted
+          { Resource.limit_bytes = Some 100_000_000; limit_ms = None })
+    = [ "RES01" ]);
+  List.iter
+    (fun (n, devices) ->
+      let p = compile n in
+      check_int (Printf.sprintf "cnu-%d devices" n) devices p.Physical.device_count;
+      match certify p with
+      | cert ->
+        Alcotest.failf "cnu-%d certified with peak %d bytes" n cert.Resource.peak_bytes
+      | exception Resource.Too_large -> ())
+    [ (30, 29); (33, 33) ]
+
 let test_resource_cache_blowup_res03 () =
   let circuit = Bench.by_total_qubits Cnu 5 in
   let compiled = Compile.compile Strategy.full_ququart circuit in
@@ -689,6 +714,7 @@ let suite =
     case "pass names roundtrip" test_pass_names_roundtrip;
     case "resource soundness grid" test_resource_soundness_grid;
     case "resource budget RES01" test_resource_budget_res01;
+    case "resource figures past max_int are refused" test_resource_too_large;
     case "resource cache blowup RES03" test_resource_cache_blowup_res03;
     case "certify a compiled program" test_certify_compiled_program;
     case "resource certificate determinism" test_resource_dump_roundtrip_determinism;

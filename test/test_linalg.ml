@@ -65,6 +65,16 @@ let test_process_fidelity () =
   check_bool "distinct matrices" false
     (Mat.equal_up_to_phase u (Mat.permutation 4 (fun k -> (k + 1) mod 4)))
 
+(* One NaN entry must fail every tolerance test: a NaN matrix is neither
+   equal to itself nor unitary. *)
+let test_nan_matrix () =
+  let m = Mat.identity 2 in
+  Mat.set m 1 1 (Cplx.c Float.nan 0.);
+  check_bool "max_abs is NaN" true (Float.is_nan (Mat.max_abs m));
+  check_bool "not equal to itself" false (Mat.equal m m);
+  check_bool "not unitary" false (Mat.is_unitary m);
+  check_bool "not equal up to phase" false (Mat.equal_up_to_phase m m)
+
 let test_vec () =
   let v = Vec.of_complex_array [| Cplx.c 1. 0.; Cplx.c 0. 1. |] in
   close "norm2" 2. (Vec.norm2 v);
@@ -117,6 +127,7 @@ let suite =
     case "permutation" test_permutation;
     case "expm" test_expm;
     case "process fidelity" test_process_fidelity;
+    case "NaN matrices fail every tolerance" test_nan_matrix;
     case "vec" test_vec;
     case "rng" test_rng;
     prop_unitary_products;

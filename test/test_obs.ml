@@ -1,13 +1,12 @@
 (* The observability plane: quantile-sketch accuracy and merge laws, the
    flight-recorder ring (wraparound, per-domain isolation, dump-on-raise),
-   profiler folded-stack well-formedness, the OpenMetrics validator and the
-   bench regression gate. *)
+   profiler folded-stack well-formedness, gauge and histogram readback
+   through the --stats report, and the bench regression gate. *)
 open Test_util
 module Telemetry = Waltz_telemetry.Telemetry
 module Sketch = Waltz_telemetry.Sketch
 module Recorder = Waltz_telemetry.Recorder
 module Profiler = Waltz_telemetry.Profiler
-module Openmetrics = Waltz_telemetry.Openmetrics
 module Regress = Waltz_telemetry.Regress
 
 (* Cases arm/enable process-wide flags; every case restores the defaults so
@@ -243,49 +242,52 @@ let profiler_samples_spans () =
       check_bool "saw the busy span" true
         (List.exists (fun (key, _) -> contains ~needle:"busy" key) folded))
 
-(* ---- OpenMetrics validator ---- *)
+(* ---- gauges and histograms in the --stats report ---- *)
 
-let openmetrics_roundtrip () =
-  let text =
-    Openmetrics.render
-      ~counters:[ ("executor.trajectories", 12); ("pool.jobs", 3) ]
-      ~gauges:[ ("pool.queue_depth", 4.) ]
-      ~summaries:
-        [ { Openmetrics.s_name = "executor.trajectory_us"; s_count = 12;
-            s_sum = 480.; s_p50 = 35.; s_p90 = 52.; s_p99 = 60.; s_max = 61. } ]
+(* The indented lines under a report heading such as "gauges:". *)
+let report_section report heading =
+  let rec after = function
+    | [] -> []
+    | line :: rest -> if line = heading then under rest else after rest
+  and under = function
+    | line :: rest when String.length line > 0 && line.[0] = ' ' -> line :: under rest
+    | _ -> []
   in
-  (match Openmetrics.validate text with
-  | Ok (samples, families) ->
-    check_bool "several samples" true (samples >= 9);
-    check_int "three families + sum/count live in one" 4 families
-  | Error e -> Alcotest.failf "rendered exposition rejected: %s" e);
-  let reject label bad =
-    match Openmetrics.validate bad with
-    | Ok _ -> Alcotest.failf "validator accepted %s" label
-    | Error _ -> ()
-  in
-  reject "missing EOF" "# TYPE waltz_x counter\nwaltz_x_total 1\n";
-  reject "text after EOF" "# TYPE waltz_x counter\nwaltz_x_total 1\n# EOF\nmore\n";
-  reject "undeclared family" "waltz_y_total 1\n# EOF\n";
-  reject "counter without _total" "# TYPE waltz_x counter\nwaltz_x 1\n# EOF\n";
-  reject "quantile out of range"
-    "# TYPE waltz_h summary\nwaltz_h{quantile=\"1.5\"} 2\n# EOF\n";
-  reject "duplicate family"
-    "# TYPE waltz_x counter\n# TYPE waltz_x counter\nwaltz_x_total 1\n# EOF\n"
+  after (String.split_on_char '\n' report)
 
-let exported_metrics_validate () =
+let gauge_and_histogram_readback () =
   Telemetry.reset ();
   Telemetry.enable ();
-  Fun.protect ~finally:Telemetry.disable (fun () ->
-      Telemetry.Metrics.incr ~by:3 "unit.counter";
+  Fun.protect ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ())
+    (fun () ->
+      Telemetry.Metrics.set_gauge "unit.gauge" 1.5;
       Telemetry.Metrics.set_gauge "unit.gauge" 2.5;
       List.iter (Telemetry.Metrics.observe "unit.lat_us") [ 1.; 10.; 100. ];
-      let text = Telemetry.export_openmetrics () in
-      match Openmetrics.validate text with
-      | Ok (samples, families) ->
-        check_bool "samples present" true (samples >= 8);
-        check_int "families" 3 families
-      | Error e -> Alcotest.failf "export rejected: %s" e)
+      check_bool "gauge keeps the last write" true
+        (Telemetry.Metrics.gauge "unit.gauge" = Some 2.5);
+      check_bool "gauges lists it" true
+        (List.assoc_opt "unit.gauge" (Telemetry.Metrics.gauges ()) = Some 2.5);
+      (match Telemetry.Metrics.histogram "unit.lat_us" with
+      | Some h ->
+        check_int "histogram count" 3 h.Telemetry.Metrics.count;
+        close ~tol:0. "histogram max" 100. h.Telemetry.Metrics.max
+      | None -> Alcotest.fail "histogram missing");
+      let report = Telemetry.Report.to_string () in
+      check_bool "report lists the gauge under gauges:" true
+        (List.exists (contains ~needle:"unit.gauge")
+           (report_section report "gauges:"));
+      check_bool "report lists the histogram under histograms:" true
+        (List.exists (contains ~needle:"unit.lat_us")
+           (report_section report "histograms:"));
+      Telemetry.reset ();
+      check_bool "reset clears the gauge" true (Telemetry.Metrics.gauge "unit.gauge" = None);
+      check_bool "reset clears gauges" true (Telemetry.Metrics.gauges () = []);
+      check_bool "reset clears the histogram" true
+        (Telemetry.Metrics.histogram "unit.lat_us" = None);
+      check_bool "report drops both" false
+        (contains ~needle:"unit." (Telemetry.Report.to_string ())))
 
 (* ---- regression gate ---- *)
 
@@ -333,6 +335,6 @@ let suite =
     case "recorder: dump on raise shows crash frontier" dump_on_raise;
     case "profiler: folded keys well-formed" folded_stack_wellformed;
     case "profiler: samples live spans" profiler_samples_spans;
-    case "openmetrics: render/validate roundtrip" openmetrics_roundtrip;
-    case "openmetrics: telemetry export validates" exported_metrics_validate;
+    case "report: gauges and histograms read back, print and reset"
+      gauge_and_histogram_readback;
     case "regress: gate trips on synthetic regression" regress_gate ]

@@ -49,6 +49,18 @@ let test_rotation_fusion () =
   | [ { Gate.kind = Gate.Rz theta; _ }; _ ] -> close ~tol:1e-12 "angle sum" 0.7 theta
   | _ -> Alcotest.fail "unexpected structure"
 
+(* Two finite angles whose sum overflows to infinity still merge into one
+   finite rotation, equal to the pair up to global phase. *)
+let test_fusion_past_max_float () =
+  let c = Circuit.of_gates ~n:1 [ g (Gate.Rz 1e308) [ 0 ]; g (Gate.Rz 1e308) [ 0 ] ] in
+  let out = Optimizer.simplify c in
+  (match out.Circuit.gates with
+  | [ { Gate.kind = Gate.Rz theta; _ } ] ->
+    check_bool "merged angle is finite" true (Float.is_finite theta)
+  | _ -> Alcotest.fail "expected one Rz");
+  mat_equal_phase "merge preserves the pair's unitary" (Circuit.to_unitary c)
+    (Circuit.to_unitary out)
+
 let test_s_s_becomes_z () =
   let c = Circuit.of_gates ~n:1 [ g Gate.S [ 0 ]; g Gate.S [ 0 ] ] in
   match (Optimizer.simplify c).Circuit.gates with
@@ -92,6 +104,7 @@ let suite =
     case "cancel past disjoint gates" test_cancel_past_disjoint_gates;
     case "inverse pairs" test_inverse_pairs;
     case "rotation fusion" test_rotation_fusion;
+    case "rotation fusion past max_float" test_fusion_past_max_float;
     case "S.S = Z" test_s_s_becomes_z;
     case "drop zero rotation" test_drop_zero_rotation;
     case "semantics preserved" test_semantics_preserved;

@@ -143,6 +143,14 @@ let test_error_lines () =
     ^ "gate mine a,b {\n  cx a,b;\n}\nh q[0]; // trailing comment\nrx(two) q[1];\n");
   expect_located ~line:6 ~what:"unsupported gate" (header ^ "\n\nfrobnicate q[0];")
 
+(* Every spelling of a non-finite angle is refused at its line, before it
+   can reach the compiler or the simulator. *)
+let test_non_finite_angle spelling () =
+  expect_located ~line:4 ~what:"finite angle"
+    (Printf.sprintf
+       "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[5];\nrz(%s) q[0];\ncx q[0],q[1];\nccx q[0],q[1],q[2];\n"
+       spelling)
+
 let test_register_size () =
   expect_located ~line:1 ~what:"positive integer" "qreg q[-2];\nh q[0];\n";
   expect_located ~line:2 ~what:"positive integer" "OPENQASM 2.0;\nqreg q[0];\n";
@@ -200,3 +208,7 @@ let suite =
     case "operand errors are located" test_operand_errors;
     case "four qubit roundtrip" test_four_qubit_roundtrip;
     case "benchmark roundtrip" test_benchmarks_roundtrip ]
+  @ List.map
+      (fun spelling ->
+        case (Printf.sprintf "angle %s is refused" spelling) (test_non_finite_angle spelling))
+      [ "nan"; "inf"; "-inf"; "1e999"; "0/0" ]

@@ -142,6 +142,33 @@ let lock_misuse () =
         "recursive acquire" [ "LOCK02" ]
         (rules (Sanitize.findings ())))
 
+(* A section entered while the sanitizer was off, or before a reset, ends
+   with release_seen without a finding and still orders its accesses
+   before the next holder's; a recorded one pops the lock, so the next
+   acquire is not recursive. Plain release keeps reporting an unheld
+   lock. *)
+let lock_release_seen () =
+  Sanitize.disable ();
+  Sanitize.reset ();
+  with_sanitizer (fun () ->
+      vt 0 (fun () ->
+          Sanitize.Shared.read "x";
+          Sanitize.Lock.release_seen "m");
+      vt 1 (fun () ->
+          Sanitize.Lock.acquire "m";
+          Sanitize.Shared.write "x";
+          Sanitize.Lock.release_seen "m";
+          Sanitize.Lock.acquire "m";
+          Sanitize.Lock.release_seen "m";
+          Sanitize.Lock.acquire "m");
+      Sanitize.reset ();
+      vt 1 (fun () -> Sanitize.Lock.release_seen "m");
+      check_int "no findings" 0 (List.length (Sanitize.findings ()));
+      vt 2 (fun () -> Sanitize.Lock.release "m");
+      Alcotest.(check (list string))
+        "a plain unheld release still fires" [ "LOCK02" ]
+        (rules (Sanitize.findings ())))
+
 let arena_ownership () =
   with_sanitizer (fun () ->
       let tok = ref None in
@@ -262,6 +289,7 @@ let suite =
     case "indexed sites are independent" indexed_sites_independent;
     case "lock-order inversion cycles (LOCK01)" lock_order_cycle;
     case "lock misuse (LOCK02)" lock_misuse;
+    case "release_seen tolerates acquisitions made before enable" lock_release_seen;
     case "arena ownership (OWN01)" arena_ownership;
     case "seeded-race fixtures flag exactly their rule" fixture_suite;
     case "fuzzer is deterministic per seed" fuzzer_deterministic;

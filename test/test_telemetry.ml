@@ -112,8 +112,7 @@ let metrics_basics () =
         check_int "histogram count" 3 h.Telemetry.Metrics.count;
         close "histogram sum" 203.0 h.Telemetry.Metrics.sum;
         close "histogram min" 1.0 h.Telemetry.Metrics.min;
-        close "histogram max" 200.0 h.Telemetry.Metrics.max;
-        check_bool "buckets non-empty" true (h.Telemetry.Metrics.buckets <> []));
+        close "histogram max" 200.0 h.Telemetry.Metrics.max);
       Telemetry.Metrics.incr ~by:3 "c.hit";
       Telemetry.Metrics.incr "c.miss";
       close "hit rate" 0.75 (Telemetry.Metrics.hit_rate ~hit:"c.hit" ~miss:"c.miss");

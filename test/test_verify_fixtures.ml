@@ -368,6 +368,24 @@ let tampered_gate_caught_by_equivalence () =
   in
   expect_only "EQ01" ~circuit tampered
 
+(* WF09 plus EQ01 or EQ02: a NaN gate is not unitary, and since WF09 is
+   not fatal the equivalence replay still runs and sees the NaN state. *)
+let nan_gate_fires_wf09_and_eq () =
+  let circuit = Circuit.add (Circuit.add (Circuit.empty 2) Gate.H [ 0 ]) Gate.Cx [ 0; 1 ] in
+  let compiled = Compile.compile Strategy.qubit_only circuit in
+  let nan_gate (o : Physical.op) =
+    if o.Physical.label = "CX_2" then
+      { o with Physical.gate = Mat.scale (Cplx.re Float.nan) o.Physical.gate }
+    else o
+  in
+  let p = { compiled with Physical.ops = List.map nan_gate compiled.Physical.ops } in
+  let rules =
+    List.map (fun (d : Diagnostic.t) -> d.Diagnostic.rule)
+      (Diagnostic.errors (Verify.run (Some circuit) p))
+  in
+  check_bool "WF09" true (List.mem "WF09" rules);
+  check_bool "EQ01 or EQ02" true (List.mem "EQ01" rules || List.mem "EQ02" rules)
+
 let test_classification () =
   let enc =
     op ~label:"ENC" ~parts:[] ~targets:[] ~gate:(Emit.enc_gate ~incoming_slot:1)
@@ -453,4 +471,5 @@ let suite =
   List.map (fun (name, fixture) -> case name (fun () -> check_fixture (fixture ()))) fixtures
   @ [ case "SARIF of every fixture report" test_fixture_sarif;
       case "schedule memo follows a copy's ops" test_memo_follows_ops;
+      case "NaN gate fires WF09 and EQ" nan_gate_fires_wf09_and_eq;
       case "op classification" test_classification ]
