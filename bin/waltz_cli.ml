@@ -377,35 +377,44 @@ let sweep_cmd =
   let run family n cx_fraction knob values trajectories domains batch =
     with_trajectories "sweep" trajectories @@ fun () ->
     with_simulable "sweep" @@ fun () ->
-    with_circuit family n cx_fraction (fun circuit ->
-        let strategies =
-          [ Strategy.qubit_only; Strategy.qubit_itoffoli; Strategy.mixed_radix_ccz;
-            Strategy.full_ququart ]
-        in
-        let model_of v =
-          match knob with
-          | "gate-error" -> Ok { Noise.default with Noise.ww_error_scale = v }
-          | "coherence" -> Ok { Noise.default with Noise.t1_high_scale = v }
-          | other -> Error (Printf.sprintf "unknown knob %s (gate-error, coherence)" other)
-        in
-        (* The compiled programs do not depend on the noise knob, so the
-           whole strategy portfolio is compiled once up front — in
-           parallel over the shared pool — and reused for every value. *)
-        let compiled_portfolio =
-          Compile.compile_all ?domains (List.map (fun s -> (s, circuit)) strategies)
-        in
-        List.iter check_simulable compiled_portfolio;
-        Printf.printf "%-8s" "value";
-        List.iter (fun s -> Printf.printf " %-16s" s.Strategy.name) strategies;
-        print_newline ();
-        let rc = ref 0 in
-        List.iter
-          (fun v ->
-            match model_of v with
-            | Error e ->
-              prerr_endline e;
-              rc := 1
-            | Ok model ->
+    (* Every value is checked before anything compiles: a scale that is
+       not finite, a negative gate-error scale or a coherence divisor that
+       is not positive would simulate to a meaningless fidelity. *)
+    let model_of v =
+      match knob with
+      | ("gate-error" | "coherence") when not (Float.is_finite v) ->
+        Error (Printf.sprintf "sweep: %s value %g is not finite" knob v)
+      | "gate-error" when v < 0. ->
+        Error (Printf.sprintf "sweep: gate-error scale %g is negative" v)
+      | "gate-error" -> Ok { Noise.default with Noise.ww_error_scale = v }
+      | "coherence" when v <= 0. ->
+        Error (Printf.sprintf "sweep: coherence divisor %g must be positive" v)
+      | "coherence" -> Ok { Noise.default with Noise.t1_high_scale = v }
+      | other -> Error (Printf.sprintf "sweep: unknown knob %s (gate-error, coherence)" other)
+    in
+    let models = List.map model_of values in
+    match List.find_map (function Error e -> Some e | Ok _ -> None) models with
+    | Some e ->
+      prerr_endline e;
+      1
+    | None ->
+      with_circuit family n cx_fraction (fun circuit ->
+          let strategies =
+            [ Strategy.qubit_only; Strategy.qubit_itoffoli; Strategy.mixed_radix_ccz;
+              Strategy.full_ququart ]
+          in
+          (* The compiled programs do not depend on the noise knob, so the
+             whole strategy portfolio is compiled once up front — in
+             parallel over the shared pool — and reused for every value. *)
+          let compiled_portfolio =
+            Compile.compile_all ?domains (List.map (fun s -> (s, circuit)) strategies)
+          in
+          List.iter check_simulable compiled_portfolio;
+          Printf.printf "%-8s" "value";
+          List.iter (fun s -> Printf.printf " %-16s" s.Strategy.name) strategies;
+          print_newline ();
+          List.iter
+            (fun (v, model) ->
               Printf.printf "%-8.2f" v;
               List.iter
                 (fun compiled ->
@@ -417,8 +426,8 @@ let sweep_cmd =
                   Printf.printf " %-16.4f" result.Executor.mean_fidelity)
                 compiled_portfolio;
               print_newline ())
-          values;
-        !rc)
+            (List.combine values (List.map Result.get_ok models));
+          0)
   in
   let knob =
     Arg.(
@@ -464,8 +473,8 @@ let verify_cmd =
   let module Verify = Waltz_verify.Verify in
   let module Diagnostic = Waltz_verify.Diagnostic in
   let module Sarif = Waltz_verify.Sarif in
-  let run family n cx_fraction strategy all_strategies topology qasm optimize rules probes
-      format passes output stats trace =
+  let run family n cx_fraction strategy all_strategies topology qasm optimize rules format
+      passes output stats trace =
     let known = String.concat ", " (List.map Verify.pass_name Verify.all_passes) in
     let passes =
       match String.lowercase_ascii passes with
@@ -507,9 +516,7 @@ let verify_cmd =
                     rc := 1
                   | Ok topo ->
                     let compiled = Compile.compile ~topology:topo strategy circuit in
-                    let report =
-                      Verify.run ~topology:topo ~passes ~probes (Some circuit) compiled
-                    in
+                    let report = Verify.run ~topology:topo ~passes (Some circuit) compiled in
                     (match format with
                     | "json" -> Buffer.add_string buf (Sarif.to_json report ^ "\n")
                     | "sarif" -> sarif_runs := (strategy.Strategy.name, report) :: !sarif_runs
@@ -539,12 +546,6 @@ let verify_cmd =
       value & flag
       & info [ "rules" ] ~doc:"Print the checker's rule catalog and exit.")
   in
-  let probes_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "probes" ] ~docv:"K"
-          ~doc:"Random probes for the bounded equivalence check.")
-  in
   let format_arg =
     Arg.(
       value
@@ -568,7 +569,7 @@ let verify_cmd =
        ~doc:"Statically check a compiled program against the checker's rules")
     Term.(
       const run $ family_arg $ n_arg $ cx_fraction_arg $ strategy_arg $ all_strategies_arg
-      $ topology_arg $ qasm_arg $ optimize_arg $ rules_arg $ probes_arg $ format_arg
+      $ topology_arg $ qasm_arg $ optimize_arg $ rules_arg $ format_arg
       $ passes_arg $ output_file_arg $ stats_arg $ trace_arg)
 
 (* ---- budget ---- *)

@@ -28,9 +28,8 @@ type t = {
   plan_table_bytes : int;
   cache_bytes : int;
   peak_bytes : int;
-  schedule_ns : interval;
+  schedule_ns : float;
   total_ns : interval;
-  expected_ns : float;
   seat_demand : int;
   queue_depth : int;
   dispatch_mix : (string * int) list;
@@ -123,17 +122,12 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
   (* Modeled duration: one schedule replay takes the memoized ASAP
      makespan, the figure the executor reports as its schedule gauge. Each
      trajectory replays the schedule twice (ideal and noisy pass); the worst
-     case runs every trajectory serially, the expected case spreads them
-     across the certified seats. *)
-  let makespan = Physical.total_duration p in
-  let schedule_ns = { lo = makespan; hi = makespan } in
+     case runs every trajectory serially, the best spreads them across the
+     certified seats. *)
+  let schedule_ns = Physical.total_duration p in
   let passes = 2. *. float_of_int trajectories in
   let total_ns =
-    { lo = schedule_ns.lo *. passes /. float_of_int seat_demand;
-      hi = schedule_ns.hi *. passes }
-  in
-  let expected_ns =
-    (schedule_ns.lo +. schedule_ns.hi) /. 2. *. passes /. float_of_int seat_demand
+    { lo = schedule_ns *. passes /. float_of_int seat_demand; hi = schedule_ns *. passes }
   in
   { strategy = p.Physical.strategy.Strategy.name;
     device_count;
@@ -152,7 +146,6 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
     peak_bytes;
     schedule_ns;
     total_ns;
-    expected_ns;
     seat_demand;
     queue_depth;
     dispatch_mix }
@@ -177,9 +170,8 @@ let check_budget t { limit_bytes; limit_ms } =
       Diagnostic.error "RES01"
         (Printf.sprintf
            "certified worst-case duration %.3f ms exceeds the %.3f ms admission budget \
-            (%d trajectories x [%.1f, %.1f] ns)"
-           (t.total_ns.hi /. 1e6) limit t.shape.trajectories t.schedule_ns.lo
-           t.schedule_ns.hi)
+            (%d trajectories x %.1f ns)"
+           (t.total_ns.hi /. 1e6) limit t.shape.trajectories t.schedule_ns)
       :: !diags
   | _ -> ());
   List.rev !diags
@@ -219,13 +211,10 @@ let check_observed ?(cache_blowup_ratio = 4.) t =
   bound "plan residency" (Metrics.counter "executor.plan.bytes") t.plan_bytes;
   (match Metrics.gauge "executor.schedule_ns" with
   | Some v ->
-    let slack x = (rel_slack *. Float.max 1. (Float.abs x)) in
-    if v < t.schedule_ns.lo -. slack t.schedule_ns.lo
-       || v > t.schedule_ns.hi +. slack t.schedule_ns.hi
-    then
-      res02 "executed schedule of %.3f ns falls outside the certified [%.3f, %.3f] ns \
-             makespan interval"
-        v t.schedule_ns.lo t.schedule_ns.hi
+    let slack = rel_slack *. Float.max 1. (Float.abs t.schedule_ns) in
+    if not (Float.abs (v -. t.schedule_ns) <= slack) then
+      res02 "executed schedule of %.3f ns differs from the certified %.3f ns makespan"
+        v t.schedule_ns
   | None -> ());
   (* Pool-shape checks only make sense when the readback window holds
      exactly the certified job. *)
@@ -264,17 +253,17 @@ let summary t =
   Diagnostic.info "RES00"
     (Printf.sprintf
        "certified %s at %d trajectories x batch %d x %d domains: peak %d bytes (plan %d, \
-        workspace %d/domain, caches <= %d), schedule [%.1f, %.1f] ns, worst-case %.1f ns \
-        total, %d seats over %d items; dispatch %s"
+        workspace %d/domain, caches <= %d), schedule %.1f ns, worst-case %.1f ns total, \
+        %d seats over %d items; dispatch %s"
        t.strategy t.shape.trajectories t.shape.batch t.shape.domains t.peak_bytes
        t.plan_bytes
        (t.block_workspace_bytes + t.scratch_bytes)
-       t.cache_bytes t.schedule_ns.lo t.schedule_ns.hi t.total_ns.hi t.seat_demand
+       t.cache_bytes t.schedule_ns t.total_ns.hi t.seat_demand
        t.queue_depth (mix_to_string t.dispatch_mix))
 
 let dump t =
   let b = Buffer.create 512 in
-  Printf.bprintf b "resource-certificate v3\n";
+  Printf.bprintf b "resource-certificate v4\n";
   Printf.bprintf b "strategy %s devices %d dim %d n %d ops %d\n" t.strategy
     t.device_count t.device_dim t.dim t.ops;
   Printf.bprintf b "shape trajectories %d batch %d domains %d\n" t.shape.trajectories
@@ -284,8 +273,8 @@ let dump t =
      peak %d\n"
     t.program_bytes t.state_bytes t.block_workspace_bytes t.scratch_bytes t.lift_bytes
     t.plan_bytes t.plan_table_bytes t.cache_bytes t.peak_bytes;
-  Printf.bprintf b "schedule_ns %h %h total_ns %h %h expected_ns %h\n" t.schedule_ns.lo
-    t.schedule_ns.hi t.total_ns.lo t.total_ns.hi t.expected_ns;
+  Printf.bprintf b "schedule_ns %h total_ns %h %h\n" t.schedule_ns t.total_ns.lo
+    t.total_ns.hi;
   Printf.bprintf b "pool seats %d queue %d\n" t.seat_demand t.queue_depth;
   List.iter (fun (cls, n) -> Printf.bprintf b "dispatch %s %d\n" cls n) t.dispatch_mix;
   Buffer.contents b

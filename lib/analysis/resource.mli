@@ -64,9 +64,10 @@ type t = {
           kernel memos, plus the lift entries *)
   peak_bytes : int;  (** sound single-run live peak at [shape] *)
   (* modeled time *)
-  schedule_ns : interval;  (** one schedule replay: the makespan, [lo = hi] *)
-  total_ns : interval;  (** folded through trajectories × passes ÷ seats *)
-  expected_ns : float;
+  schedule_ns : float;  (** one schedule replay: the makespan *)
+  total_ns : interval;
+      (** the run: [hi] replays every pass serially, [lo] spreads the
+          passes over the seats *)
   (* pool *)
   seat_demand : int;  (** seats incl. the caller the run can usefully occupy *)
   queue_depth : int;  (** items published: one per lockstep block *)
@@ -101,7 +102,7 @@ val check_observed : ?cache_blowup_ratio:float -> t -> Diagnostic.t list
 (** Cross-check the certificate against the current telemetry readbacks
     (counters/gauges/histograms from exactly one run — see the module
     preamble for the reset-run-check discipline): RES02 on any divergence
-    from the certified dispatch mix, trajectory count, schedule interval,
+    from the certified dispatch mix, trajectory count, schedule makespan,
     workspace/plan byte bounds or seat bounds; RES03 when worst-case cache
     residency exceeds [cache_blowup_ratio] × the live peak (default 4.0).
     With telemetry disabled every readback is empty and the list is. *)

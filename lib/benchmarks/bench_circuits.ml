@@ -146,7 +146,9 @@ let select ~index_bits ~system ~selections ~seed =
 
 let synthetic ~n ~gates ~cx_fraction ~seed =
   if n < 3 then invalid_arg "Bench_circuits.synthetic: need at least 3 qubits";
-  if cx_fraction < 0. || cx_fraction > 1. then invalid_arg "Bench_circuits.synthetic";
+  (* Negated, so that NaN is refused too. *)
+  if not (cx_fraction >= 0. && cx_fraction <= 1.) then
+    invalid_arg "Bench_circuits.synthetic: cx_fraction must be in [0, 1]";
   let rng = Random.State.make [| seed |] in
   let distinct k =
     let rec draw acc =

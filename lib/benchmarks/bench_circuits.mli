@@ -31,7 +31,8 @@ val select :
 val synthetic : n:int -> gates:int -> cx_fraction:float -> seed:int -> Circuit.t
 (** Random circuit with [gates] multi-qubit gates of which a [cx_fraction]
     share are CX and the rest CCX, on uniformly random distinct operands
-    (Sec. 6.1's fifth circuit / Fig. 9d). *)
+    (Sec. 6.1's fifth circuit / Fig. 9d). Raises [Invalid_argument] unless
+    [0 <= cx_fraction <= 1] (NaN included). *)
 
 val cnu_chain : controls:int -> Circuit.t
 (** Serial variant of [cnu]: a linear Toffoli ladder over the same ancilla

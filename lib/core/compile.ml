@@ -72,7 +72,7 @@ let intermediate_3q layout ~hint (gate : Gate.t) =
   | Gate.Ccz, [ a; b; c ] ->
     let (x, y), z = choose_pair layout ~preferred:[] ~hint [ a; b; c ] in
     let q_in, src, dst = encode_pair layout (x, y) ~toward:z ~want_at_slot:None in
-    Router.route_to_adjacency layout ~blocked:[ src ] ~frozen:[ x; y ] ~anchor:x z;
+    Router.route_adjacent_to_device layout ~blocked:[ src ] ~frozen:[ x; y ] ~device:dst z;
     Emit.three_qubit_pulse layout ~label:Calibration.mr_ccz.Calibration.label
       ~entry:Calibration.mr_ccz ~kind:gate.Gate.kind ~operands:[ a; b; c ];
     Emit.dec_op layout ~ququart:dst ~outgoing_slot:(mr_slot_of layout q_in) ~dst:src
@@ -91,7 +91,7 @@ let intermediate_3q layout ~hint (gate : Gate.t) =
       if choreograph && (not retarget) && z <> t then Some (t, 1) else None
     in
     let q_in, src, dst = encode_pair layout (x, y) ~toward:z ~want_at_slot in
-    Router.route_to_adjacency layout ~blocked:[ src ] ~frozen:[ x; y ] ~anchor:x z;
+    Router.route_adjacent_to_device layout ~blocked:[ src ] ~frozen:[ x; y ] ~device:dst z;
     if retarget then begin
       (* CCX(c0,c1,t) = H_t H_z CCX(cE, t, z) H_t H_z where cE is the encoded
          control and z the bare one (Fig. 6b): best configuration, 412 ns. *)
@@ -125,7 +125,7 @@ let intermediate_3q layout ~hint (gate : Gate.t) =
     (* A control encoded in the ququart is cheapest at slot 0 (684 ns). *)
     let want_at_slot = if choreograph && z <> c then Some (c, 0) else None in
     let q_in, src, dst = encode_pair layout (x, y) ~toward:z ~want_at_slot in
-    Router.route_to_adjacency layout ~blocked:[ src ] ~frozen:[ x; y ] ~anchor:x z;
+    Router.route_adjacent_to_device layout ~blocked:[ src ] ~frozen:[ x; y ] ~device:dst z;
     let entry =
       if z = c then Calibration.mr_cswap ~control:Ququart_gates.Qubit
       else Calibration.mr_cswap ~control:(Ququart_gates.Slot (mr_slot_of layout c))
@@ -173,7 +173,7 @@ let packed_3q layout ~hint (gate : Gate.t) =
       ((x, y), z)
   in
   let host = Layout.device_of layout x in
-  Router.route_to_adjacency layout ~frozen:[ x; y ] ~anchor:x z;
+  Router.route_adjacent_to_device layout ~frozen:[ x; y ] ~device:host z;
   let slot q = snd (Layout.pos layout q) in
   let z_bare = Layout.occupancy layout (Layout.device_of layout z) = 1 in
   let entry =
@@ -329,8 +329,9 @@ let itoffoli_3q layout ~hint (gate : Gate.t) =
       | (m, u, v) :: rest -> begin
         let cp = Layout.checkpoint layout in
         try
-          Router.route_to_adjacency layout ~frozen:[ v ] ~anchor:m u;
-          Router.route_to_adjacency layout ~frozen:[ u ] ~anchor:m v;
+          let device = Layout.device_of layout m in
+          Router.route_adjacent_to_device layout ~frozen:[ m; v ] ~device u;
+          Router.route_adjacent_to_device layout ~frozen:[ m; u ] ~device v;
           m
         with Failure _ ->
           Layout.restore layout cp;

@@ -49,7 +49,8 @@ let simulate_exact ?(model = Noise.default) ?(inputs = 10) ?(base_seed = 2023)
   let run_input k =
     let rng = Rng.make ~seed:(base_seed + (7919 * k)) in
     let input = State.random_supported rng ~dims ~allowed in
-    let ideal = Executor.run_ideal compiled input in
+    let ideal = State.copy input in
+    List.iter (fun (_, _, devices, gate) -> State.apply ideal ~targets:devices gate) lifted;
     let rho = Density.of_pure input in
     let last_busy = Array.make compiled.Physical.device_count 0. in
     let idle_damp device until =

@@ -361,18 +361,6 @@ let embed_error ~device_dim role pauli =
   | Physical.P4, _ -> invalid_arg "Executor: P4 errors need 4-level devices"
   | _ -> invalid_arg "Executor: inconsistent error role"
 
-(* The noiseless schedule on one state. A one-lane block's layout
-   ([idx * 1 + 0]) is the state vector's own, so the kernels sweep the
-   copy's planes in place — no wrapper, no de-interleave. *)
-let run_ideal (compiled : Physical.t) state =
-  let kernels = (program_kernels compiled).Physical.kernels in
-  let out = State.copy state in
-  let v = State.amplitudes out in
-  Array.iter (fun k -> Kernel.apply_block k v.Vec.re v.Vec.im ~cap:1 ~live:1) kernels;
-  if Telemetry.metrics_enabled () then
-    Array.iter (fun (c, n) -> Telemetry.Metrics.cell_add c n) (dispatch_tally kernels);
-  out
-
 type detailed = { summary : result; mean_leakage : float; mean_error_draws : float }
 
 (* Per-domain batched workspace: the ideal/noisy block pair over four

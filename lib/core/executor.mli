@@ -67,12 +67,6 @@ val simulate_detailed :
 (** See {!simulate} for the [domains]/[batch] knobs and the determinism
     guarantee. *)
 
-val run_ideal : Physical.t -> Waltz_sim.State.t -> Waltz_sim.State.t
-(** Applies the compiled ops without noise to a copy of the given physical
-    state, through the plan's compiled kernels as a one-lane block (used by
-    the exact executor, the equivalence verifier and the tests: compiled
-    circuits must reproduce the logical unitary). *)
-
 (** {1 Internals shared with the exact (density-matrix) executor} *)
 
 type lift = {

@@ -194,19 +194,6 @@ let step_onto layout sc ~mover ~du ~su next ~or_fail =
   end
   else failwith or_fail
 
-let route_to_adjacency layout ?(blocked = []) ?(frozen = []) ~anchor mover =
-  let frozen = anchor :: frozen in
-  let sc = begin_masks layout ~blocked ~frozen in
-  while not (adjacent_or_same layout mover anchor) do
-    let du, su = Layout.pos layout mover in
-    let goal = Layout.device_of layout anchor in
-    match bfs_next layout sc ~src:du ~goal with
-    | None -> failwith "Router.route_to_adjacency: no path (blocked neighbourhood)"
-    | Some next ->
-      step_onto layout sc ~mover ~du ~su next
-        ~or_fail:"Router.route_to_adjacency: no usable slot"
-  done
-
 let route_adjacent_to_device layout ?(blocked = []) ?(frozen = []) ~device mover =
   let topo = Layout.topology layout in
   let sc = begin_masks layout ~blocked ~frozen in
@@ -244,7 +231,9 @@ let route_pair layout ?(blocked = []) ?(frozen = []) a b =
         (fun () -> try_move ~max_delta:1 a b) ]
     in
     let rec first = function
-      | [] -> route_to_adjacency layout ~blocked ~frozen ~anchor:b a
+      | [] ->
+        route_adjacent_to_device layout ~blocked ~frozen:(b :: frozen)
+          ~device:(Layout.device_of layout b) a
       | f :: rest -> ( match f () with Some () -> () | None -> first rest)
     in
     first attempts

@@ -10,15 +10,12 @@
 val adjacent_or_same : Layout.t -> int -> int -> bool
 (** Device-level adjacency test for two logical qubits. *)
 
-val route_to_adjacency :
-  Layout.t -> ?blocked:int list -> ?frozen:int list -> anchor:int -> int -> unit
-(** Move [mover] until its device is the same as or adjacent to [anchor]'s.
-    [blocked] devices are never entered; [frozen] logical qubits are never
-    displaced. Raises [Failure] if no progress is possible. *)
-
 val route_adjacent_to_device :
   Layout.t -> ?blocked:int list -> ?frozen:int list -> device:int -> int -> unit
-(** Move a logical qubit until its device equals or neighbours [device]. *)
+(** Move a logical qubit until its device equals or neighbours [device].
+    [blocked] devices are never entered; [frozen] logical qubits are never
+    displaced (freeze the qubit that holds [device] to keep the goal
+    fixed). Raises [Failure] if no progress is possible. *)
 
 val route_pair : Layout.t -> ?blocked:int list -> ?frozen:int list -> int -> int -> unit
 (** Make two logical qubits device-adjacent (or co-located), moving

@@ -255,9 +255,9 @@ let apply_block t bre' bim' ~cap ~live =
           done
         done)
   | Monomial { src; pre; pim } when live = 1 ->
-    (* One lane ([--batch 1], [Executor.run_ideal]): the lane loops would
-       each run once per entry, so gather and scatter scalars directly. Same
-       per-amplitude expressions as the lane-swept branch below. *)
+    (* One lane ([--batch 1]): the lane loops would each run once per
+       entry, so gather and scatter scalars directly. Same per-amplitude
+       expressions as the lane-swept branch below. *)
     let scratch = Scratch.get () in
     let gre = Scratch.floats scratch 4 g and gim = Scratch.floats scratch 5 g in
     iterate t (fun base ->

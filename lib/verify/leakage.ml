@@ -8,7 +8,7 @@ let pp_mask mask =
   "{" ^ String.concat "," (List.map string_of_int (level_mask_bits mask)) ^ "}"
 
 (* A device level packs its slot bits with slot 0 as the high bit (Sec. 3
-   encoding, cf. Equivalence.physical_index): a lone qubit stored at slot 0
+   encoding, cf. Equivalence.wire_bit): a lone qubit stored at slot 0
    spans levels {0,2}, at slot 1 levels {0,1}; empty slots are provably |0>. *)
 let initial_masks (p : Physical.t) =
   let dim = p.Physical.device_dim in

@@ -70,8 +70,9 @@ let all =
       "levels |2>/|3> do not exist on bare qubits (Fig. 9b)";
     r "CAL04" Diagnostic.Warning "touches_ww inconsistent with occupancy"
       "Fig. 9b: pulses touching levels |2>/|3> scale with the ww error knob";
-    (* bounded semantic equivalence *)
-    r "EQ00" Diagnostic.Info "equivalence check skipped" "bounded check: small registers only";
+    (* semantic equivalence by sparse basis replay *)
+    r "EQ00" Diagnostic.Info "equivalence check skipped"
+      "sparse replay: skipped past 4096 amplitudes, 62 register bits or the caller's bound";
     r "EQ01" Diagnostic.Error "physical program is not equivalent to the circuit"
       "compilation preserves the circuit unitary up to global phase (Sec. 5)";
     r "EQ02" Diagnostic.Error "state leaks out of the computational subspace"

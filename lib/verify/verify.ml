@@ -33,7 +33,7 @@ let pass_name = function
 
 let pass_of_name name = List.find_opt (fun pass -> pass_name pass = name) all_passes
 
-let run ?topology ?(passes = all_passes) ?probes ?seed ?equiv_max_qubits
+let run ?topology ?(passes = all_passes) ?equiv_max_qubits
     (circuit : Circuit.t option) (p : Physical.t) =
   let want pass = List.mem pass passes in
   let topo =
@@ -98,7 +98,7 @@ let run ?topology ?(passes = all_passes) ?probes ?seed ?equiv_max_qubits
           [ Diagnostic.info "EQ00"
               (Printf.sprintf "equivalence check skipped: malformed source circuit (see %s)"
                  d.Diagnostic.rule) ]
-        | Some c, None -> Equivalence.check ?probes ?seed ?max_qubits:equiv_max_qubits c p)
+        | Some c, None -> Equivalence.check ?max_qubits:equiv_max_qubits c p)
   in
   let stabilizer =
     when_safe Stabilizer_pass (fun () ->

@@ -12,7 +12,7 @@
       critical-path total;
     - {b calibration} ([CAL]): durations/fidelities match Table 1/2 entries
       legal for the strategy;
-    - {b equivalence} ([EQ]): bounded replay against the circuit unitary;
+    - {b equivalence} ([EQ]): sparse basis replay against the circuit;
     - {b stabilizer} ([STAB]): Clifford-tableau proofs over the circuit;
     - {b leakage} ([LEAK]): reachable ququart levels per device;
     - {b cost} ([COST]): the per-op EPS fold against the EPS estimators;
@@ -43,8 +43,6 @@ val pass_of_name : string -> pass option
 val run :
   ?topology:Topology.t ->
   ?passes:pass list ->
-  ?probes:int ->
-  ?seed:int ->
   ?equiv_max_qubits:int ->
   Circuit.t option ->
   Physical.t ->

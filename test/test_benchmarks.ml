@@ -155,6 +155,14 @@ let test_synthetic () =
   check_int "all CX" 20 two;
   check_int "no CCX" 0 three
 
+let test_synthetic_rejects_bad_fraction () =
+  List.iter
+    (fun cx_fraction ->
+      match synthetic ~n:5 ~gates:20 ~cx_fraction ~seed:42 with
+      | _ -> Alcotest.failf "cx_fraction %g accepted" cx_fraction
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; -0.1; 1.5; Float.infinity ]
+
 let test_by_total_qubits () =
   List.iter
     (fun family ->
@@ -179,4 +187,5 @@ let suite =
     case "select structure" test_select_structure;
     case "select controlled" test_select_is_controlled;
     case "synthetic" test_synthetic;
+    case "synthetic rejects a bad cx_fraction" test_synthetic_rejects_bad_fraction;
     case "by total qubits" test_by_total_qubits ]

@@ -1,61 +1,6 @@
-open Waltz_linalg
 open Waltz_circuit
 open Waltz_core
 open Test_util
-
-(* ---- Logical/physical embedding helpers ---- *)
-
-let physical_dims (compiled : Physical.t) =
-  Array.make compiled.Physical.device_count compiled.Physical.device_dim
-
-(* Physical basis index for a logical basis index under a placement map. *)
-let physical_index (compiled : Physical.t) map logical_index =
-  let n = compiled.Physical.n_logical in
-  let levels = Array.make compiled.Physical.device_count 0 in
-  Array.iteri
-    (fun q (d, s) ->
-      let bitval = (logical_index lsr (n - 1 - q)) land 1 in
-      if compiled.Physical.device_dim = 4 then
-        levels.(d) <- levels.(d) lor (bitval lsl (1 - s))
-      else levels.(d) <- bitval)
-    map;
-  Array.fold_left (fun acc level -> (acc * compiled.Physical.device_dim) + level) 0 levels
-
-let embed_logical compiled (psi : Vec.t) =
-  let dims = physical_dims compiled in
-  let total = Array.fold_left ( * ) 1 dims in
-  let v = Vec.create total in
-  for l = 0 to Vec.dim psi - 1 do
-    Vec.set v (physical_index compiled compiled.Physical.initial_map l) (Vec.get psi l)
-  done;
-  Waltz_sim.State.of_vec ~dims v
-
-let extract_logical compiled (state : Waltz_sim.State.t) =
-  let n = compiled.Physical.n_logical in
-  let psi = Vec.create (1 lsl n) in
-  let amps = Waltz_sim.State.amplitudes state in
-  for l = 0 to (1 lsl n) - 1 do
-    Vec.set psi l (Vec.get amps (physical_index compiled compiled.Physical.final_map l))
-  done;
-  psi
-
-(* The end-to-end correctness check: compiled execution must equal the
-   logical circuit action for random inputs. *)
-let check_equivalence ?(seed = 17) strategy circuit =
-  let compiled = Compile.compile strategy circuit in
-  let r = rng seed in
-  let dim = 1 lsl circuit.Circuit.n in
-  let psi = Vec.gaussian (fun () -> Rng.gaussian r) dim in
-  let expected = Mat.apply (Circuit.to_unitary circuit) psi in
-  let final = Executor.run_ideal compiled (embed_logical compiled psi) in
-  let actual = extract_logical compiled final in
-  let support = Vec.norm2 actual in
-  if Float.abs (support -. 1.) > 1e-6 then
-    Alcotest.failf "%s: %.6f of the state left the computational subspace"
-      strategy.Strategy.name (1. -. support);
-  let overlap = Vec.overlap2 expected actual in
-  if Float.abs (overlap -. 1.) > 1e-6 then
-    Alcotest.failf "%s: logical overlap %.9f <> 1" strategy.Strategy.name overlap
 
 let toffoli_circuit =
   Circuit.of_gates ~n:3 [ Gate.make Gate.Ccx [ 0; 1; 2 ] ]
@@ -99,7 +44,7 @@ let test_enc_gate_consistency () =
     [ 0; 1 ]
 
 let test_single_toffoli_all_strategies () =
-  List.iter (fun s -> check_equivalence s toffoli_circuit) Strategy.all
+  List.iter (fun s -> check_equivalent s toffoli_circuit) Strategy.all
 
 let test_bell_all_strategies () =
   let bell =
@@ -109,7 +54,7 @@ let test_bell_all_strategies () =
         Gate.make Gate.Cx [ 1; 2 ];
         Gate.make Gate.Cx [ 2; 3 ] ]
   in
-  List.iter (fun s -> check_equivalence s bell) Strategy.all
+  List.iter (fun s -> check_equivalent s bell) Strategy.all
 
 let test_cswap_all_strategies () =
   let c =
@@ -119,19 +64,19 @@ let test_cswap_all_strategies () =
         Gate.make Gate.Cx [ 2; 3 ];
         Gate.make Gate.Cswap [ 3; 2; 0 ] ]
   in
-  List.iter (fun s -> check_equivalence s c) Strategy.all
+  List.iter (fun s -> check_equivalent s c) Strategy.all
 
 let test_cuccaro_small_all_strategies () =
   let c = Waltz_benchmarks.Bench_circuits.cuccaro ~bits:1 in
-  List.iter (fun s -> check_equivalence s c) Strategy.all
+  List.iter (fun s -> check_equivalent s c) Strategy.all
 
 let test_qram_small_all_strategies () =
   let c = Waltz_benchmarks.Bench_circuits.qram ~address_bits:1 ~cells:2 in
-  List.iter (fun s -> check_equivalence s c) Strategy.all
+  List.iter (fun s -> check_equivalent s c) Strategy.all
 
 let test_cnu_small_all_strategies () =
   let c = Waltz_benchmarks.Bench_circuits.cnu ~controls:3 in
-  List.iter (fun s -> check_equivalence s c) Strategy.all
+  List.iter (fun s -> check_equivalent s c) Strategy.all
 
 let test_structure_intermediate () =
   let compiled = Compile.compile Strategy.mixed_radix_ccz toffoli_circuit in
@@ -191,7 +136,7 @@ let prop_random_circuits_equivalent =
     QCheck.(int_range 0 2000)
     (fun seed ->
       let c = Waltz_benchmarks.Bench_circuits.synthetic ~n:5 ~gates:6 ~cx_fraction:0.4 ~seed in
-      List.iter (fun s -> check_equivalence ~seed s c) Strategy.all;
+      List.iter (fun s -> check_equivalent s c) Strategy.all;
       true)
 
 let suite =

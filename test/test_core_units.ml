@@ -186,7 +186,8 @@ let test_router_blocked () =
   (* Route 0 next to 3 without ever entering some device. *)
   let blocked = 0 in
   if Layout.device_of l 0 <> blocked && Layout.device_of l 3 <> blocked then begin
-    Router.route_to_adjacency l ~blocked:[ blocked ] ~anchor:3 0;
+    Router.route_adjacent_to_device l ~blocked:[ blocked ] ~frozen:[ 3 ]
+      ~device:(Layout.device_of l 3) 0;
     check_bool "mover avoided blocked device" true (Layout.device_of l 0 <> blocked)
   end
 

@@ -98,7 +98,7 @@ let test_cccz_all_strategies () =
         g Gate.Cccx [ 4; 1; 2; 0 ] ]
   in
   List.iter
-    (fun strategy -> Test_compiler.check_equivalence strategy circuit)
+    (fun strategy -> check_equivalent strategy circuit)
     [ Strategy.qubit_only; Strategy.qubit_itoffoli; Strategy.mixed_radix_ccz;
       Strategy.full_ququart ]
 
@@ -107,7 +107,7 @@ let test_cccz_native_on_packed () =
   let compiled = Compile.compile Strategy.full_ququart circuit in
   check_bool "uses the native CCCZ pulse" true
     (List.exists (fun o -> o.Physical.label = "CCCZ^{01,01}") compiled.Physical.ops);
-  Test_compiler.check_equivalence Strategy.full_ququart circuit;
+  check_equivalent Strategy.full_ququart circuit;
   (* Four qubits, two devices, one pulse: the Sec. 1 claim. *)
   check_int "two devices" 2 compiled.Physical.device_count
 
@@ -125,7 +125,7 @@ let test_ablation_still_correct () =
   List.iter
     (fun strategy ->
       List.iter
-        (fun (d, ch) -> Test_compiler.check_equivalence (Strategy.ablate ~disruption:d ~choreography:ch strategy) circuit)
+        (fun (d, ch) -> check_equivalent (Strategy.ablate ~disruption:d ~choreography:ch strategy) circuit)
         [ (false, true); (true, false); (false, false) ])
     [ Strategy.mixed_radix_ccz; Strategy.full_ququart; Strategy.qubit_only ]
 

@@ -71,19 +71,7 @@ let test_line_topology_equivalence () =
   List.iter
     (fun strategy ->
       let devices = Compile.device_count strategy circuit.Circuit.n in
-      let compiled = Compile.compile ~topology:(Topology.line devices) strategy circuit in
-      let r = rng 31 in
-      let dim = 1 lsl circuit.Circuit.n in
-      let psi = Waltz_linalg.Vec.gaussian (fun () -> Waltz_linalg.Rng.gaussian r) dim in
-      let expected = Waltz_linalg.Mat.apply (Circuit.to_unitary circuit) psi in
-      let final =
-        Executor.run_ideal compiled (Test_compiler.embed_logical compiled psi)
-      in
-      let actual = Test_compiler.extract_logical compiled final in
-      close ~tol:1e-6
-        (Printf.sprintf "%s on a line is still correct" strategy.Strategy.name)
-        1.
-        (Waltz_linalg.Vec.overlap2 expected actual))
+      check_equivalent ~topology:(Topology.line devices) strategy circuit)
     [ Strategy.qubit_only; Strategy.qubit_itoffoli; Strategy.mixed_radix_ccz;
       Strategy.full_ququart ]
 

@@ -21,6 +21,19 @@ let assert_unitary ?(tol = 1e-9) msg m =
 
 let rng seed = Rng.make ~seed
 
+(* Fails unless the equivalence pass decides that [compiled] computes
+   [circuit]: an EQ00 skip fails like an EQ01 or EQ02 finding. *)
+let assert_equivalent label circuit compiled =
+  match Waltz_verify.Equivalence.check circuit compiled with
+  | [] -> ()
+  | diags ->
+    Alcotest.failf "%s: %s" label
+      (String.concat "; " (List.map (Format.asprintf "%a" Waltz_verify.Diagnostic.pp) diags))
+
+let check_equivalent ?topology strategy circuit =
+  assert_equivalent strategy.Waltz_core.Strategy.name circuit
+    (Waltz_core.Compile.compile ?topology strategy circuit)
+
 (* A quick case helper. *)
 let case name f = Alcotest.test_case name `Quick f
 

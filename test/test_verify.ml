@@ -20,7 +20,7 @@ let benchmark_circuits =
 
 let check_clean ~label circuit strategy =
   let compiled = Compile.compile strategy circuit in
-  let report = Verify.run ~probes:2 (Some circuit) compiled in
+  let report = Verify.run (Some circuit) compiled in
   List.iter
     (fun d ->
       if d.Diagnostic.severity = Diagnostic.Warning then
@@ -48,10 +48,10 @@ let test_benchmarks_verify () =
 let test_equivalence_bound () =
   let circuit = Waltz_benchmarks.Bench_circuits.by_total_qubits Cuccaro 6 in
   let compiled = Compile.compile Strategy.mixed_radix_ccz circuit in
-  let report = Verify.run ~probes:1 (Some circuit) compiled in
+  let report = Verify.run (Some circuit) compiled in
   check_bool "no EQ00 skip at n=6" true
     (Diagnostic.with_rule "EQ00" report = []);
-  let report = Verify.run ~probes:1 ~equiv_max_qubits:3 (Some circuit) compiled in
+  let report = Verify.run ~equiv_max_qubits:3 (Some circuit) compiled in
   check_bool "EQ00 skip when bound lowered" true
     (Diagnostic.with_rule "EQ00" report <> []);
   check_bool "skip is not an error" true (Diagnostic.is_clean report)
@@ -74,7 +74,7 @@ let test_rule_catalog_covers_diagnostics () =
   List.iter
     (fun strategy ->
       let compiled = Compile.compile strategy circuit in
-      let report = Verify.run ~probes:1 (Some circuit) compiled in
+      let report = Verify.run (Some circuit) compiled in
       List.iter
         (fun d ->
           check_bool

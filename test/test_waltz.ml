@@ -25,6 +25,7 @@ let () =
       ("control", Test_control.suite);
       ("verify", Test_verify.suite);
       ("verify-fixtures", Test_verify_fixtures.suite);
+      ("equivalence", Test_equivalence.suite);
       ("analysis", Test_analysis.suite);
       ("runtime", Test_runtime.suite);
       ("telemetry", Test_telemetry.suite);
