@@ -1151,11 +1151,8 @@ let micro () =
   Printf.fprintf hc "{\"ts\": \"%s\", \"record\": %s}\n" ts record;
   close_out hc;
   Printf.printf "  appended %s to BENCH_history.jsonl\n" ts;
-  (* Hand the cache back in its env-default state for any later section. *)
-  Compile.set_program_cache
-    (match Sys.getenv_opt "WALTZ_COMPILE_CACHE" with
-    | Some ("0" | "false" | "off") -> false
-    | _ -> true)
+  (* Hand the cache back enabled, its initial state, for any later section. *)
+  Compile.set_program_cache true
 
 (* ---------------- Smoke (lint-gated) ---------------- *)
 

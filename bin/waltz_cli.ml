@@ -439,7 +439,10 @@ let sweep_cmd =
     Arg.(
       value
       & opt (list float) [ 1.; 2.; 4. ]
-      & info [ "values" ] ~docv:"V1,V2,…" ~doc:"Comma-separated knob values.")
+      & info [ "values" ] ~docv:"V1,V2,…"
+          ~doc:
+            "Comma-separated knob values. A list that starts with a negative number is \
+             written $(b,--values=-1,2): a bare -1 reads as an option.")
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sensitivity sweeps (the Fig. 9 studies)")

@@ -463,11 +463,7 @@ let program_cache_capacity = 32
 let cache_hit_cell = Telemetry.Metrics.cell "compile.program_cache.hit"
 let cache_miss_cell = Telemetry.Metrics.cell "compile.program_cache.miss"
 
-let program_cache_enabled =
-  ref
-    (match Sys.getenv_opt "WALTZ_COMPILE_CACHE" with
-    | Some ("0" | "false" | "off") -> false
-    | _ -> true)
+let program_cache_enabled = ref true
 
 let set_program_cache on = program_cache_enabled := on
 

@@ -19,8 +19,8 @@ val compile : ?topology:Topology.t -> Strategy.t -> Circuit.t -> Physical.t
     strategy, topology): a hit returns the previously compiled program
     itself, which is safe to share because programs are immutable, and
     with it the executor's kernel memo. Disable with
-    [WALTZ_COMPILE_CACHE=0] or {!set_program_cache}; hit/miss counts surface
-    as [compile.program_cache.hit]/[.miss]. *)
+    {!set_program_cache}; hit/miss counts surface as
+    [compile.program_cache.hit]/[.miss]. *)
 
 val compile_all :
   ?topology:Topology.t ->
@@ -36,7 +36,7 @@ val compile_all :
 
 val set_program_cache : bool -> unit
 (** Enables/disables the compiled-program cache at runtime (initial state:
-    enabled unless [WALTZ_COMPILE_CACHE] is [0], [false] or [off]). *)
+    enabled). *)
 
 val program_cache_clear : unit -> unit
 (** Empties the compiled-program cache (e.g. between benchmark phases that

@@ -10,52 +10,49 @@ type breakdown = {
 let level_of_occupancy = function 0 -> 0 | 1 -> 1 | _ -> 3
 
 let op_success model (op : Physical.op) =
-  let err = 1. -. op.Physical.fidelity in
-  let err = if op.Physical.touches_ww then err *. model.Noise.ww_error_scale else err in
-  Float.max 0. (1. -. err)
+  Float.max 0.
+    (1. -. Noise.gate_error model ~fidelity:op.Physical.fidelity ~touches_ww:op.Physical.touches_ww)
+
+(* Every device's timeline in schedule order, from [Physical.idle_ns]:
+   [segment d ~occ ~dt ~busy] for each idle window longer than 0, at the
+   occupancy the device holds, and for each op the device is under, at the
+   op's worst occupancy. *)
+let iter_segments (compiled : Physical.t) segment =
+  let before, after = Physical.idle_ns compiled in
+  let occ = Array.make compiled.Physical.device_count 0 in
+  Array.iter (fun (d, _) -> occ.(d) <- occ.(d) + 1) compiled.Physical.initial_map;
+  let idle d dt = if dt > 0. then segment d ~occ:occ.(d) ~dt ~busy:false in
+  Array.iteri
+    (fun i ((op : Physical.op), _) ->
+      List.iteri
+        (fun k (p : Physical.device_part) ->
+          let d = p.Physical.device in
+          idle d before.(i).(k);
+          segment d
+            ~occ:(max p.Physical.occ_before p.Physical.occ_after)
+            ~dt:op.Physical.duration_ns ~busy:true;
+          occ.(d) <- p.Physical.occ_after)
+        op.Physical.parts)
+    (Physical.schedule_array compiled);
+  Array.iteri idle after
+
+let survival model ~occ ~dt =
+  Noise.decoherence_survival model ~max_level:(level_of_occupancy occ) ~dt_ns:dt
 
 let estimate ?(model = Noise.default) (compiled : Physical.t) =
-  let schedule = Physical.schedule_array compiled in
-  let duration_ns = Physical.total_duration compiled in
   let gate_eps =
-    Array.fold_left (fun acc (op, _) -> acc *. op_success model op) 1. schedule
+    Array.fold_left
+      (fun acc (op, _) -> acc *. op_success model op)
+      1. (Physical.schedule_array compiled)
   in
-  (* Per-device timeline: survival over idle and busy segments at the
-     occupancy-dependent maximum level. *)
-  let last_time = Hashtbl.create 16 and occ = Hashtbl.create 16 in
-  let initial_occ = Array.make compiled.Physical.device_count 0 in
-  Array.iter (fun (d, _) -> initial_occ.(d) <- initial_occ.(d) + 1) compiled.Physical.initial_map;
-  let get_occ d = Option.value ~default:initial_occ.(d) (Hashtbl.find_opt occ d) in
-  let get_time d = Option.value ~default:0. (Hashtbl.find_opt last_time d) in
   let coherence = ref 1. in
-  let account d until =
-    let dt = until -. get_time d in
-    if dt > 0. then begin
-      let level = level_of_occupancy (get_occ d) in
-      coherence := !coherence *. Noise.decoherence_survival model ~max_level:level ~dt_ns:dt
-    end
-  in
-  Array.iter
-    (fun ((op : Physical.op), start) ->
-      List.iter
-        (fun (p : Physical.device_part) ->
-          account p.Physical.device start;
-          (* Busy window at the worst occupancy seen across the op. *)
-          let level =
-            level_of_occupancy (max p.Physical.occ_before p.Physical.occ_after)
-          in
-          coherence :=
-            !coherence
-            *. Noise.decoherence_survival model ~max_level:level ~dt_ns:op.Physical.duration_ns;
-          Hashtbl.replace last_time p.Physical.device (start +. op.Physical.duration_ns);
-          Hashtbl.replace occ p.Physical.device p.Physical.occ_after)
-        op.Physical.parts)
-    schedule;
-  for d = 0 to compiled.Physical.device_count - 1 do
-    account d duration_ns
-  done;
+  iter_segments compiled (fun _ ~occ ~dt ~busy:_ ->
+      coherence := !coherence *. survival model ~occ ~dt);
   let coherence_eps = !coherence in
-  { gate_eps; coherence_eps; total_eps = gate_eps *. coherence_eps; duration_ns }
+  { gate_eps;
+    coherence_eps;
+    total_eps = gate_eps *. coherence_eps;
+    duration_ns = Physical.total_duration compiled }
 
 type label_report = {
   op_label : string;
@@ -92,47 +89,16 @@ type device_report = {
 }
 
 let device_breakdown ?(model = Noise.default) (compiled : Physical.t) =
-  let schedule = Physical.schedule_array compiled in
-  let duration_ns = Physical.total_duration compiled in
   let nd = compiled.Physical.device_count in
   let busy = Array.make nd 0. and idle = Array.make nd 0. and encoded = Array.make nd 0. in
-  let survival = Array.make nd 1. in
-  let last_time = Array.make nd 0. in
-  let occ = Array.make nd 0 in
-  Array.iter (fun (d, _) -> occ.(d) <- occ.(d) + 1) compiled.Physical.initial_map;
-  let account d until =
-    let dt = until -. last_time.(d) in
-    if dt > 0. then begin
-      idle.(d) <- idle.(d) +. dt;
-      if occ.(d) >= 2 then encoded.(d) <- encoded.(d) +. dt;
-      survival.(d) <-
-        survival.(d)
-        *. Noise.decoherence_survival model ~max_level:(level_of_occupancy occ.(d)) ~dt_ns:dt
-    end
-  in
-  Array.iter
-    (fun ((op : Physical.op), start) ->
-      List.iter
-        (fun (p : Physical.device_part) ->
-          let d = p.Physical.device in
-          account d start;
-          let worst = max p.Physical.occ_before p.Physical.occ_after in
-          busy.(d) <- busy.(d) +. op.Physical.duration_ns;
-          if worst >= 2 then encoded.(d) <- encoded.(d) +. op.Physical.duration_ns;
-          survival.(d) <-
-            survival.(d)
-            *. Noise.decoherence_survival model ~max_level:(level_of_occupancy worst)
-                 ~dt_ns:op.Physical.duration_ns;
-          last_time.(d) <- start +. op.Physical.duration_ns;
-          occ.(d) <- p.Physical.occ_after)
-        op.Physical.parts)
-    schedule;
-  for d = 0 to nd - 1 do
-    account d duration_ns
-  done;
+  let survival_of = Array.make nd 1. in
+  iter_segments compiled (fun d ~occ ~dt ~busy:b ->
+      if b then busy.(d) <- busy.(d) +. dt else idle.(d) <- idle.(d) +. dt;
+      if occ >= 2 then encoded.(d) <- encoded.(d) +. dt;
+      survival_of.(d) <- survival_of.(d) *. survival model ~occ ~dt);
   List.init nd (fun device ->
       { device;
         busy_ns = busy.(device);
         idle_ns = idle.(device);
         encoded_ns = encoded.(device);
-        survival = survival.(device) })
+        survival = survival_of.(device) })

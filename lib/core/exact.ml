@@ -6,87 +6,62 @@ type result = { mean_fidelity : float; inputs : int }
 
 let max_exact_devices ~device_dim = if device_dim = 4 then 3 else 6
 
-(* Kraus operators of the generalized amplitude-damping step. *)
-let damping_kraus ~d lambdas =
-  let k0 =
-    Mat.diag (Array.init d (fun l -> Cplx.re (sqrt (1. -. lambdas.(l)))))
-  in
+(* Kraus operators of the generalized amplitude-damping step: the no-jump
+   diagonal and one √λ_m·|0⟩⟨m| per decaying level. *)
+let damping_kraus ~d (w : Executor.damp_spec) =
   let jumps =
     List.filter_map
       (fun m ->
-        if m = 0 || lambdas.(m) <= 0. then None
+        if m = 0 || w.Executor.lambdas.(m) <= 0. then None
         else
           Some
             (Mat.init d d (fun i j ->
-                 if i = 0 && j = m then Cplx.re (sqrt lambdas.(m)) else Cplx.zero)))
+                 if i = 0 && j = m then Cplx.re (sqrt w.Executor.lambdas.(m)) else Cplx.zero)))
       (List.init d Fun.id)
   in
-  k0 :: jumps
+  Mat.diag (Array.map Cplx.re w.Executor.scales) :: jumps
 
-let error_set ~device_dim role =
-  let embed = Executor.embed_error ~device_dim role in
-  match role with
-  | Physical.P4 -> Array.map Fun.id (Noise.pauli_set ~d:4)
-  | Physical.P2 _ -> Array.map embed (Noise.pauli_set ~d:2)
-  | Physical.Quiet -> invalid_arg "Exact.error_set"
-
+(* The executor's noise schedule as exact channels: each op's damping
+   windows, its lifted unitary, then its depolarizing channel. *)
 let simulate_exact ?(model = Noise.default) ?(inputs = 10) ?(base_seed = 2023)
     (compiled : Physical.t) =
   let device_dim = compiled.Physical.device_dim in
   if compiled.Physical.device_count > max_exact_devices ~device_dim then
     invalid_arg "Exact.simulate_exact: register too large for density evolution";
-  let schedule = Physical.schedule compiled in
-  let total_duration = Physical.total_duration compiled in
   let dims = Array.make compiled.Physical.device_count device_dim in
   let allowed = Executor.initial_allowed compiled in
-  let lifted =
-    List.map
-      (fun ((op : Physical.op), start) ->
-        let devices, gate = Executor.lift_gate ~device_dim op in
-        (op, start, devices, gate))
-      schedule
+  let noise = Executor.noise_schedule ~model compiled in
+  let windows =
+    List.map (fun (w : Executor.damp_spec) -> (w.Executor.dwire, damping_kraus ~d:device_dim w))
   in
+  let steps =
+    Array.map2
+      (fun ((op : Physical.op), _) (n : Executor.op_noise) ->
+        let devices, gate = Executor.lift_gate ~device_dim op in
+        let parts =
+          List.map2
+            (fun (d, role) radix ->
+              ([ d ], Array.map (Executor.embed_error ~device_dim role) (Noise.pauli_set ~d:radix)))
+            n.Executor.error_parts n.Executor.error_dims
+        in
+        (windows n.Executor.pre_damp, devices, gate, parts, Float.min 1. n.Executor.error_p))
+      (Physical.schedule_array compiled) noise.Executor.op_noise
+  in
+  let final = windows noise.Executor.final_damp in
+  let damp rho = List.iter (fun (d, kraus) -> Density.apply_kraus rho ~targets:[ d ] kraus) in
   let run_input k =
     let rng = Rng.make ~seed:(base_seed + (7919 * k)) in
     let input = State.random_supported rng ~dims ~allowed in
     let ideal = State.copy input in
-    List.iter (fun (_, _, devices, gate) -> State.apply ideal ~targets:devices gate) lifted;
+    Array.iter (fun (_, devices, gate, _, _) -> State.apply ideal ~targets:devices gate) steps;
     let rho = Density.of_pure input in
-    let last_busy = Array.make compiled.Physical.device_count 0. in
-    let idle_damp device until =
-      let dt = until -. last_busy.(device) in
-      if dt > 1e-9 then begin
-        let lambdas = Noise.damping_lambdas model ~d:device_dim ~dt_ns:dt in
-        Density.apply_kraus rho ~targets:[ device ] (damping_kraus ~d:device_dim lambdas)
-      end
-    in
-    List.iter
-      (fun ((op : Physical.op), start, devices, gate) ->
-        List.iter
-          (fun (p : Physical.device_part) -> idle_damp p.Physical.device start)
-          op.Physical.parts;
+    Array.iter
+      (fun (pre, devices, gate, parts, p) ->
+        damp rho pre;
         Density.apply_unitary rho ~targets:devices gate;
-        let err = 1. -. op.Physical.fidelity in
-        let err = if op.Physical.touches_ww then err *. model.Noise.ww_error_scale else err in
-        if err > 0. then begin
-          let parts =
-            List.filter_map
-              (fun (p : Physical.device_part) ->
-                match p.Physical.noise with
-                | Physical.Quiet -> None
-                | role -> Some ([ p.Physical.device ], error_set ~device_dim role))
-              op.Physical.parts
-          in
-          if parts <> [] then Density.depolarize rho ~parts ~p:(Float.min 1. err)
-        end;
-        List.iter
-          (fun (p : Physical.device_part) ->
-            last_busy.(p.Physical.device) <- start +. op.Physical.duration_ns)
-          op.Physical.parts)
-      lifted;
-    for d = 0 to compiled.Physical.device_count - 1 do
-      idle_damp d total_duration
-    done;
+        if p > 0. && parts <> [] then Density.depolarize rho ~parts ~p)
+      steps;
+    damp rho final;
     Density.fidelity_with_pure rho ideal
   in
   let values = List.init inputs run_input in

@@ -16,5 +16,8 @@ val simulate_exact :
   Physical.t ->
   result
 (** Average of ⟨ψ_ideal|ρ_final|ψ_ideal⟩ over [inputs] Haar-random logical
-    inputs (default 10), with noise applied as exact channels at the same
-    points the trajectory executor samples them. *)
+    inputs (default 10; input k is seeded [base_seed + 7919·k], like
+    trajectory k). Noise is {!Executor.noise_schedule}, the one the
+    trajectories sample, applied as exact channels: each op's damping
+    windows, its unitary, then its depolarizing channel at
+    [min 1 error_p]. *)

@@ -48,15 +48,15 @@ let domain_traj_cell : Telemetry.Metrics.cell Domain.DLS.key =
    by worker domains. *)
 type damp_spec = { dwire : int; lambdas : float array; scales : float array }
 
-(* A compiled op under one noise model: its placed kernel (shared with the
-   program's kernel memo) plus what the model decides for it. *)
-type plan_op = {
-  kernel : Kernel.t;
+(* What the noise model decides for one compiled op. *)
+type op_noise = {
   error_p : float;
-  error_parts : (int * Physical.noise_role) list;  (** device, role *)
-  error_dims : int list;  (** radix of each error part's Pauli draw *)
-  pre_damp : damp_spec list;  (** idle windows closing when this op starts *)
+  error_parts : (int * Physical.noise_role) list;
+  error_dims : int list;
+  pre_damp : damp_spec list;
 }
+
+type noise_schedule = { op_noise : op_noise array; final_damp : damp_spec list }
 
 (* The per-trajectory schedule: idle-window bookkeeping is identical for
    every trajectory, so start times, damping lambdas and Pauli radices are
@@ -66,8 +66,8 @@ type plan_op = {
    device × level tables and walked by [State.iter_supported]. *)
 type plan = {
   plan_dims : int array;  (** register shape the kernels were placed for *)
-  plan_ops : plan_op array;
-  final_damp : damp_spec list;  (** windows closing at the end *)
+  plan_kernels : Kernel.t array;  (** the program's kernel memo, in op order *)
+  plan_noise : noise_schedule;
   plan_allowed : bool array array;  (** initial-map support tables *)
   plan_leak : bool array array;
       (** final-map support tables: population outside them is leakage *)
@@ -292,29 +292,22 @@ let dispatch_tally kernels =
   Array.iteri (fun i n -> if n > 0 then tally := (dispatch_cells.(i), n) :: !tally) per_class;
   Array.of_list !tally
 
-(* One simulate call's plan: the program's memoized kernels, plus the error
-   probabilities and damping tables of [model], the only parts that depend
-   on it. *)
-let plan ~model (compiled : Physical.t) =
-  Telemetry.Span.with_ ~name:"executor/plan" @@ fun () ->
-  let memo = program_kernels compiled in
-  let kernels = memo.Physical.kernels in
+(* The model's half of a plan, read by the trajectories, by [Exact] and
+   (through [Physical.idle_ns] and [Noise.gate_error]) by [Eps]. A damping
+   window needs more than 1e-9 ns of idle time. *)
+let noise_schedule ~model (compiled : Physical.t) =
   let device_dim = compiled.Physical.device_dim in
-  let total_duration = Physical.total_duration compiled in
-  let last_busy = Array.make compiled.Physical.device_count 0. in
-  let window device until =
-    let dt = until -. last_busy.(device) in
+  let window device dt =
     if dt > 1e-9 then begin
       let lambdas = Noise.damping_lambdas model ~d:device_dim ~dt_ns:dt in
       Some { dwire = device; lambdas; scales = State.damp_scales lambdas }
     end
     else None
   in
-  let plan_ops =
+  let before, after = Physical.idle_ns compiled in
+  let op_noise =
     Array.mapi
-      (fun i ((op : Physical.op), start) ->
-        let err = 1. -. op.Physical.fidelity in
-        let err = if op.Physical.touches_ww then err *. model.Noise.ww_error_scale else err in
+      (fun i ((op : Physical.op), _) ->
         let error_parts =
           List.filter_map
             (fun (p : Physical.device_part) ->
@@ -323,31 +316,31 @@ let plan ~model (compiled : Physical.t) =
               | role -> Some (p.Physical.device, role))
             op.Physical.parts
         in
-        let pre_damp =
-          List.filter_map
-            (fun (p : Physical.device_part) -> window p.Physical.device start)
-            op.Physical.parts
-        in
-        List.iter
-          (fun (p : Physical.device_part) ->
-            last_busy.(p.Physical.device) <- start +. op.Physical.duration_ns)
-          op.Physical.parts;
-        { kernel = kernels.(i);
-          error_p = Float.max 0. err;
+        { error_p =
+            Float.max 0.
+              (Noise.gate_error model ~fidelity:op.Physical.fidelity
+                 ~touches_ww:op.Physical.touches_ww);
           error_parts;
           error_dims =
             List.map (fun (_, role) -> match role with Physical.P4 -> 4 | _ -> 2) error_parts;
-          pre_damp })
+          pre_damp =
+            List.filter_map Fun.id
+              (List.mapi
+                 (fun k (p : Physical.device_part) -> window p.Physical.device before.(i).(k))
+                 op.Physical.parts) })
       (Physical.schedule_array compiled)
   in
-  let final_damp =
-    List.filter_map
-      (fun d -> window d total_duration)
-      (List.init compiled.Physical.device_count Fun.id)
-  in
+  { op_noise; final_damp = List.filter_map Fun.id (List.mapi window (Array.to_list after)) }
+
+(* One simulate call's plan: the program's memoized kernels, plus the
+   model's noise schedule, the only part that depends on it. *)
+let plan ~model (compiled : Physical.t) =
+  Telemetry.Span.with_ ~name:"executor/plan" @@ fun () ->
+  let memo = program_kernels compiled in
+  let kernels = memo.Physical.kernels in
   { plan_dims = memo.Physical.kdims;
-    plan_ops;
-    final_damp;
+    plan_kernels = kernels;
+    plan_noise = noise_schedule ~model compiled;
     plan_allowed = allowed_table compiled compiled.Physical.initial_map;
     plan_leak = allowed_table compiled compiled.Physical.final_map;
     plan_dispatch = dispatch_tally kernels }
@@ -505,7 +498,7 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
     (* Per op, one dispatch on the plan-time kernel class. Dispatch counters
        are flushed per block from [plan_dispatch], so the apply loops carry
        no instrumentation at all. *)
-    Array.iter (fun p -> State_block.apply_kernel ws.bideal p.kernel) plan.plan_ops;
+    Array.iter (State_block.apply_kernel ws.bideal) plan.plan_kernels;
     let draws = Array.make live 0 in
     let windows = ref 0 and diverged = ref 0 in
     let damp_block specs =
@@ -516,10 +509,10 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
             !diverged + State_block.damp_with ws.bnoisy rngs ~wire:dwire ~lambdas ~scales)
         specs
     in
-    Array.iter
-      (fun p ->
+    Array.iteri
+      (fun i p ->
         damp_block p.pre_damp;
-        State_block.apply_kernel ws.bnoisy p.kernel;
+        State_block.apply_kernel ws.bnoisy plan.plan_kernels.(i);
         if p.error_parts <> [] then begin
           windows := !windows + live;
           for k = 0 to live - 1 do
@@ -535,8 +528,8 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
               draws.(k) <- draws.(k) + 1
           done
         end)
-      plan.plan_ops;
-    damp_block plan.final_damp;
+      plan.plan_noise.op_noise;
+    damp_block plan.plan_noise.final_damp;
     State_block.overlap2_into ws.bover ws.bideal ws.bnoisy;
     State_block.leakage_into ws.bleak ws.bnoisy ~allowed:plan.plan_leak;
     (Array.init live (fun k -> (ws.bover.(k), ws.bleak.(k), draws.(k))), !diverged, !windows)

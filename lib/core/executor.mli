@@ -91,6 +91,27 @@ val lift_gate_uncached : device_dim:int -> Physical.op -> int list * Waltz_linal
 (** The raw (un-memoized) lift; exposed so tests can check the cache against
     freshly built matrices. *)
 
+type damp_spec = { dwire : int; lambdas : float array; scales : float array }
+(** One amplitude-damping window: the device, its
+    {!Waltz_noise.Noise.damping_lambdas} and its no-jump Kraus diagonal
+    ({!Waltz_sim.State.damp_scales}). *)
+
+type op_noise = {
+  error_p : float;  (** {!Waltz_noise.Noise.gate_error}, clamped at 0 from below *)
+  error_parts : (int * Physical.noise_role) list;  (** (device, role) of each part that draws *)
+  error_dims : int list;  (** the radix of each error part's Pauli draw *)
+  pre_damp : damp_spec list;  (** the windows that close when the op starts *)
+}
+
+type noise_schedule = { op_noise : op_noise array; final_damp : damp_spec list }
+(** One [op_noise] per op in schedule order, and the windows that close at
+    the end. *)
+
+val noise_schedule : model:Waltz_noise.Noise.model -> Physical.t -> noise_schedule
+(** What [model] decides for a program, from {!Waltz_noise.Noise.gate_error}
+    and {!Physical.idle_ns} (damping windows of more than 1e-9 ns). The
+    trajectories sample it and {!Exact} applies it as exact channels. *)
+
 val embed_error : device_dim:int -> Physical.noise_role -> Waltz_linalg.Mat.t -> Waltz_linalg.Mat.t
 (** Lifts a per-operand Pauli factor onto a device's full space (a P2 factor
     on a 4-level device lands on the occupied slot). *)

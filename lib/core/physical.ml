@@ -20,6 +20,12 @@ type kernel_memo = {
   kernels : Waltz_sim.Kernel.t array;
 }
 
+type schedule_memo = {
+  for_ops : op list;
+  starts : (op * float) array;
+  idle : float array array * float array;
+}
+
 type t = {
   strategy : Strategy.t;
   n_logical : int;
@@ -28,7 +34,7 @@ type t = {
   ops : op list;
   initial_map : (int * int) array;
   final_map : (int * int) array;
-  mutable schedule_memo : (op list * (op * float) array) option;
+  mutable schedule_memo : schedule_memo option;
   mutable kernel_memo : kernel_memo option;
 }
 
@@ -61,39 +67,49 @@ let make_op ~label ~parts ~targets ~gate ~entry ~touches_ww =
     fidelity = entry.Waltz_qudit.Calibration.fidelity;
     touches_ww }
 
+let makespan starts =
+  Array.fold_left (fun acc (op, start) -> Float.max acc (start +. op.duration_ns)) 0. starts
+
 (* The ASAP schedule is a pure function of [ops], so it is computed once and
    memoized on the program, with the op list it was computed from: a copy
    [{ p with ops = ... }] carries [p]'s memo and must compute its own. The
+   walk that starts each op when its devices are ready also records how
+   long each of them sat idle: the one idle-window walk that the
+   trajectories' damping, the exact oracle and the coherence EPS read. The
    unsynchronized memo write is a benign race — every computation yields
-   the same array and programs are otherwise immutable. *)
-let schedule_array t =
+   the same arrays and programs are otherwise immutable. *)
+let schedule_memo t =
   match t.schedule_memo with
-  | Some (ops, a) when ops == t.ops -> a
+  | Some m when m.for_ops == t.ops -> m
   | _ ->
     let ready = Hashtbl.create 16 in
     let time_of d = Option.value ~default:0. (Hashtbl.find_opt ready d) in
-    let a =
+    let idle = ref [] in
+    let starts =
       Array.of_list
         (List.map
            (fun (op : op) ->
              let start =
                List.fold_left (fun acc p -> Float.max acc (time_of p.device)) 0. op.parts
              in
+             let waited = List.map (fun p -> start -. time_of p.device) op.parts in
+             idle := Array.of_list waited :: !idle;
              List.iter
                (fun p -> Hashtbl.replace ready p.device (start +. op.duration_ns))
                op.parts;
              (op, start))
            t.ops)
     in
-    t.schedule_memo <- Some (t.ops, a);
-    a
+    let total = makespan starts in
+    let after = Array.init t.device_count (fun d -> total -. time_of d) in
+    let m = { for_ops = t.ops; starts; idle = (Array.of_list (List.rev !idle), after) } in
+    t.schedule_memo <- Some m;
+    m
 
+let schedule_array t = (schedule_memo t).starts
 let schedule t = Array.to_list (schedule_array t)
-
-let total_duration t =
-  Array.fold_left
-    (fun acc (op, start) -> Float.max acc (start +. op.duration_ns))
-    0. (schedule_array t)
+let total_duration t = makespan (schedule_array t)
+let idle_ns t = (schedule_memo t).idle
 
 let op_count t = List.length t.ops
 let two_device_op_count t = List.length (List.filter (fun op -> List.length op.parts >= 2) t.ops)

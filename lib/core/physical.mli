@@ -41,6 +41,12 @@ type kernel_memo = {
     the register shape only, never on the noise model, so every model
     simulated on the program reuses them. *)
 
+type schedule_memo = {
+  for_ops : op list;  (** the op list the schedule was computed from *)
+  starts : (op * float) array;  (** {!schedule_array} *)
+  idle : float array array * float array;  (** {!idle_ns} *)
+}
+
 type t = {
   strategy : Strategy.t;
   n_logical : int;
@@ -49,9 +55,9 @@ type t = {
   ops : op list;
   initial_map : (int * int) array;  (** logical qubit → (device, slot) at t=0 *)
   final_map : (int * int) array;
-  mutable schedule_memo : (op list * (op * float) array) option;
-      (** lazily memoized ASAP schedule and the [ops] it came from —
-          construct with [None] and treat as private *)
+  mutable schedule_memo : schedule_memo option;
+      (** lazily memoized ASAP schedule, its idle windows and the [ops] they
+          came from — construct with [None] and treat as private *)
   mutable kernel_memo : kernel_memo option;
       (** the executor's placed kernels, written on the program's first
           simulate — construct with [None] and treat as private *)
@@ -79,6 +85,15 @@ val schedule_array : t -> (op * float) array
     recomputes it. Shared, not a copy — callers must not mutate it. *)
 
 val total_duration : t -> float
+
+val idle_ns : t -> float array array * float array
+(** The idle windows of the ASAP schedule, recorded by the walk that
+    computes it and memoized with it. For op [i] in schedule order,
+    [(fst (idle_ns p)).(i).(k)] is how long the device of its [k]-th part
+    sat idle before the op starts: the start minus the end of that device's
+    previous op, or minus 0 for its first op. [(snd (idle_ns p)).(d)] is
+    device [d]'s idle time from its last op to {!total_duration}. Each
+    consumer applies its own threshold to these windows. *)
 
 val op_count : t -> int
 

@@ -11,6 +11,10 @@ type model = {
 let default =
   { t1_base_ns = Calibration.t1_base_ns; t1_high_scale = 1.; ww_error_scale = 1.; seed = 2023 }
 
+let gate_error model ~fidelity ~touches_ww =
+  let err = 1. -. fidelity in
+  if touches_ww then err *. model.ww_error_scale else err
+
 let paulis d = Array.init (d * d) (fun k -> Qudit_ops.pauli ~d (k / d) (k mod d))
 
 (* Trajectories only ever draw qubit and ququart Paulis: both sets are built

@@ -27,6 +27,12 @@ type model = {
 val default : model
 (** T1 = 163.45 µs, no extra scaling, seed 2023. *)
 
+val gate_error : model -> fidelity:float -> touches_ww:bool -> float
+(** The depolarizing probability of a pulse calibrated at [fidelity]:
+    [1 − fidelity], times [ww_error_scale] when the pulse touches ququart
+    levels. Not clamped: the trajectories, the exact oracle and the EPS
+    estimator each clamp it to the range they need. *)
+
 val pauli_set : d:int -> Mat.t array
 (** The d² generalized Paulis X^a·Z^b, identity first (index 0). The d = 2
     and d = 4 sets are shared and must be treated as read-only; any other d

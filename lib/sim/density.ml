@@ -1,91 +1,87 @@
 open Waltz_linalg
-open Waltz_qudit
 
-type t = { dims : int array; mutable rho : Mat.t }
+(* ρ is held as vec(ρ), a pure state of the doubled register [dims @ dims]:
+   amplitude i·N + j holds ρ_ij, so the first copy of the wires indexes
+   rows and the second copy columns. K·ρ·K† is then K on the row wires and
+   conj K on the column wires, two [State.apply] calls that cost O(N²·g)
+   for a g-dimensional K instead of the O(N³) of dense products. *)
+type t = { dims : int array; vec : State.t }
+
+let size t = Array.fold_left ( * ) 1 t.dims
 
 let of_pure state =
-  let v = State.amplitudes state in
+  let v = State.amplitudes state and dims = State.dims state in
   let n = Vec.dim v in
-  let rho =
-    Mat.init n n (fun i j -> Cplx.( *: ) (Vec.get v i) (Cplx.conj (Vec.get v j)))
-  in
-  { dims = State.dims state; rho }
+  let outer k = Cplx.( *: ) (Vec.get v (k / n)) (Cplx.conj (Vec.get v (k mod n))) in
+  let rho = Vec.of_complex_array (Array.init (n * n) outer) in
+  { dims; vec = State.of_vec ~dims:(Array.append dims dims) rho }
 
-let dims t = Array.copy t.dims
-let trace t = (Mat.trace t.rho).Complex.re
+let trace t =
+  let n = size t and re = (State.amplitudes t.vec).Vec.re in
+  let acc = ref 0. in
+  for i = 0 to n - 1 do
+    acc := !acc +. re.((i * n) + i)
+  done;
+  !acc
 
-let lift t ~targets u = Embed.on_wires ~dims:t.dims ~targets u
+let to_mat t =
+  let n = size t and v = State.amplitudes t.vec in
+  Mat.init n n (fun i j -> Vec.get v ((i * n) + j))
 
-let apply_unitary t ~targets u =
-  let full = lift t ~targets u in
-  t.rho <- Mat.mul full (Mat.mul t.rho (Mat.adjoint full))
+(* vec ← K·vec·K†. *)
+let sandwich t vec ~targets k =
+  State.apply vec ~targets k;
+  State.apply vec ~targets:(List.map (fun w -> w + Array.length t.dims) targets) (Mat.conj k)
+
+(* y ← a·x + b·y over the raw planes. *)
+let combine a (x : Vec.t) b (y : Vec.t) =
+  for i = 0 to y.Vec.n - 1 do
+    y.Vec.re.(i) <- (a *. x.Vec.re.(i)) +. (b *. y.Vec.re.(i));
+    y.Vec.im.(i) <- (a *. x.Vec.im.(i)) +. (b *. y.Vec.im.(i))
+  done
+
+let apply_unitary t ~targets u = sandwich t t.vec ~targets u
+
+(* ρ ← Σ_m w_m·K_m·ρ·K_m†: the Kraus sets and the per-part averages of
+   [depolarize]. *)
+let mix t ~targets terms =
+  let rho = State.copy t.vec in
+  let v = State.amplitudes t.vec in
+  Array.fill v.Vec.re 0 v.Vec.n 0.;
+  Array.fill v.Vec.im 0 v.Vec.n 0.;
+  List.iter
+    (fun (w, k) ->
+      let term = State.copy rho in
+      sandwich t term ~targets k;
+      combine w (State.amplitudes term) 1. v)
+    terms
 
 let apply_kraus t ~targets kraus =
-  let total = Array.fold_left ( * ) 1 t.dims in
-  let acc = ref (Mat.zeros total total) in
-  List.iter
-    (fun k ->
-      let full = lift t ~targets k in
-      acc := Mat.add !acc (Mat.mul full (Mat.mul t.rho (Mat.adjoint full))))
-    kraus;
-  t.rho <- !acc;
+  mix t ~targets (List.map (fun k -> (1., k)) kraus);
   let tr = trace t in
   if Float.abs (tr -. 1.) > 1e-6 then
     invalid_arg (Printf.sprintf "Density.apply_kraus: trace drifted to %f" tr)
 
+(* With M the product-set size and T(ρ) each part's set averaged in turn,
+   identity included, the uniform mix over the M − 1 non-identity products
+   is (M·T(ρ) − ρ)/(M − 1). So the channel (1 − p)·ρ + p·mix costs Σ|set|
+   operator pairs instead of ∏|set| − 1. *)
 let depolarize t ~parts ~p =
   if p < 0. || p > 1. then invalid_arg "Density.depolarize";
-  if p > 0. then begin
-    (* Enumerate every non-identity combination of per-part Pauli picks. *)
-    let rec combos = function
-      | [] -> [ [] ]
-      | (targets, set) :: rest ->
-        let tails = combos rest in
-        List.concat_map
-          (fun idx -> List.map (fun tail -> (targets, set, idx) :: tail) tails)
-          (List.init (Array.length set) Fun.id)
-    in
-    let all = combos parts in
-    let non_identity =
-      List.filter (fun combo -> List.exists (fun (_, _, idx) -> idx <> 0) combo) all
-    in
-    let count = List.length non_identity in
-    if count > 0 then begin
-      let total = Array.fold_left ( * ) 1 t.dims in
-      let acc = ref (Mat.scale (Cplx.re (1. -. p)) t.rho) in
-      let weight = Cplx.re (p /. float_of_int count) in
-      List.iter
-        (fun combo ->
-          let op =
-            List.fold_left
-              (fun acc_op (targets, set, idx) ->
-                Mat.mul acc_op (lift t ~targets set.(idx)))
-              (Mat.identity total) combo
-          in
-          acc := Mat.add !acc (Mat.scale weight (Mat.mul op (Mat.mul t.rho (Mat.adjoint op)))))
-        non_identity;
-      t.rho <- !acc
-    end
+  let m = List.fold_left (fun acc (_, set) -> acc * Array.length set) 1 parts in
+  if p > 0. && m > 1 then begin
+    let m = float_of_int m in
+    let rho = State.copy t.vec in
+    List.iter
+      (fun (targets, set) ->
+        let w = 1. /. float_of_int (Array.length set) in
+        mix t ~targets (List.map (fun k -> (w, k)) (Array.to_list set)))
+      parts;
+    combine (1. -. p -. (p /. (m -. 1.))) (State.amplitudes rho) (p *. m /. (m -. 1.))
+      (State.amplitudes t.vec)
   end
 
 let fidelity_with_pure t state =
-  let v = State.amplitudes state in
-  let n = Vec.dim v in
-  if n <> t.rho.Mat.rows then invalid_arg "Density.fidelity_with_pure";
-  (* ⟨ψ|ρ|ψ⟩ = Σ_ij conj(ψ_i) ρ_ij ψ_j. *)
-  let acc = ref Cplx.zero in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      acc :=
-        Cplx.( +: ) !acc
-          (Cplx.( *: )
-             (Cplx.conj (Vec.get v i))
-             (Cplx.( *: ) (Mat.get t.rho i j) (Vec.get v j)))
-    done
-  done;
-  !acc.Complex.re
-
-let pp ppf t =
-  Format.fprintf ppf "density over [%s], trace %.6f"
-    (String.concat "; " (Array.to_list (Array.map string_of_int t.dims)))
-    (trace t)
+  let psi = State.amplitudes state in
+  if Vec.dim psi <> size t then invalid_arg "Density.fidelity_with_pure";
+  (Vec.dot psi (Mat.apply (to_mat t) psi)).Complex.re

@@ -2,6 +2,7 @@ open Waltz_circuit
 open Waltz_core
 open Waltz_noise
 open Test_util
+module Bench = Waltz_benchmarks.Bench_circuits
 
 let toffoli = Circuit.of_gates ~n:3 [ Gate.make Gate.Ccx [ 0; 1; 2 ] ]
 
@@ -102,8 +103,81 @@ let prop_eps_monotone_under_append =
       let eps p = (Eps.estimate p).Eps.total_eps in
       eps extended <= eps base +. 1e-9)
 
+(* The four families at 5-21 qubits under every strategy: 612 programs. *)
+let paper_grid f =
+  List.iter
+    (fun family ->
+      for size = 5 to 21 do
+        let circuit = Bench.by_total_qubits family size in
+        List.iter
+          (fun strategy ->
+            f
+              (Printf.sprintf "%s-%d/%s" (Bench.family_name family) size strategy.Strategy.name)
+              (Compile.compile strategy circuit))
+          Strategy.all
+      done)
+    Bench.all_families
+
+let rel_close ~tol a b = Float.abs (a -. b) <= tol *. Float.max (Float.abs a) (Float.abs b)
+
+(* Per device, the idle windows of [Physical.idle_ns] and the durations of
+   the device's ops tile the schedule: they sum to its makespan. *)
+let test_idle_windows_tile_schedule () =
+  paper_grid (fun label p ->
+      let before, after = Physical.idle_ns p in
+      let sum = Array.make p.Physical.device_count 0. in
+      Array.iteri
+        (fun i ((op : Physical.op), _) ->
+          List.iteri
+            (fun k (part : Physical.device_part) ->
+              let d = part.Physical.device in
+              sum.(d) <- sum.(d) +. before.(i).(k) +. op.Physical.duration_ns)
+            op.Physical.parts)
+        (Physical.schedule_array p);
+      let total = Physical.total_duration p in
+      Array.iteri
+        (fun d s ->
+          if not (rel_close ~tol:1e-12 total (s +. after.(d))) then
+            Alcotest.failf "%s device %d: windows and ops sum to %h, makespan %h" label d
+              (s +. after.(d)) total)
+        sum)
+
+(* The per-device survivals of [device_breakdown] multiply to the coherence
+   EPS of [estimate]: both read one walk. *)
+let test_device_survivals_multiply_to_coherence () =
+  paper_grid (fun label p ->
+      let eps = Eps.estimate p in
+      let product =
+        List.fold_left (fun acc d -> acc *. d.Eps.survival) 1. (Eps.device_breakdown p)
+      in
+      if not (rel_close ~tol:1e-12 eps.Eps.coherence_eps product) then
+        Alcotest.failf "%s: survivals multiply to %.17g, coherence EPS %.17g" label product
+          eps.Eps.coherence_eps)
+
+(* The gate EPS is the chance that a trajectory draws no depolarizing error:
+   the product of 1 − error_p over the executor's noise schedule, bit for
+   bit, with and without the Fig. 9b scale. *)
+let test_gate_eps_is_no_draw_probability () =
+  let scaled = { Noise.default with Noise.ww_error_scale = 6. } in
+  paper_grid (fun label p ->
+      List.iter
+        (fun model ->
+          let no_draw =
+            Array.fold_left
+              (fun acc (n : Executor.op_noise) -> acc *. (1. -. n.Executor.error_p))
+              1. (Executor.noise_schedule ~model p).Executor.op_noise
+          in
+          let gate_eps = (Eps.estimate ~model p).Eps.gate_eps in
+          if not (Float.equal no_draw gate_eps) then
+            Alcotest.failf "%s (ww scale %g): no-draw product %h, gate EPS %h" label
+              model.Noise.ww_error_scale no_draw gate_eps)
+        [ Noise.default; scaled ])
+
 let suite =
   [ case "gate eps product" test_gate_eps_product;
+    case "idle windows tile the schedule" test_idle_windows_tile_schedule;
+    case "device survivals multiply to coherence eps" test_device_survivals_multiply_to_coherence;
+    case "gate eps is the no-draw probability" test_gate_eps_is_no_draw_probability;
     prop_eps_monotone_under_append;
     case "more gates lower eps" test_more_gates_lower_eps;
     case "strategy ranking" test_strategies_ranking;

@@ -256,8 +256,9 @@ let delayed_last_op () =
   Array.iteri (fun i e -> if finish e > finish schedule.(!last) then last := i) schedule;
   let o, start = schedule.(!last) in
   schedule.(!last) <- (o, start +. 100.);
+  let memo = Option.get compiled.Physical.schedule_memo in
   let delayed =
-    { compiled with Physical.schedule_memo = Some (compiled.Physical.ops, schedule) }
+    { compiled with Physical.schedule_memo = Some { memo with Physical.starts = schedule } }
   in
   close ~tol:1e-6 "total_duration moves by the delay"
     (Physical.total_duration compiled +. 100.)
