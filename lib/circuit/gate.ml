@@ -87,23 +87,29 @@ let unitary = function
 
 let string_of_operands qubits = String.concat ", " (List.map string_of_int qubits)
 
+let rec absent (q : int) = function [] -> true | r :: rest -> r <> q && absent q rest
+let rec distinct = function [] -> true | q :: rest -> absent q rest && distinct rest
+
+(* The checks allocate nothing unless one fails: the QASM reader makes one
+   gate per statement. *)
 let make kind qubits =
   let n = arity kind in
   if List.length qubits <> n then
     invalid_arg
       (Printf.sprintf "Gate.make: %s expects %d operands, got %d (%s)" (name kind) n
          (List.length qubits) (string_of_operands qubits));
-  if List.length (List.sort_uniq compare qubits) <> n then
+  if not (distinct qubits) then
     invalid_arg
       (Printf.sprintf "Gate.make: %s has duplicate operands (%s)" (name kind)
          (string_of_operands qubits));
-  List.iteri
-    (fun i q ->
-      if q < 0 then
-        invalid_arg
-          (Printf.sprintf "Gate.make: %s operand %d is the negative qubit index %d"
-             (name kind) i q))
-    qubits;
+  if List.exists (fun q -> q < 0) qubits then
+    List.iteri
+      (fun i q ->
+        if q < 0 then
+          invalid_arg
+            (Printf.sprintf "Gate.make: %s operand %d is the negative qubit index %d"
+               (name kind) i q))
+      qubits;
   (match kind with
   | (Rx theta | Ry theta | Rz theta | Phase theta) when not (Float.is_finite theta) ->
     invalid_arg (Printf.sprintf "Gate.make: %s needs a finite angle" (name kind))

@@ -61,230 +61,230 @@ let to_string (c : Circuit.t) =
   List.iter (add_gate buf) c.Circuit.gates;
   Buffer.contents buf
 
-(* ---- import ---- *)
+(* ---- import: one left-to-right scan, with no copy or split of the text;
+   only an error counts lines ---- *)
 
-(* Angle expressions: products/quotients of numbers and [pi] with unary
-   minus, e.g. "-3*pi/4". *)
-let eval_angle ~located expr =
-  let fail () = raise (located (Printf.sprintf "bad angle %S" expr)) in
-  let expr = String.trim expr in
-  let negative, expr =
-    if String.length expr > 0 && expr.[0] = '-' then
-      (true, String.sub expr 1 (String.length expr - 1))
-    else (false, expr)
-  in
-  (* Split into alternating atoms and * / operators. *)
-  let atoms = ref [] and ops = ref [] in
-  let buf = Buffer.create 8 in
-  String.iter
-    (fun ch ->
-      if ch = '*' || ch = '/' then begin
-        atoms := Buffer.contents buf :: !atoms;
-        Buffer.clear buf;
-        ops := ch :: !ops
-      end
-      else if ch <> ' ' then Buffer.add_char buf ch)
-    expr;
-  atoms := Buffer.contents buf :: !atoms;
-  let atoms = List.rev_map String.trim !atoms and ops = List.rev !ops in
-  let value_of atom =
-    match String.lowercase_ascii atom with
-    | "pi" -> Float.pi
-    | "" -> fail ()
-    | s -> ( try float_of_string s with Failure _ -> fail ())
-  in
-  match atoms with
-  | [] -> fail ()
-  | first :: rest ->
-    let v =
-      List.fold_left2
-        (fun acc op atom ->
-          match op with
-          | '*' -> acc *. value_of atom
-          | '/' -> acc /. value_of atom
-          | _ -> fail ())
-        (value_of first) ops rest
-    in
-    if negative then -.v else v
+(* Input quoted in a message is clipped, so a hostile statement still fails
+   with one short line. *)
+let clip ?(max = 32) s = if String.length s <= max then s else String.sub s 0 max ^ "..."
 
-let named_gates =
-  [ ("x", (Gate.X, 1)); ("y", (Gate.Y, 1)); ("z", (Gate.Z, 1)); ("h", (Gate.H, 1));
-    ("s", (Gate.S, 1)); ("sdg", (Gate.Sdg, 1)); ("t", (Gate.T, 1));
-    ("tdg", (Gate.Tdg, 1)); ("cx", (Gate.Cx, 2)); ("cz", (Gate.Cz, 2));
-    ("swap", (Gate.Swap, 2)); ("csdg", (Gate.Csdg, 2)); ("ccx", (Gate.Ccx, 3));
-    ("toffoli", (Gate.Ccx, 3)); ("ccz", (Gate.Ccz, 3)); ("cswap", (Gate.Cswap, 3));
-    ("fredkin", (Gate.Cswap, 3)); ("c3x", (Gate.Cccx, 4)); ("cccx", (Gate.Cccx, 4));
-    ("cccz", (Gate.Cccz, 4)) ]
-
-let rotation_gates =
-  [ ("rx", fun t -> Gate.Rx t); ("ry", fun t -> Gate.Ry t); ("rz", fun t -> Gate.Rz t);
-    ("u1", fun t -> Gate.Phase t); ("p", fun t -> Gate.Phase t) ]
-
-(* 1-based line of byte [pos] of [text]. Only error paths call it, so
-   parsing never counts lines. *)
-let line_of text pos =
+(* Fails at the 1-based source line of byte [pos] of [text]. *)
+let fail text pos msg =
   let line = ref 1 in
   for i = 0 to min pos (String.length text) - 1 do
     if text.[i] = '\n' then incr line
   done;
-  !line
+  failwith (Printf.sprintf "QASM line %d: %s" !line msg)
 
 let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
+let is_name_char = function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false
+
+(* The end of the run of bytes from [p] on that satisfy [f]. The scanning
+   loops read with [String.unsafe_get] only below a length just checked. *)
+let rec span f text p =
+  if p < String.length text && f (String.unsafe_get text p) then span f text (p + 1) else p
+
+let rec name_end text p =
+  if p < String.length text && is_name_char (String.unsafe_get text p) then name_end text (p + 1)
+  else p
+
+(* [text] from [p] up to a byte in [stops], trimmed and clipped. *)
+let quote text p stops =
+  let stop = span (fun ch -> not (String.contains stops ch)) text p in
+  clip (String.trim (String.sub text p (stop - p)))
+
+let lower_at text p len =
+  let b = Bytes.create len in
+  for i = 0 to len - 1 do Bytes.unsafe_set b i (Char.lowercase_ascii text.[p + i]) done;
+  Bytes.unsafe_to_string b
+
+let comment_at text p = p + 1 < String.length text && text.[p] = '/' && text.[p + 1] = '/'
+
+(* The first byte at or after [p] that is not a blank, a [//] comment or a
+   gate definition. A definition is the word [gate] after a blank, [;] or
+   [}] and before a blank, up to its first [}]; the reader does not expand
+   definitions, so it skips one like a comment. *)
+let rec skip text p =
+  if p >= String.length text then p
+  else
+    match String.unsafe_get text p with
+    | ' ' | '\012' | '\n' | '\r' | '\t' -> skip text (p + 1)
+    | '/' when comment_at text p -> skip text (span (( <> ) '\n') text p)
+    | ('g' | 'G')
+      when p + 4 < String.length text
+           && is_blank text.[p + 4]
+           && lower_at text p 4 = "gate"
+           && (p = 0 || match text.[p - 1] with ';' | '}' -> true | c -> is_blank c) ->
+      skip text (close text p (p + 4) + 1)
+    | _ -> p
+
+(* The first [}] at or after [p] outside a comment; without one, the
+   definition at [def] is unterminated. *)
+and close text def p =
+  if p >= String.length text then fail text def "unterminated gate definition"
+  else
+    match String.unsafe_get text p with
+    | '}' -> p
+    | '/' when comment_at text p -> close text def (span (( <> ) '\n') text p)
+    | _ -> close text def (p + 1)
+
+(* The [;], or the end of the text, that ends the statement around [p]. *)
+let rec statement_end text p =
+  let p = skip text p in
+  if p >= String.length text || text.[p] = ';' then p else statement_end text (p + 1)
+
+(* [pos] is the next byte to read, [stmt] the first byte of the statement
+   being read, which locates its errors, [n] the size of [register] (0
+   until its [qreg]) and [gates] the gates read, last first. *)
+type cursor = { text : string; mutable pos : int; mutable stmt : int; mutable n : int;
+                mutable register : string; mutable gates : Gate.t list }
+
+let error c msg = fail c.text c.stmt msg
+let at c ch = c.pos < String.length c.text && c.text.[c.pos] = ch
+
+(* Skips blanks; true where the statement ends. *)
+let at_end c =
+  c.pos <- skip c.text c.pos;
+  c.pos >= String.length c.text || at c ';'
+
+(* Skips blanks, then reads [ch] if it is next. *)
+let eat c ch =
+  c.pos <- skip c.text c.pos;
+  at c ch && (c.pos <- c.pos + 1; true)
+
+(* Reads decimal digits onto [v]; [min_int] past [max_int]. *)
+let rec digits c v =
+  match if c.pos < String.length c.text then String.unsafe_get c.text c.pos else ' ' with
+  | '0' .. '9' as d when v <= (max_int - (Char.code d - 48)) / 10 ->
+    c.pos <- c.pos + 1;
+    digits c ((10 * v) + Char.code d - 48)
+  | '0' .. '9' -> min_int
+  | _ -> v
+
+(* An optional [-] and decimal digits; [min_int] if none or past [max_int]. *)
+let integer c =
+  let negative = eat c '-' in
+  let first = c.pos in
+  let v = digits c 0 in
+  if c.pos = first || v = min_int then min_int else if negative then -v else v
+
+(* A rotation's parenthesized angle: an optional [-], then atoms joined by
+   [*] and [/], each [pi] or a float literal, folded left to right as
+   written, e.g. [-3*pi/4]. *)
+let angle c name =
+  if not (eat c '(') then error c (name ^ " needs an angle");
+  let first = c.pos in
+  let bad () = error c (Printf.sprintf "bad angle %S" (quote c.text first ");")) in
+  let negative = eat c '-' in
+  let rec fold acc op =
+    let a = skip c.text c.pos in
+    c.pos <- span (function '*' | '/' | ')' | ';' -> false | ch -> not (is_blank ch)) c.text a;
+    let v =
+      match lower_at c.text a (c.pos - a) with
+      | "pi" -> Float.pi
+      | atom -> ( match float_of_string_opt atom with Some v -> v | None -> bad ())
+    in
+    let acc = if op = '*' then acc *. v else acc /. v in
+    if eat c '*' then fold acc '*'
+    else if eat c '/' then fold acc '/'
+    else if eat c ')' then acc
+    else if at_end c then error c (name ^ " needs an angle")
+    else bad ()
+  in
+  let v = fold 1. '*' in
+  if negative then -.v else v
+
+let rec same_name text a r i =
+  i = String.length r || (text.[a + i] = r.[i] && same_name text a r (i + 1))
+
+let bad_operand c a = error c (Printf.sprintf "bad operand %S" (quote c.text a ",;"))
+
+(* [reg[index], ...] up to the statement's end; [acc] is last first. *)
+let rec operands c acc =
+  let a = skip c.text c.pos in
+  c.pos <- name_end c.text a;
+  let stop = c.pos in
+  if not (eat c '[') then bad_operand c a;
+  if not (stop - a = String.length c.register && same_name c.text a c.register 0) then
+    error c ("unknown register " ^ clip (String.sub c.text a (stop - a)));
+  let q = integer c in
+  if q = min_int || not (eat c ']') then bad_operand c a;
+  if eat c ',' then operands c (q :: acc)
+  else if at_end c then List.rev (q :: acc)
+  else bad_operand c a
+
+let apply c name kind =
+  if c.n = 0 then error c (name ^ " before any qreg declaration");
+  let qubits = operands c [] in
+  let gate = try Gate.make kind qubits with Invalid_argument msg -> error c (clip ~max:120 msg) in
+  let outside q = Printf.sprintf "%s operand q[%d] is outside the %d-qubit register" name q c.n in
+  List.iter (fun q -> if q >= c.n then error c (outside q)) qubits;
+  c.gates <- gate :: c.gates
+
+(* [qreg name[size]], with [pos] after the keyword. *)
+let declare c =
+  if c.n > 0 then error c "a second qreg: the reader supports one register";
+  let a = skip c.text c.pos in
+  c.pos <- name_end c.text a;
+  let name = String.sub c.text a (c.pos - a) in
+  if name = "" || not (eat c '[') then error c "bad qreg";
+  let first = c.pos in
+  let size = integer c in
+  if size <= 0 then
+    error c
+      (Printf.sprintf "qreg size must be a positive integer, got %S" (quote c.text first "];"));
+  if not (eat c ']' && at_end c) then error c "bad qreg";
+  c.register <- name;
+  c.n <- size
+
+(* The gate a name applies, reading a rotation's angle. *)
+let kind c = function
+  | "x" -> Some Gate.X | "y" -> Some Gate.Y | "z" -> Some Gate.Z | "h" -> Some Gate.H
+  | "s" -> Some Gate.S | "sdg" -> Some Gate.Sdg | "t" -> Some Gate.T | "tdg" -> Some Gate.Tdg
+  | "cx" -> Some Gate.Cx | "cz" -> Some Gate.Cz | "swap" -> Some Gate.Swap
+  | "csdg" -> Some Gate.Csdg | "ccx" | "toffoli" -> Some Gate.Ccx | "ccz" -> Some Gate.Ccz
+  | "cswap" | "fredkin" -> Some Gate.Cswap | "c3x" | "cccx" -> Some Gate.Cccx
+  | "cccz" -> Some Gate.Cccz
+  | "rx" as name -> Some (Gate.Rx (angle c name)) | "ry" as name -> Some (Gate.Ry (angle c name))
+  | "rz" as name -> Some (Gate.Rz (angle c name))
+  | ("u1" | "p") as name -> Some (Gate.Phase (angle c name))
+  | _ -> None
+
+(* Statements whose first word starts with one of these are ignored. *)
+let ignored = [ "openqasm"; "include"; "creg"; "barrier"; "measure" ]
+
+(* Reads the statement at [stmt] and leaves [pos] on the [;] that ends it,
+   or at the end of the text. *)
+let statement c =
+  let text = c.text and start = c.stmt in
+  match text.[start] with
+  | ';' -> c.pos <- start
+  | '{' | '}' -> c.pos <- statement_end text (start + 1)
+  | _ -> (
+    c.pos <- name_end text start;
+    let name = lower_at text start (c.pos - start) in
+    match kind c name with
+    | Some k -> apply c name k
+    | None when String.starts_with ~prefix:"qreg" name -> c.pos <- start + 4; declare c
+    | None when List.exists (fun prefix -> String.starts_with ~prefix name) ignored ->
+      c.pos <- statement_end text c.pos
+    | None when name = "" ->
+      error c (Printf.sprintf "bad statement %S" (quote text start ";"))
+    | None -> error c ("unsupported gate " ^ clip name))
+
 let of_string text =
-  let len = String.length text in
-  (* Comments and gate definitions are blanked in place rather than cut
-     out, keeping every newline, so a byte offset into [clean] is one into
-     [text] and names a source line. *)
-  let clean = Bytes.of_string text in
-  let blank i j =
-    for k = i to j - 1 do
-      if Bytes.get clean k <> '\n' then Bytes.set clean k ' '
-    done
-  in
-  let located_at pos msg =
-    Failure (Printf.sprintf "QASM line %d: %s" (line_of text pos) msg)
-  in
-  let rec strip_comments i =
-    if i + 1 < len then
-      if text.[i] = '/' && text.[i + 1] = '/' then begin
-        let eol = Option.value ~default:len (String.index_from_opt text i '\n') in
-        blank i eol;
-        strip_comments eol
-      end
-      else strip_comments (i + 1)
-  in
-  strip_comments 0;
-  (* Gate definitions (gate NAME … { body }) go before splitting on ';' so
-     their bodies are not parsed as top-level applications. *)
-  let gate_keyword_at i =
-    i + 5 <= len
-    && Bytes.get clean i = 'g'
-    && Bytes.sub_string clean i 5 = "gate "
-    && (i = 0 || match Bytes.get clean (i - 1) with ' ' | '\n' | '\t' | ';' -> true | _ -> false)
-  in
-  let rec strip_defs i =
-    if i < len then
-      if gate_keyword_at i then begin
-        match Bytes.index_from_opt clean i '}' with
-        | Some close ->
-          blank i (close + 1);
-          strip_defs (close + 1)
-        | None -> raise (located_at i "unterminated gate definition")
-      end
-      else strip_defs (i + 1)
-  in
-  strip_defs 0;
-  let clean = Bytes.unsafe_to_string clean in
-  let n = ref 0 in
-  let register = ref "" in
-  let gates = ref [] in
-  let parse_operands ~located s =
-    String.split_on_char ',' s
-    |> List.map (fun operand ->
-           let operand = String.trim operand in
-           let bad () = raise (located (Printf.sprintf "bad operand %S" operand)) in
-           match String.index_opt operand '[' with
-           | Some i
-             when String.length operand > i + 1 && operand.[String.length operand - 1] = ']'
-             ->
-             let name = String.sub operand 0 i in
-             if !register <> "" && name <> !register then
-               raise (located (Printf.sprintf "unknown register %s" name));
-             (match
-                int_of_string_opt (String.sub operand (i + 1) (String.length operand - i - 2))
-              with
-             | Some q -> q
-             | None -> bad ())
-           | _ -> bad ())
-  in
-  (* One statement: [raw] is its text, [start] its byte offset. *)
-  let statement start raw =
-    let s = String.trim raw in
-    if s = "" then ()
-    else begin
-      (* A statement's line is that of its first non-blank character. *)
-      let located msg =
-        let lead = ref 0 in
-        while is_blank raw.[!lead] do
-          incr lead
-        done;
-        located_at (start + !lead) msg
-      in
-      let lower = String.lowercase_ascii s in
-      let starts prefix =
-        String.length lower >= String.length prefix
-        && String.sub lower 0 (String.length prefix) = prefix
-      in
-      if starts "openqasm" || starts "include" || starts "creg" || starts "barrier"
-         || starts "measure" || starts "gate " || s.[0] = '{' || s.[0] = '}'
-         || starts "}"
-      then ()
-      else if starts "qreg" then begin
-        match (String.index_opt s '[', String.index_opt s ']') with
-        | Some i, Some j when j > i ->
-          let size = String.trim (String.sub s (i + 1) (j - i - 1)) in
-          (match int_of_string_opt size with
-          | Some k when k > 0 -> n := k
-          | _ ->
-            raise
-              (located (Printf.sprintf "qreg size must be a positive integer, got %S" size)));
-          let name_part = String.trim (String.sub s 4 (i - 4)) in
-          register := name_part
-        | _ -> raise (located "bad qreg")
-      end
-      else begin
-        (* gate application: NAME[(angle)] operands *)
-        let name_end =
-          match (String.index_opt s ' ', String.index_opt s '(') with
-          | Some i, Some j -> min i j
-          | Some i, None -> i
-          | None, Some j -> j
-          | None, None -> raise (located (Printf.sprintf "bad statement %S" s))
-        in
-        let name = String.lowercase_ascii (String.sub s 0 name_end) in
-        let rest = String.sub s name_end (String.length s - name_end) in
-        let kind, operand_str =
-          match List.assoc_opt name rotation_gates with
-          | Some make -> begin
-            match (String.index_opt rest '(', String.index_opt rest ')') with
-            | Some i, Some j when j > i ->
-              let theta = eval_angle ~located (String.sub rest (i + 1) (j - i - 1)) in
-              (make theta, String.sub rest (j + 1) (String.length rest - j - 1))
-            | _ -> raise (located (Printf.sprintf "%s needs an angle" name))
-          end
-          | None -> begin
-            match List.assoc_opt name named_gates with
-            | Some (kind, _) -> (kind, rest)
-            | None -> raise (located (Printf.sprintf "unsupported gate %s" name))
-          end
-        in
-        if !n = 0 then raise (located (Printf.sprintf "%s before any qreg declaration" name));
-        let operands = parse_operands ~located operand_str in
-        let gate =
-          match Gate.make kind operands with
-          | g -> g
-          | exception Invalid_argument msg -> raise (located msg)
-        in
-        List.iter
-          (fun q ->
-            if q >= !n then
-              raise
-                (located
-                   (Printf.sprintf "%s operand q[%d] is outside the %d-qubit register" name q
-                      !n)))
-          operands;
-        gates := gate :: !gates
-      end
-    end
-  in
-  let rec statements start =
-    if start <= len then begin
-      let stop = Option.value ~default:len (String.index_from_opt clean start ';') in
-      statement start (String.sub clean start (stop - start));
-      statements (stop + 1)
+  let c = { text; pos = 0; stmt = 0; n = 0; register = ""; gates = [] } in
+  let rec statements p =
+    c.stmt <- skip text p;
+    if c.stmt < String.length text then begin
+      statement c;
+      statements (c.pos + 1)
     end
   in
   statements 0;
-  if !n = 0 then failwith "QASM: no qreg declaration found";
-  Circuit.of_gates ~n:!n (List.rev !gates)
+  if c.n = 0 then begin
+    let rec last p = if p > 0 && is_blank text.[p - 1] then last (p - 1) else p in
+    fail text (last (String.length text) - 1) "no qreg declaration found"
+  end;
+  { Circuit.n = c.n; gates = List.rev c.gates }

@@ -25,6 +25,7 @@ let damping_kraus ~d (w : Executor.damp_spec) =
    windows, its lifted unitary, then its depolarizing channel. *)
 let simulate_exact ?(model = Noise.default) ?(inputs = 10) ?(base_seed = 2023)
     (compiled : Physical.t) =
+  if inputs < 1 then invalid_arg "Exact.simulate_exact: inputs must be >= 1";
   let device_dim = compiled.Physical.device_dim in
   if compiled.Physical.device_count > max_exact_devices ~device_dim then
     invalid_arg "Exact.simulate_exact: register too large for density evolution";

@@ -20,4 +20,4 @@ val simulate_exact :
     trajectory k). Noise is {!Executor.noise_schedule}, the one the
     trajectories sample, applied as exact channels: each op's damping
     windows, its unitary, then its depolarizing channel at
-    [min 1 error_p]. *)
+    [min 1 error_p]. Raises [Invalid_argument] if [inputs < 1]. *)

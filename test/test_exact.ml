@@ -166,10 +166,25 @@ let test_exact_guard () =
     Alcotest.fail "oversized register accepted"
   with Invalid_argument _ -> ()
 
+(* A mean over no inputs is 0/0: zero and negative counts are refused up
+   front, before any evolution. *)
+let test_exact_inputs () =
+  let compiled = Compile.compile Strategy.full_ququart toffoli in
+  List.iter
+    (fun inputs ->
+      match Exact.simulate_exact ~inputs compiled with
+      | _ -> Alcotest.failf "inputs = %d accepted" inputs
+      | exception Invalid_argument msg ->
+        Alcotest.(check string)
+          (Printf.sprintf "inputs = %d" inputs)
+          "Exact.simulate_exact: inputs must be >= 1" msg)
+    [ 0; -1 ]
+
 let suite =
   [ case "density basics" test_density_basics;
     case "density kraus" test_density_kraus;
     case "density depolarize" test_density_depolarize;
     case "density matches the dense reference" test_density_matches_dense;
     case "exact vs trajectory" test_exact_matches_trajectory;
-    case "exact size guard" test_exact_guard ]
+    case "exact size guard" test_exact_guard;
+    case "exact refuses inputs < 1" test_exact_inputs ]
