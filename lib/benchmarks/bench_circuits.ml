@@ -10,36 +10,42 @@ let family_name = function
 
 let all_families = [ Cnu; Cuccaro; Qram; Select ]
 
+(* The circuit of the gates [body] passes to [add], in that order. They are
+   consed and reversed once, so a generator is linear in its gate count
+   ([Circuit.add] copies the list on every gate). *)
+let build n body =
+  let gates = ref [] in
+  body (fun kind qubits -> gates := Gate.make kind qubits :: !gates);
+  Circuit.of_gates ~n (List.rev !gates)
+
 let cnu ~controls =
   if controls < 2 then invalid_arg "Bench_circuits.cnu: need at least 2 controls";
   let n = (2 * controls) - 1 in
   let target = n - 1 in
-  let c = ref (Circuit.empty n) in
+  build n @@ fun add ->
   (* Reduce the active set with a tree of Toffolis onto fresh ancillas until
      two remain, apply the final Toffoli to the target, then uncompute. *)
   let next_ancilla = ref controls in
   let compute = ref [] in
   let rec reduce active =
     match active with
-    | [ a; b ] -> Circuit.add !c Gate.Ccx [ a; b; target ]
-    | [ a ] -> Circuit.add !c Gate.Cx [ a; target ]
+    | [ a; b ] -> add Gate.Ccx [ a; b; target ]
+    | [ a ] -> add Gate.Cx [ a; target ]
     | _ ->
       let rec pair = function
         | a :: b :: rest ->
           let anc = !next_ancilla in
           incr next_ancilla;
           compute := (a, b, anc) :: !compute;
-          c := Circuit.add !c Gate.Ccx [ a; b; anc ];
+          add Gate.Ccx [ a; b; anc ];
           anc :: pair rest
         | [ a ] -> [ a ]
         | [] -> []
       in
       reduce (pair active)
   in
-  let with_target = reduce (List.init controls Fun.id) in
-  c := with_target;
-  List.iter (fun (a, b, anc) -> c := Circuit.add !c Gate.Ccx [ a; b; anc ]) !compute;
-  !c
+  reduce (List.init controls Fun.id);
+  List.iter (fun (a, b, anc) -> add Gate.Ccx [ a; b; anc ]) !compute
 
 let cuccaro ~bits =
   if bits < 1 then invalid_arg "Bench_circuits.cuccaro";
@@ -47,8 +53,7 @@ let cuccaro ~bits =
   (* Layout: 0 = input carry, then interleaved b_i, a_i, finally carry-out. *)
   let b i = 1 + (2 * i) and a i = 2 + (2 * i) in
   let carry_out = n - 1 in
-  let c = ref (Circuit.empty n) in
-  let add kind qs = c := Circuit.add !c kind qs in
+  build n @@ fun add ->
   let maj x y z =
     add Gate.Cx [ z; y ];
     add Gate.Cx [ z; x ];
@@ -67,8 +72,7 @@ let cuccaro ~bits =
   for i = bits - 1 downto 1 do
     uma (a (i - 1)) (b i) (a i)
   done;
-  uma 0 (b 0) (a 0);
-  !c
+  uma 0 (b 0) (a 0)
 
 let qram ~address_bits ~cells =
   if cells < 2 then invalid_arg "Bench_circuits.qram: need at least 2 cells";
@@ -77,8 +81,7 @@ let qram ~address_bits ~cells =
   let n = address_bits + cells + 1 in
   let addr i = i and mem j = address_bits + j in
   let bus = n - 1 in
-  let c = ref (Circuit.empty n) in
-  let add kind qs = c := Circuit.add !c kind qs in
+  build n @@ fun add ->
   let route () =
     let ops = ref [] in
     for i = 0 to address_bits - 1 do
@@ -93,8 +96,7 @@ let qram ~address_bits ~cells =
   in
   let ops = route () in
   add Gate.Cx [ mem 0; bus ];
-  List.iter (fun (a, x, y) -> add Gate.Cswap [ a; x; y ]) ops;
-  !c
+  List.iter (fun (a, x, y) -> add Gate.Cswap [ a; x; y ]) ops
 
 let select ~index_bits ~system ~selections ~seed =
   if index_bits < 2 then invalid_arg "Bench_circuits.select: need at least 2 index bits";
@@ -104,8 +106,7 @@ let select ~index_bits ~system ~selections ~seed =
   and anc i = index_bits + i
   and sys i = (2 * index_bits) - 1 + i in
   let rng = Random.State.make [| seed |] in
-  let c = ref (Circuit.empty n) in
-  let add kind qs = c := Circuit.add !c kind qs in
+  build n @@ fun add ->
   let flip_for value =
     for i = 0 to index_bits - 1 do
       if value land (1 lsl i) = 0 then add Gate.X [ idx i ]
@@ -141,8 +142,7 @@ let select ~index_bits ~system ~selections ~seed =
       done;
       unand_chain ();
       flip_for value)
-    selections;
-  !c
+    selections
 
 let synthetic ~n ~gates ~cx_fraction ~seed =
   if n < 3 then invalid_arg "Bench_circuits.synthetic: need at least 3 qubits";
@@ -159,21 +159,18 @@ let synthetic ~n ~gates ~cx_fraction ~seed =
     in
     draw []
   in
-  let c = ref (Circuit.empty n) in
+  build n @@ fun add ->
   for _ = 1 to gates do
-    if Random.State.float rng 1. < cx_fraction then
-      c := Circuit.add !c Gate.Cx (distinct 2)
-    else c := Circuit.add !c Gate.Ccx (distinct 3)
-  done;
-  !c
+    if Random.State.float rng 1. < cx_fraction then add Gate.Cx (distinct 2)
+    else add Gate.Ccx (distinct 3)
+  done
 
 let cnu_chain ~controls =
   if controls < 2 then invalid_arg "Bench_circuits.cnu_chain: need at least 2 controls";
   let n = (2 * controls) - 1 in
   let target = n - 1 in
   let anc i = controls + i in
-  let c = ref (Circuit.empty n) in
-  let add kind qs = c := Circuit.add !c kind qs in
+  build n @@ fun add ->
   if controls = 2 then add Gate.Ccx [ 0; 1; target ]
   else begin
     (* AND the first controls-1 inputs down a serial ancilla chain, apply the
@@ -187,8 +184,7 @@ let cnu_chain ~controls =
       add Gate.Ccx [ anc (i - 2); i; anc (i - 1) ]
     done;
     add Gate.Ccx [ 0; 1; anc 0 ]
-  end;
-  !c
+  end
 
 let grover ~address_bits ~marked ~iterations =
   if address_bits < 2 then invalid_arg "Bench_circuits.grover: need at least 2 bits";
@@ -198,8 +194,7 @@ let grover ~address_bits ~marked ~iterations =
   let n = (2 * m) - 1 in
   let idx i = i and anc i = m + i in
   let top_anc = anc (m - 2) in
-  let c = ref (Circuit.empty n) in
-  let add kind qs = c := Circuit.add !c kind qs in
+  build n @@ fun add ->
   let and_chain () =
     add Gate.Ccx [ idx 0; idx 1; anc 0 ];
     for i = 2 to m - 1 do
@@ -240,16 +235,14 @@ let grover ~address_bits ~marked ~iterations =
       add Gate.X [ idx i ];
       add Gate.H [ idx i ]
     done
-  done;
-  !c
+  done
 
 let bernstein_vazirani ~n ~secret =
   if n < 2 then invalid_arg "Bench_circuits.bernstein_vazirani";
   if secret < 0 || secret >= 1 lsl (n - 1) then
     invalid_arg "Bench_circuits.bernstein_vazirani: secret out of range";
   let phase = n - 1 in
-  let c = ref (Circuit.empty n) in
-  let add kind qs = c := Circuit.add !c kind qs in
+  build n @@ fun add ->
   add Gate.X [ phase ];
   for i = 0 to n - 1 do
     add Gate.H [ i ]
@@ -259,8 +252,7 @@ let bernstein_vazirani ~n ~secret =
   done;
   for i = 0 to n - 1 do
     add Gate.H [ i ]
-  done;
-  !c
+  done
 
 let by_total_qubits family total =
   if total < 5 then invalid_arg "Bench_circuits.by_total_qubits: need at least 5 qubits";

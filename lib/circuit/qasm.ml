@@ -260,7 +260,6 @@ let statement c =
   let text = c.text and start = c.stmt in
   match text.[start] with
   | ';' -> c.pos <- start
-  | '{' | '}' -> c.pos <- statement_end text (start + 1)
   | _ -> (
     c.pos <- name_end text start;
     let name = lower_at text start (c.pos - start) in

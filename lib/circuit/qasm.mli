@@ -27,15 +27,16 @@ val of_string : string -> Circuit.t
       [pi] or a float literal ([float_of_string]), folded left to right:
       [-3*pi/4], [2*pi/3], [1e-3].
     - Ignored: a statement whose first word begins with [openqasm],
-      [include], [creg], [barrier] or [measure], or whose first byte is [{]
-      or [}]; and a [gate] definition, from the word [gate] (after a blank,
-      [;] or [}], and before a blank) to its first [}], wherever it stands.
-      Definitions are not expanded.
+      [include], [creg], [barrier] or [measure]; and a [gate] definition,
+      from the word [gate] (after a blank, [;] or [}], and before a blank)
+      to its first [}], wherever it stands. Definitions are not expanded.
 
     Refusals: each is one [Failure "QASM line N: ..."], [N] the 1-based
     source line of the offending statement, and the message is one line
     in which quoted input is clipped to 32 bytes plus ["..."]:
-    - a statement that does not start with a name; an unsupported gate;
+    - a statement that does not start with a name, such as a block
+      [{ ... }] or a stray [}] outside a gate definition; an unsupported
+      gate;
     - a rotation without [(ANGLE)]; a bad angle, or one that is not finite;
     - a bad operand; an unknown register; an operand count that does not
       match the gate; duplicate, negative or out-of-range operands;

@@ -40,6 +40,7 @@ let survival model ~occ ~dt =
   Noise.decoherence_survival model ~max_level:(level_of_occupancy occ) ~dt_ns:dt
 
 let estimate ?(model = Noise.default) (compiled : Physical.t) =
+  Noise.check model;
   let gate_eps =
     Array.fold_left
       (fun acc (op, _) -> acc *. op_success model op)
@@ -62,6 +63,7 @@ type label_report = {
 }
 
 let label_breakdown ?(model = Noise.default) (compiled : Physical.t) =
+  Noise.check model;
   let tbl : (string, int * float * float) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (op : Physical.op) ->
@@ -89,6 +91,7 @@ type device_report = {
 }
 
 let device_breakdown ?(model = Noise.default) (compiled : Physical.t) =
+  Noise.check model;
   let nd = compiled.Physical.device_count in
   let busy = Array.make nd 0. and idle = Array.make nd 0. and encoded = Array.make nd 0. in
   let survival_of = Array.make nd 1. in

@@ -1,6 +1,8 @@
 (** Expected-probability-of-success estimators (Sec. 6.3): analytic fidelity
     proxies that need no state-vector simulation, so they scale to the
-    paper's full 5–21 qubit range (Fig. 8). *)
+    paper's full 5–21 qubit range (Fig. 8). Each estimator raises
+    [Invalid_argument] on a model that {!Waltz_noise.Noise.check}
+    refuses. *)
 
 type breakdown = {
   gate_eps : float;  (** product of per-pulse success probabilities *)

@@ -6,8 +6,6 @@ type result = { mean_fidelity : float; inputs : int }
 
 let max_exact_devices ~device_dim = if device_dim = 4 then 3 else 6
 
-(* Kraus operators of the generalized amplitude-damping step: the no-jump
-   diagonal and one √λ_m·|0⟩⟨m| per decaying level. *)
 let damping_kraus ~d (w : Executor.damp_spec) =
   let jumps =
     List.filter_map
@@ -20,6 +18,12 @@ let damping_kraus ~d (w : Executor.damp_spec) =
       (List.init d Fun.id)
   in
   Mat.diag (Array.map Cplx.re w.Executor.scales) :: jumps
+
+let error_parts ~device_dim (n : Executor.op_noise) =
+  List.map2
+    (fun (d, role) radix ->
+      ([ d ], Array.map (Executor.embed_error ~device_dim role) (Noise.pauli_set ~d:radix)))
+    n.Executor.error_parts n.Executor.error_dims
 
 (* The executor's noise schedule as exact channels: each op's damping
    windows, its lifted unitary, then its depolarizing channel. *)
@@ -39,13 +43,11 @@ let simulate_exact ?(model = Noise.default) ?(inputs = 10) ?(base_seed = 2023)
     Array.map2
       (fun ((op : Physical.op), _) (n : Executor.op_noise) ->
         let devices, gate = Executor.lift_gate ~device_dim op in
-        let parts =
-          List.map2
-            (fun (d, role) radix ->
-              ([ d ], Array.map (Executor.embed_error ~device_dim role) (Noise.pauli_set ~d:radix)))
-            n.Executor.error_parts n.Executor.error_dims
-        in
-        (windows n.Executor.pre_damp, devices, gate, parts, Float.min 1. n.Executor.error_p))
+        ( windows n.Executor.pre_damp,
+          devices,
+          gate,
+          error_parts ~device_dim n,
+          Float.min 1. n.Executor.error_p ))
       (Physical.schedule_array compiled) noise.Executor.op_noise
   in
   let final = windows noise.Executor.final_damp in

@@ -296,11 +296,12 @@ let dispatch_tally kernels =
    (through [Physical.idle_ns] and [Noise.gate_error]) by [Eps]. A damping
    window needs more than 1e-9 ns of idle time. *)
 let noise_schedule ~model (compiled : Physical.t) =
+  Noise.check model;
   let device_dim = compiled.Physical.device_dim in
   let window device dt =
     if dt > 1e-9 then begin
       let lambdas = Noise.damping_lambdas model ~d:device_dim ~dt_ns:dt in
-      Some { dwire = device; lambdas; scales = State.damp_scales lambdas }
+      Some { dwire = device; lambdas; scales = State_block.damp_scales lambdas }
     end
     else None
   in
@@ -353,6 +354,12 @@ let embed_error ~device_dim role pauli =
   | Physical.P2 _, 4 -> Mat.kron Gates.id2 pauli
   | Physical.P4, _ -> invalid_arg "Executor: P4 errors need 4-level devices"
   | _ -> invalid_arg "Executor: inconsistent error role"
+
+let apply_error ~device_dim blk k (n : op_noise) factors =
+  List.iter2
+    (fun (device, role) pauli ->
+      State_block.apply_lane blk k ~targets:[ device ] (embed_error ~device_dim role pauli))
+    n.error_parts factors
 
 type detailed = { summary : result; mean_leakage : float; mean_error_draws : float }
 
@@ -520,11 +527,7 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
             | None -> ()
             | Some factors ->
               incr diverged;
-              List.iter2
-                (fun (device, role) pauli ->
-                  State_block.apply_lane ws.bnoisy k ~targets:[ device ]
-                    (embed_error ~device_dim role pauli))
-                p.error_parts factors;
+              apply_error ~device_dim ws.bnoisy k p factors;
               draws.(k) <- draws.(k) + 1
           done
         end)

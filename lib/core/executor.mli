@@ -94,7 +94,8 @@ val lift_gate_uncached : device_dim:int -> Physical.op -> int list * Waltz_linal
 type damp_spec = { dwire : int; lambdas : float array; scales : float array }
 (** One amplitude-damping window: the device, its
     {!Waltz_noise.Noise.damping_lambdas} and its no-jump Kraus diagonal
-    ({!Waltz_sim.State.damp_scales}). *)
+    ({!Waltz_sim.State_block.damp_scales}). A trajectory samples it with
+    {!Waltz_sim.State_block.damp_with}. *)
 
 type op_noise = {
   error_p : float;  (** {!Waltz_noise.Noise.gate_error}, clamped at 0 from below *)
@@ -110,11 +111,20 @@ type noise_schedule = { op_noise : op_noise array; final_damp : damp_spec list }
 val noise_schedule : model:Waltz_noise.Noise.model -> Physical.t -> noise_schedule
 (** What [model] decides for a program, from {!Waltz_noise.Noise.gate_error}
     and {!Physical.idle_ns} (damping windows of more than 1e-9 ns). The
-    trajectories sample it and {!Exact} applies it as exact channels. *)
+    trajectories sample it and {!Exact} applies it as exact channels.
+    Raises [Invalid_argument] on a model that {!Waltz_noise.Noise.check}
+    refuses. *)
 
 val embed_error : device_dim:int -> Physical.noise_role -> Waltz_linalg.Mat.t -> Waltz_linalg.Mat.t
 (** Lifts a per-operand Pauli factor onto a device's full space (a P2 factor
     on a 4-level device lands on the occupied slot). *)
+
+val apply_error :
+  device_dim:int -> Waltz_sim.State_block.t -> int -> op_noise -> Waltz_linalg.Mat.t list -> unit
+(** [apply_error ~device_dim blk k n factors] applies one drawn error
+    product of [n] ({!Waltz_noise.Noise.error_product} over
+    [n.error_dims]) to lane [k]: each factor lifted by {!embed_error} onto
+    its part's device, through {!Waltz_sim.State_block.apply_lane}. *)
 
 val initial_allowed : Physical.t -> int list array
 (** Allowed levels per device for preparing random logical inputs under the

@@ -14,7 +14,6 @@ let of_complex_array (a : Cplx.t array) =
     re = Array.map (fun (z : Cplx.t) -> z.re) a;
     im = Array.map (fun (z : Cplx.t) -> z.im) a }
 
-let to_complex_array v = Array.init v.n (fun k -> Cplx.c v.re.(k) v.im.(k))
 let copy v = { v with re = Array.copy v.re; im = Array.copy v.im }
 let get v k = Cplx.c v.re.(k) v.im.(k)
 
@@ -23,27 +22,6 @@ let set v k (z : Cplx.t) =
   v.im.(k) <- z.im
 
 let dim v = v.n
-
-let scale_in_place (z : Cplx.t) v =
-  for k = 0 to v.n - 1 do
-    let re = v.re.(k) and im = v.im.(k) in
-    v.re.(k) <- (z.re *. re) -. (z.im *. im);
-    v.im.(k) <- (z.re *. im) +. (z.im *. re)
-  done
-
-let scale z v =
-  let w = copy v in
-  scale_in_place z w;
-  w
-
-let map2 f g a b =
-  if a.n <> b.n then invalid_arg "Vec: dimension mismatch";
-  { n = a.n;
-    re = Array.init a.n (fun k -> f a.re.(k) b.re.(k));
-    im = Array.init a.n (fun k -> g a.im.(k) b.im.(k)) }
-
-let add a b = map2 ( +. ) ( +. ) a b
-let sub a b = map2 ( -. ) ( -. ) a b
 
 let dot a b =
   if a.n <> b.n then invalid_arg "Vec.dot: dimension mismatch";
@@ -82,11 +60,3 @@ let gaussian rand_gauss n =
   in
   normalize_in_place v;
   v
-
-let pp ppf v =
-  Format.fprintf ppf "[@[";
-  for k = 0 to v.n - 1 do
-    if k > 0 then Format.fprintf ppf ";@ ";
-    Cplx.pp ppf (get v k)
-  done;
-  Format.fprintf ppf "@]]"

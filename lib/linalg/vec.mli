@@ -15,8 +15,6 @@ val basis : int -> int -> t
 
 val of_complex_array : Cplx.t array -> t
 
-val to_complex_array : t -> Cplx.t array
-
 val copy : t -> t
 
 val get : t -> int -> Cplx.t
@@ -24,14 +22,6 @@ val get : t -> int -> Cplx.t
 val set : t -> int -> Cplx.t -> unit
 
 val dim : t -> int
-
-val scale : Cplx.t -> t -> t
-
-val scale_in_place : Cplx.t -> t -> unit
-
-val add : t -> t -> t
-
-val sub : t -> t -> t
 
 val dot : t -> t -> Cplx.t
 (** [dot a b] is ⟨a|b⟩ (conjugate-linear in the first argument). *)
@@ -51,5 +41,3 @@ val gaussian : (unit -> float) -> int -> t
 (** [gaussian rand_gauss n] draws each real and imaginary component from the
     supplied standard-normal sampler and normalizes: a Haar-random pure
     state of dimension [n]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -11,6 +11,16 @@ type model = {
 let default =
   { t1_base_ns = Calibration.t1_base_ns; t1_high_scale = 1.; ww_error_scale = 1.; seed = 2023 }
 
+let check model =
+  let refuse field v rule =
+    invalid_arg (Printf.sprintf "Noise.model: %s = %g must be finite and %s" field v rule)
+  in
+  let positive field v = if not (Float.is_finite v && v > 0.) then refuse field v "> 0" in
+  positive "t1_base_ns" model.t1_base_ns;
+  positive "t1_high_scale" model.t1_high_scale;
+  if not (Float.is_finite model.ww_error_scale && model.ww_error_scale >= 0.) then
+    refuse "ww_error_scale" model.ww_error_scale ">= 0"
+
 let gate_error model ~fidelity ~touches_ww =
   let err = 1. -. fidelity in
   if touches_ww then err *. model.ww_error_scale else err
@@ -23,22 +33,23 @@ let paulis2 = paulis 2
 let paulis4 = paulis 4
 let pauli_set ~d = match d with 2 -> paulis2 | 4 -> paulis4 | d -> paulis d
 
+let error_products ~dims = List.fold_left (fun acc d -> acc * d * d) 1 dims
+
+(* Mixed-radix digits of [k], first operand most significant. *)
+let error_product ~dims k =
+  if k < 0 || k >= error_products ~dims then invalid_arg "Noise.error_product";
+  let rec split k = function
+    | [] -> []
+    | d :: rest ->
+      let block = error_products ~dims:rest in
+      (pauli_set ~d).(k / block) :: split (k mod block) rest
+  in
+  split k dims
+
 let draw_error rng ~dims ~p =
   if p <= 0. then None
   else if Rng.float rng 1. >= p then None
-  else begin
-    (* Uniform over the non-identity elements of the product Pauli set. *)
-    let total = List.fold_left (fun acc d -> acc * d * d) 1 dims in
-    let k = 1 + Rng.int rng (total - 1) in
-    let rec split k = function
-      | [] -> []
-      | d :: rest ->
-        let block = List.fold_left (fun acc d' -> acc * d' * d') 1 rest in
-        let idx = k / block in
-        (pauli_set ~d).(idx) :: split (k mod block) rest
-    in
-    Some (split k dims)
-  end
+  else Some (error_product ~dims (1 + Rng.int rng (error_products ~dims - 1)))
 
 let t1_of_level model k =
   if k < 1 then invalid_arg "Noise.t1_of_level";

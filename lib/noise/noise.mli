@@ -27,6 +27,13 @@ type model = {
 val default : model
 (** T1 = 163.45 µs, no extra scaling, seed 2023. *)
 
+val check : model -> unit
+(** Raises [Invalid_argument], naming the field, unless [t1_base_ns] and
+    [t1_high_scale] are finite and > 0 and [ww_error_scale] is finite and
+    >= 0. Every consumer of a model runs it once per call: the noise
+    schedule that the trajectories and the exact oracle read, and each EPS
+    estimator. *)
+
 val gate_error : model -> fidelity:float -> touches_ww:bool -> float
 (** The depolarizing probability of a pulse calibrated at [fidelity]:
     [1 − fidelity], times [ww_error_scale] when the pulse touches ququart
@@ -38,10 +45,20 @@ val pauli_set : d:int -> Mat.t array
     and d = 4 sets are shared and must be treated as read-only; any other d
     is built fresh. *)
 
+val error_products : dims:int list -> int
+(** M = Π d², the size of P_{d1} ⊗ … ⊗ P_{dk}. *)
+
+val error_product : dims:int list -> int -> Mat.t list
+(** [error_product ~dims k] is element [k] (in [0, M)) of
+    P_{d1} ⊗ … ⊗ P_{dk} as its per-operand factors, identity factors
+    included so the list always matches [dims]: the mixed-radix digits of
+    [k], first operand most significant, index {!pauli_set}. Element 0 is
+    the identity. *)
+
 val draw_error : Rng.t -> dims:int list -> p:float -> Mat.t list option
-(** With probability [p], draws a uniformly random non-identity element of
-    P_{d1} ⊗ … ⊗ P_{dk} and returns the per-operand factors (identity
-    factors included so the list always matches [dims]); otherwise [None]. *)
+(** With probability [p], draws [k] uniformly from [1, M) and returns
+    [Some (error_product ~dims k)], a non-identity product; otherwise
+    [None]. *)
 
 val damping_lambdas : model -> d:int -> dt_ns:float -> float array
 (** [λ_0 … λ_{d-1}] for an idle window of [dt_ns]; λ_0 = 0. *)

@@ -13,11 +13,14 @@
 
     - float slots 0/1: [State.apply] gather buffers (re/im), also behind
       [State.apply_planes] and [State_block.apply_lane]
-    - float slots 2/3: [State.damp] populations and jump weights
-      ([State_block.damp_with] reuses slot 3 for its per-lane weights)
+    - float slot 2: free
+    - float slot 3: [State_block.damp_with] one lane's branch weights
+      (exact length, for [Rng.weighted_choice])
     - float slots 4/5: [Kernel.apply_block] gather buffers (re/im,
       lane-major)
-    - float slot 6: [State_block.damp_with] per-lane populations
+    - float slot 6: [State_block.damp_with] per-lane populations, then
+      branch weights ([State_block.damp_weights]), then
+      [State_block.damp_apply]'s per-lane norms
     - int slot 0: spectator-wire odometer counters
     - int slot 1: [State.apply] subspace offsets
     - int slot 2: spectator-wire list for base enumeration

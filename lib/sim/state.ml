@@ -54,42 +54,24 @@ let iter_supported ~dims ~allowed f =
   in
   if nw = 0 then f 0 else walk 0 0
 
-(* In-place refill with a Haar-random state supported on the allowed levels
-   (bool tables, wire-major). Overwrites every amplitude, so a reused buffer
-   carries nothing across trajectories; the RNG draw order (re then im per
-   supported index, ascending) matches the allocating constructors exactly.
-   Each normal is stored straight into its plane ([Rng.gaussian_into]),
-   never boxed. *)
-let fill_random_supported s rng ~allowed =
-  let v = s.vec in
-  let n = Vec.dim v in
-  Array.fill v.Vec.re 0 n 0.;
-  Array.fill v.Vec.im 0 n 0.;
-  let re = v.Vec.re and im = v.Vec.im in
-  iter_supported ~dims:s.dims ~allowed (fun idx ->
-      Rng.gaussian_into rng re idx;
-      Rng.gaussian_into rng im idx);
-  Vec.normalize_in_place v
-
-(* A fresh state filled on the support [level_ok w l] describes. *)
-let random_on rng ~dims level_ok =
-  let s = { dims = Array.copy dims; strides = strides_of dims; vec = Vec.create (total dims) } in
-  fill_random_supported s rng
-    ~allowed:(Array.mapi (fun w d -> Array.init d (level_ok w)) dims);
-  s
-
-let random_in_levels rng ~dims ~levels =
-  if Array.length levels <> Array.length dims then invalid_arg "State.random_in_levels";
-  random_on rng ~dims (fun w l -> l < levels.(w))
-
+(* Each supported amplitude draws its real then its imaginary part, in
+   ascending index order (the order [State_block.fill_random_supported]
+   draws each lane in); each normal is stored straight into its plane
+   ([Rng.gaussian_into]), never boxed. *)
 let random_supported rng ~dims ~allowed =
   if Array.length allowed <> Array.length dims then invalid_arg "State.random_supported";
-  random_on rng ~dims (fun w l -> List.mem l allowed.(w))
+  let v = Vec.create (total dims) in
+  iter_supported ~dims
+    ~allowed:(Array.mapi (fun w d -> Array.init d (fun l -> List.mem l allowed.(w))) dims)
+    (fun idx ->
+      Rng.gaussian_into rng v.Vec.re idx;
+      Rng.gaussian_into rng v.Vec.im idx);
+  Vec.normalize_in_place v;
+  { dims = Array.copy dims; strides = strides_of dims; vec = v }
 
 let copy s = { s with vec = Vec.copy s.vec }
 
 let dims s = Array.copy s.dims
-let dim_total s = Vec.dim s.vec
 let amplitudes s = s.vec
 
 let check_targets dims ~targets m =
@@ -197,130 +179,5 @@ let apply_planes ~dims re im ~cap ~lane ~targets m =
     invalid_arg "State.apply_planes: planes shorter than n * cap";
   apply_strided ~dims ~strides:(strides_of dims) re im ~cap ~lane ~targets m
 
-(* Marginal populations over a blocked loop (blocks of d * stride, then
-   each level's contiguous inner range): no per-index division, and each
-   pops.(level) accumulates its addends in the same (ascending-index)
-   order as a flat scan, so the sums are bit-identical to it. [pops] must
-   have length >= d. *)
-let populations_into pops s ~wire =
-  let d = s.dims.(wire) and st = s.strides.(wire) in
-  Array.fill pops 0 d 0.;
-  let vre = s.vec.Vec.re and vim = s.vec.Vec.im in
-  let block = d * st in
-  let n = Vec.dim s.vec in
-  for blk = 0 to (n / block) - 1 do
-    let b0 = blk * block in
-    for level = 0 to d - 1 do
-      let lb = b0 + (level * st) in
-      let acc = ref pops.(level) in
-      for inner = 0 to st - 1 do
-        let idx = lb + inner in
-        acc := !acc +. (vre.(idx) *. vre.(idx)) +. (vim.(idx) *. vim.(idx))
-      done;
-      pops.(level) <- !acc
-    done
-  done
-
-let populations s ~wire =
-  let pops = Array.make s.dims.(wire) 0. in
-  populations_into pops s ~wire;
-  pops
-
-let damp_scales lambdas = Array.map (fun l -> sqrt (1. -. l)) lambdas
-
-(* One damping trajectory step with the no-jump scales precomputed (the
-   executor resolves them once per plan; [damp] below computes them fresh).
-   All scratch is per-domain, so the only RNG draw is the jump choice —
-   same draw, same weights, same bits as the allocating version. *)
-let damp_with s rng ~wire ~lambdas ~scales =
-  let d = s.dims.(wire) in
-  if Array.length lambdas <> d then invalid_arg "State.damp: lambda count mismatch";
-  if Array.length scales <> d then invalid_arg "State.damp: scale count mismatch";
-  let scratch = Scratch.get () in
-  let pops = Scratch.floats scratch 2 d in
-  populations_into pops s ~wire;
-  (* weights.(0) = no-jump; weights.(m) = jump from level m for m in
-     1..d-1 (λ_0 = 0). Exact length d: weighted_choice scans the array. *)
-  let weights = Scratch.floats_exact scratch 3 d in
-  let p_nojump = ref 0. in
-  for l = 0 to d - 1 do
-    p_nojump := !p_nojump +. ((1. -. lambdas.(l)) *. pops.(l))
-  done;
-  weights.(0) <- !p_nojump;
-  for m = 1 to d - 1 do
-    weights.(m) <- lambdas.(m) *. pops.(m)
-  done;
-  let choice = Rng.weighted_choice rng weights in
-  let st = s.strides.(wire) in
-  let vre = s.vec.Vec.re and vim = s.vec.Vec.im in
-  let block = d * st in
-  let n = Vec.dim s.vec in
-  if choice = 0 then
-    for blk = 0 to (n / block) - 1 do
-      let b0 = blk * block in
-      for level = 0 to d - 1 do
-        let lb = b0 + (level * st) in
-        let sc = scales.(level) in
-        for inner = 0 to st - 1 do
-          let idx = lb + inner in
-          vre.(idx) <- vre.(idx) *. sc;
-          vim.(idx) <- vim.(idx) *. sc
-        done
-      done
-    done
-  else begin
-    let m = choice in
-    for blk = 0 to (n / block) - 1 do
-      let b0 = blk * block in
-      for inner = 0 to st - 1 do
-        let idx = b0 + inner in
-        let src = idx + (m * st) in
-        vre.(idx) <- vre.(src);
-        vim.(idx) <- vim.(src)
-      done;
-      Array.fill vre (b0 + st) (block - st) 0.;
-      Array.fill vim (b0 + st) (block - st) 0.
-    done
-  end;
-  Vec.normalize_in_place s.vec
-
-let damp s rng ~wire ~lambdas =
-  if Array.length lambdas <> s.dims.(wire) then
-    invalid_arg "State.damp: lambda count mismatch";
-  damp_with s rng ~wire ~lambdas ~scales:(damp_scales lambdas)
-
-let overlap2 a b = Vec.overlap2 a.vec b.vec
-let norm s = Vec.norm s.vec
-let normalize s = Vec.normalize_in_place s.vec
-
 let basis_probability s idx =
   (s.vec.Vec.re.(idx) *. s.vec.Vec.re.(idx)) +. (s.vec.Vec.im.(idx) *. s.vec.Vec.im.(idx))
-
-let sample rng s =
-  let n = Vec.dim s.vec in
-  let x = ref (Rng.float rng 1.) in
-  let idx = ref (n - 1) in
-  (try
-     for k = 0 to n - 1 do
-       let p = (s.vec.Vec.re.(k) *. s.vec.Vec.re.(k)) +. (s.vec.Vec.im.(k) *. s.vec.Vec.im.(k)) in
-       x := !x -. p;
-       if !x <= 0. then begin
-         idx := k;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !idx
-
-let sample_counts rng s ~shots =
-  let table = Hashtbl.create 16 in
-  for _ = 1 to shots do
-    let k = sample rng s in
-    Hashtbl.replace table k (1 + Option.value ~default:0 (Hashtbl.find_opt table k))
-  done;
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [])
-
-let pp ppf s =
-  Format.fprintf ppf "state over [%s]: %a"
-    (String.concat "; " (Array.to_list (Array.map string_of_int s.dims)))
-    Vec.pp s.vec

@@ -44,10 +44,7 @@ let create ~dims ~cap =
   let len = amplitudes ~dims ~cap * cap in
   of_planes ~dims ~cap (Array.make len 0.) (Array.make len 0.)
 
-let dims t = Array.copy t.dims
 let dim_total t = t.n
-let capacity t = t.cap
-let live t = t.live
 
 let set_live t l =
   if l < 1 || l > t.cap then invalid_arg "State_block.set_live";
@@ -80,20 +77,16 @@ let write_lane t k v =
     t.im.(p) <- v.Vec.im.(idx)
   done
 
-(* Norm² of one lane, accumulated in ascending amplitude order — the same
-   addend sequence as [Vec.normalize_in_place] on a scalar state, so the
-   normalization scale (and everything downstream) is bit-identical. *)
-let lane_norm2 t k =
+(* Normalizes one lane. Its norm² accumulates in ascending amplitude
+   order, the addend sequence of [Vec.normalize_in_place] on a state
+   vector, so the scale (and everything downstream) is bit-identical. *)
+let normalize_lane t k =
   let acc = ref 0. in
   for idx = 0 to t.n - 1 do
     let p = (idx * t.cap) + k in
-    let re = t.re.(p) and im = t.im.(p) in
-    acc := !acc +. (re *. re) +. (im *. im)
+    acc := !acc +. (t.re.(p) *. t.re.(p)) +. (t.im.(p) *. t.im.(p))
   done;
-  !acc
-
-let normalize_lane t k =
-  let nrm = sqrt (lane_norm2 t k) in
+  let nrm = sqrt !acc in
   if nrm = 0. then invalid_arg "State_block.normalize_lane: zero vector";
   let s = 1. /. nrm in
   for idx = 0 to t.n - 1 do
@@ -107,7 +100,7 @@ let normalize_lane t k =
    own RNGs, so interleaving them per index leaves each stream in the
    exact scalar order: re then im per supported index, ascending — lane
    [k] sees the same gaussian sequence as a scalar
-   [State.fill_random_supported] with [rngs.(k)]. Each normal is stored
+   [State.random_supported] with [rngs.(k)]. Each normal is stored
    straight into its plane slot ([Rng.gaussian_into]), never boxed. *)
 let fill_random_supported t rngs ~allowed =
   if Array.length rngs < t.live then
@@ -144,14 +137,16 @@ let leakage_into out t ~allowed =
     out.(k) <- 1. -. out.(k)
   done
 
-(* Marginal level populations of one wire for every lane: [pops] has layout
-   [level * cap + k]. Per lane the addends accumulate in the same ascending
-   (block, inner) order as [State.populations_into]. *)
-let populations_into pops t ~wire =
+(* The no-jump Kraus diagonal √(1 − λ_m) of a damping window. *)
+let damp_scales lambdas = Array.map (fun l -> sqrt (1. -. l)) lambdas
+
+(* Marginal level populations of one wire for every lane, into [w] at
+   [level * cap + k]; each lane's addends accumulate in ascending (block,
+   inner) order, the order of a flat scan of its amplitudes. *)
+let populations_into w t ~wire =
   let d = t.dims.(wire) and st = t.strides.(wire) in
   let cap = t.cap and live = t.live in
-  if Array.length pops < d * cap then invalid_arg "State_block.populations_into";
-  Array.fill pops 0 (d * cap) 0.;
+  Array.fill w 0 (d * cap) 0.;
   let re = t.re and im = t.im in
   let block = d * st in
   for blk = 0 to (t.n / block) - 1 do
@@ -163,46 +158,50 @@ let populations_into pops t ~wire =
         let p = (lb + inner) * cap in
         for k = 0 to live - 1 do
           let a = re.(p + k) and b = im.(p + k) in
-          pops.(prow + k) <- pops.(prow + k) +. (a *. a) +. (b *. b)
+          w.(prow + k) <- w.(prow + k) +. (a *. a) +. (b *. b)
         done
       done
     done
   done
 
-(* One amplitude-damping trajectory step on a wire, for every live lane in
-   lockstep. Populations and the jump choice are computed per lane with
-   exactly the scalar arithmetic and the lane's own RNG (one weighted draw,
-   same weights, same bits as [State.damp_with]). When no lane jumps — the
-   overwhelmingly common case at physical λ — a single shared sweep scales
-   all lanes; otherwise a combined masked sweep applies each lane's own
-   branch (scale vs jump-copy vs zero) per position. Reading the jump source
-   [idx + m*st] is safe inside the combined sweep because levels are
-   processed in ascending order: level 0 of a block is rewritten before any
-   source level m >= 1 of that block. Returns the number of lanes that
-   jumped (the mask-divergence count for telemetry). *)
-let damp_with t rngs ~wire ~lambdas ~scales =
+(* Each lane's populations become its branch weights in place: the no-jump
+   weight Σ_l (1 − λ_l)·pop_l reads every level before slot 0 is
+   overwritten, and jump m's weight λ_m·pop_m reads only its own slot. *)
+let damp_weights w t ~wire ~lambdas =
   let d = t.dims.(wire) in
   if Array.length lambdas <> d then invalid_arg "State_block.damp: lambda count mismatch";
-  if Array.length scales <> d then invalid_arg "State_block.damp: scale count mismatch";
-  if Array.length rngs < t.live then invalid_arg "State_block.damp: rng count mismatch";
-  let cap = t.cap and live = t.live in
-  let scratch = Scratch.get () in
-  let pops = Scratch.floats scratch 6 (d * cap) in
-  populations_into pops t ~wire;
-  let weights = Scratch.floats_exact scratch 3 d in
-  let choices = Scratch.ints scratch 4 cap in
-  let jumps = ref 0 in
-  for k = 0 to live - 1 do
+  if Array.length w < d * t.cap then invalid_arg "State_block.damp_weights: buffer too short";
+  populations_into w t ~wire;
+  let cap = t.cap in
+  for k = 0 to t.live - 1 do
     let p_nojump = ref 0. in
     for l = 0 to d - 1 do
-      p_nojump := !p_nojump +. ((1. -. lambdas.(l)) *. pops.((l * cap) + k))
+      p_nojump := !p_nojump +. ((1. -. lambdas.(l)) *. w.((l * cap) + k))
     done;
-    weights.(0) <- !p_nojump;
+    w.(k) <- !p_nojump;
     for m = 1 to d - 1 do
-      weights.(m) <- lambdas.(m) *. pops.((m * cap) + k)
-    done;
-    let c = Rng.weighted_choice rngs.(k) weights in
-    choices.(k) <- c;
+      w.((m * cap) + k) <- lambdas.(m) *. w.((m * cap) + k)
+    done
+  done
+
+(* Applies each lane's chosen branch and renormalizes. When no lane jumps
+   — the overwhelmingly common case at physical λ — a single shared
+   sweep scales all lanes; otherwise a combined masked sweep applies each
+   lane's own branch (scale vs jump-copy vs zero) per position. Reading the
+   jump source [idx + m*st] is safe inside the combined sweep because
+   levels are processed in ascending order: level 0 of a block is
+   rewritten before any source level m >= 1 of that block. Returns the
+   number of lanes that jumped (the mask-divergence count for
+   telemetry). *)
+let damp_apply t choices ~wire ~scales =
+  let d = t.dims.(wire) in
+  if Array.length scales <> d then invalid_arg "State_block.damp: scale count mismatch";
+  if Array.length choices < t.live then invalid_arg "State_block.damp: choice count mismatch";
+  let cap = t.cap and live = t.live in
+  let jumps = ref 0 in
+  for k = 0 to live - 1 do
+    let c = choices.(k) in
+    if c < 0 || c >= d then invalid_arg "State_block.damp_apply: branch out of range";
     if c > 0 then incr jumps
   done;
   let st = t.strides.(wire) in
@@ -211,12 +210,12 @@ let damp_with t rngs ~wire ~lambdas ~scales =
   (* Both rewrite sweeps visit amplitude indices in ascending order
      (blocks ascend, and [level * st + inner] covers [0, d*st) ascending
      within a block), so accumulating each lane's norm² from the values
-     being written reproduces [lane_norm2]'s addend sequence exactly — the
+     being written reproduces a flat scan's addend sequence exactly — the
      separate read-back sweep of a per-lane normalize is saved. Zeroed
      positions contribute an exact [+. 0.], which is skipped: it cannot
-     change a non-negative partial sum. [pops] is dead once the choices
-     are drawn, so its first [live] slots double as the accumulator row. *)
-  let norm2 = pops in
+     change a non-negative partial sum. The accumulator is float slot 6,
+     where [damp_with]'s weights are dead once the choices are drawn. *)
+  let norm2 = Scratch.floats (Scratch.get ()) 6 live in
   Array.fill norm2 0 live 0.;
   if !jumps = 0 then
     (* Lockstep fast path: every lane takes the no-jump branch, so the
@@ -271,9 +270,10 @@ let damp_with t rngs ~wire ~lambdas ~scales =
         done
       done
     done;
-  (* The per-lane inverse norms overwrite the accumulator row, then one
-     idx-major sweep rescales every lane — same per-lane scale factor (and
-     bits) as [normalize_lane], with contiguous instead of strided writes. *)
+  (* The per-lane inverse norms overwrite the accumulator, then one
+     idx-major sweep rescales every lane — the same per-lane scale factor
+     (and bits) as [normalize_lane], with contiguous instead of strided
+     writes. *)
   for k = 0 to live - 1 do
     let nrm = sqrt norm2.(k) in
     if nrm = 0. then invalid_arg "State_block.damp: zero vector";
@@ -287,6 +287,28 @@ let damp_with t rngs ~wire ~lambdas ~scales =
     done
   done;
   !jumps
+
+(* One amplitude-damping trajectory step on a wire, for every live lane:
+   the branch weights, one weighted draw per lane from its own RNG, then
+   the chosen branches. All buffers are per-domain scratch, so the step
+   allocates no arrays. *)
+let damp_with t rngs ~wire ~lambdas ~scales =
+  let d = t.dims.(wire) in
+  if Array.length rngs < t.live then invalid_arg "State_block.damp: rng count mismatch";
+  let cap = t.cap in
+  let scratch = Scratch.get () in
+  let w = Scratch.floats scratch 6 (d * cap) in
+  damp_weights w t ~wire ~lambdas;
+  (* Exact length d: [Rng.weighted_choice] scans the whole array. *)
+  let lane_w = Scratch.floats_exact scratch 3 d in
+  let choices = Scratch.ints scratch 4 cap in
+  for k = 0 to t.live - 1 do
+    for b = 0 to d - 1 do
+      lane_w.(b) <- w.((b * cap) + k)
+    done;
+    choices.(k) <- Rng.weighted_choice rngs.(k) lane_w
+  done;
+  damp_apply t choices ~wire ~scales
 
 (* The planes may be longer than [n * cap], so [Kernel.apply_block]'s
    length guard no longer tells a kernel of a smaller register from ours. *)

@@ -18,7 +18,7 @@
     Divergent branches (a damping jump on some lanes, a sampled Pauli error
     on others) are handled with a per-lane mask: the common all-no-jump
     case stays a single shared sweep, and divergent windows fall back to a
-    masked combined sweep ({!damp_with}) or a single-lane application
+    masked combined sweep ({!damp_apply}) or a single-lane application
     ({!apply_lane}) without breaking the surrounding lockstep.
 
     Blocks are mutable workspaces; like {!State}, a block must not be
@@ -42,14 +42,7 @@ val of_planes : dims:int array -> cap:int -> float array -> float array -> t
     whatever the planes held: refill ({!fill_random_supported},
     {!write_lane}, {!assign}) before reading. *)
 
-val dims : t -> int array
 val dim_total : t -> int
-
-val capacity : t -> int
-(** Lane capacity — the layout stride, fixed at creation. *)
-
-val live : t -> int
-(** Lanes currently in use; operations touch lanes [0, live). *)
 
 val set_live : t -> int -> unit
 (** Shrink/grow the live lane count (within [1, capacity]) — the trailing
@@ -69,7 +62,7 @@ val write_lane : t -> int -> Vec.t -> unit
 val fill_random_supported : t -> Rng.t array -> allowed:bool array array -> unit
 (** Haar-random refill of every live lane on the allowed support, lane [k]
     drawing from [rngs.(k)] in exactly the
-    {!State.fill_random_supported} order. *)
+    {!State.random_supported} order. *)
 
 val apply_kernel : t -> Kernel.t -> unit
 (** Lockstep application of a compiled kernel to all live lanes
@@ -82,17 +75,34 @@ val apply_lane : t -> int -> targets:int list -> Mat.t -> unit
     ({!State.apply_planes}), so bit-exactly a state vector's result. For
     divergent per-lane branches (error injection); never lockstep. *)
 
-val populations_into : float array -> t -> wire:int -> unit
-(** Marginal level populations of one wire for every live lane, into a
-    buffer of length [>= d * capacity] with layout [level * capacity + k]. *)
+val damp_scales : float array -> float array
+(** The no-jump Kraus diagonal [√(1 − λ_m)] per level of a damping
+    window's [λ]s: precompute once per window and pass to {!damp_apply} and
+    {!damp_with}. *)
+
+val damp_weights : float array -> t -> wire:int -> lambdas:float array -> unit
+(** [damp_weights w t ~wire ~lambdas] writes each live lane's amplitude-
+    damping branch weights into [w] (length [>= d * cap] for the wire's
+    [d] levels) at [branch * cap + lane]: branch 0, no jump, weighs
+    Σ_l (1 − λ_l)·pop_l, and branch [m >= 1], a jump from level [m] to
+    [|0⟩], weighs λ_m·pop_m, where pop_l is the lane's population of level
+    [l] of the wire. A normalized lane's weights sum to 1. *)
+
+val damp_apply : t -> int array -> wire:int -> scales:float array -> int
+(** [damp_apply t choices ~wire ~scales] applies lane [k]'s branch
+    [choices.(k)] (in [0, d)) of the damping step: no jump scales level [l]
+    by [scales.(l)], a jump from level [m] moves that level to [|0⟩] and
+    zeroes the rest. Every live lane is then renormalized, so a branch of
+    weight 0 raises [Invalid_argument]. Returns the number of lanes that
+    jumped: 0 means the lockstep scale sweep ran, more the masked sweep. *)
 
 val damp_with :
   t -> Rng.t array -> wire:int -> lambdas:float array -> scales:float array -> int
-(** One stochastic amplitude-damping step on a wire for every live lane,
-    lane [k] drawing its jump choice from [rngs.(k)] — same weights, same
-    draw, same bits as {!State.damp_with} per lane. Returns the number of
-    lanes that took a jump branch (0 means the fast lockstep scale sweep
-    ran; > 0 means the masked divergent sweep ran). *)
+(** One stochastic amplitude-damping step on a wire for every live lane:
+    {!damp_weights}, one [Rng.weighted_choice] per lane over its weights
+    from [rngs.(k)], then {!damp_apply} ([scales = damp_scales lambdas]).
+    Its buffers are per-domain scratch, so a call allocates no arrays.
+    Returns the jump count. *)
 
 val overlap2_into : float array -> t -> t -> unit
 (** Per-lane fidelity |⟨a_k|b_k⟩|² into a buffer of length [>= live]; both
@@ -102,10 +112,3 @@ val leakage_into : float array -> t -> allowed:bool array array -> unit
 (** Per-lane leakage, [1 − Σ |amp|²] over the supported indices
     ({!State.iter_supported} on [allowed]), into a buffer of length
     [>= live]. Each lane sums in ascending index order at every width. *)
-
-val lane_norm2 : t -> int -> float
-(** Norm² of one lane (ascending-index accumulation, as {!Vec.norm}²). *)
-
-val normalize_lane : t -> int -> unit
-(** Normalizes one lane in place; raises [Invalid_argument] on a zero
-    lane. *)

@@ -149,15 +149,20 @@ let test_leakage_agreement_with_simulation () =
             end;
             let mask = masks.(i + 1) in
             for d = 0 to p.Physical.device_count - 1 do
-              let pops = State.populations st ~wire:d in
-              Array.iteri
-                (fun l pr ->
-                  if mask.(d) land (1 lsl l) = 0 && pr > 1e-7 then
-                    Alcotest.failf
-                      "%s op %d (%s): device %d level %d has population %g outside \
-                       the predicted mask %d"
-                      strategy.Strategy.name i op.Physical.label d l pr mask.(d))
-                pops
+              (* Device [d]'s population outside its mask: 1 minus the
+                 weight of the indices whose digit [d] the mask allows. *)
+              let outside = ref 1. in
+              let allowed =
+                Array.mapi
+                  (fun d' dim -> Array.init dim (fun l -> d' <> d || mask.(d) land (1 lsl l) <> 0))
+                  dims
+              in
+              State.iter_supported ~dims ~allowed (fun idx ->
+                  outside := !outside -. State.basis_probability st idx);
+              if !outside > 1e-7 then
+                Alcotest.failf
+                  "%s op %d (%s): device %d has population %g outside the predicted mask %d"
+                  strategy.Strategy.name i op.Physical.label d !outside mask.(d)
             done)
           ops
       done)

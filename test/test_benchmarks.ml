@@ -163,6 +163,16 @@ let test_synthetic_rejects_bad_fraction () =
       | exception Invalid_argument _ -> ())
     [ Float.nan; -0.1; 1.5; Float.infinity ]
 
+(* The generators are linear in their gate count: 200,000 synthetic gates
+   take well under the bound; a quadratic path would take minutes. *)
+let test_linear_generator () =
+  let gates = 200_000 in
+  let t0 = Unix.gettimeofday () in
+  let c = synthetic ~n:8 ~gates ~cx_fraction:0.5 ~seed:11 in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_int "gate count" gates (Circuit.gate_count c);
+  check_bool (Printf.sprintf "%d synthetic gates built in %.3f s" gates dt) true (dt < 5.)
+
 let test_by_total_qubits () =
   List.iter
     (fun family ->
@@ -188,4 +198,5 @@ let suite =
     case "select controlled" test_select_is_controlled;
     case "synthetic" test_synthetic;
     case "synthetic rejects a bad cx_fraction" test_synthetic_rejects_bad_fraction;
+    case "200,000 synthetic gates built in linear time" test_linear_generator;
     case "by total qubits" test_by_total_qubits ]

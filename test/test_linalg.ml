@@ -79,7 +79,8 @@ let test_vec () =
   let v = Vec.of_complex_array [| Cplx.c 1. 0.; Cplx.c 0. 1. |] in
   close "norm2" 2. (Vec.norm2 v);
   let w = Vec.basis 2 0 in
-  let normalized = Vec.scale (Cplx.re (1. /. sqrt 2.)) v in
+  let s = 1. /. sqrt 2. in
+  let normalized = Vec.of_complex_array [| Cplx.c s 0.; Cplx.c 0. s |] in
   close "overlap with basis state" 0.5 (Vec.overlap2 w normalized);
   let d = Vec.dot v v in
   close "self dot is norm2" 2. d.Complex.re;

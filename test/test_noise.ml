@@ -78,9 +78,73 @@ let prop_draw_uniform =
          just require healthy coverage. *)
       Hashtbl.length seen >= 8)
 
+(* Each field's refused values, and the model that carries one. *)
+let fields =
+  [ ( "t1_base_ns",
+      "> 0",
+      (fun v -> { Noise.default with Noise.t1_base_ns = v }),
+      [ Float.nan; Float.infinity; -1.; 0. ] );
+    ( "t1_high_scale",
+      "> 0",
+      (fun v -> { Noise.default with Noise.t1_high_scale = v }),
+      [ Float.nan; Float.neg_infinity; -2.; 0. ] );
+    ( "ww_error_scale",
+      ">= 0",
+      (fun v -> { Noise.default with Noise.ww_error_scale = v }),
+      [ Float.nan; Float.infinity; -3. ] ) ]
+
+(* Every entry point that reads a model: the trajectories and the exact
+   oracle through [Executor.noise_schedule], and each EPS estimator. *)
+let consumers =
+  let open Waltz_core in
+  let open Waltz_circuit in
+  let p =
+    lazy
+      (Compile.compile Strategy.full_ququart
+         (Circuit.of_gates ~n:3 [ Gate.make Gate.Ccx [ 0; 1; 2 ] ]))
+  in
+  [ ( "simulate",
+      [ (fun model ->
+          ignore
+            (Executor.simulate
+               ~config:{ Executor.default_config with Executor.model; trajectories = 2 }
+               (Lazy.force p))) ] );
+    ( "the exact oracle",
+      [ (fun model -> ignore (Exact.simulate_exact ~model ~inputs:1 (Lazy.force p))) ] );
+    ( "EPS",
+      [ (fun model -> ignore (Eps.estimate ~model (Lazy.force p)));
+        (fun model -> ignore (Eps.label_breakdown ~model (Lazy.force p)));
+        (fun model -> ignore (Eps.device_breakdown ~model (Lazy.force p))) ] ) ]
+
+(* A consumer refuses every bad value of the field with one
+   [Invalid_argument] that names it, and takes the field's edge (a zero
+   [ww_error_scale]). *)
+let test_model_refused entries (field, rule, with_value, bad) () =
+  List.iter
+    (fun entry ->
+      List.iter
+        (fun v ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s = %g" field v)
+            (Invalid_argument
+               (Printf.sprintf "Noise.model: %s = %g must be finite and %s" field v rule))
+            (fun () -> entry (with_value v)))
+        bad;
+      if rule = ">= 0" then entry (with_value 0.))
+    entries
+
 let suite =
   [ case "pauli sets" test_pauli_set;
     case "draw error" test_draw_error;
     case "damping lambdas" test_damping;
     case "survival" test_survival;
     prop_draw_uniform ]
+  @ List.concat_map
+      (fun (consumer, entries) ->
+        List.map
+          (fun ((field, _, _, _) as f) ->
+            case
+              (Printf.sprintf "%s refuses a bad %s" consumer field)
+              (test_model_refused entries f))
+          fields)
+      consumers

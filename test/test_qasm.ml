@@ -135,13 +135,19 @@ let expect_located ~line ~what text =
 let header = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n"
 
 (* The line is the source line, past comments and multi-line gate
-   definitions, not the statement's index. *)
+   definitions, not the statement's index. A block outside a gate
+   definition is refused at its line, not skipped with the gates in it and
+   after it. *)
 let test_error_lines () =
   expect_located ~line:5 ~what:"bad angle" (header ^ "h q[0];\nrz(pi/x) q[1];\n");
   expect_located ~line:9 ~what:"bad angle"
     ("// leading comment\n" ^ header
     ^ "gate mine a,b {\n  cx a,b;\n}\nh q[0]; // trailing comment\nrx(two) q[1];\n");
-  expect_located ~line:6 ~what:"unsupported gate" (header ^ "\n\nfrobnicate q[0];")
+  expect_located ~line:6 ~what:"unsupported gate" (header ^ "\n\nfrobnicate q[0];");
+  expect_located ~line:2 ~what:"bad statement" "qreg q[2];\n{ h q[0]; }\nx q[1];\n";
+  expect_located ~line:5 ~what:"bad statement" (header ^ "h q[0];\n}\nx q[1];\n");
+  expect_located ~line:7 ~what:"bad statement"
+    (header ^ "gate mine a {\n  h a;\n}\n} x q[1];\n")
 
 (* Every spelling of a non-finite angle is refused at its line, before it
    can reach the compiler or the simulator. *)
