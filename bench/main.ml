@@ -1295,7 +1295,7 @@ let smoke () =
 
 (* Compile determinism gate for `make compile-smoke` and the lint alias:
    over the benchmark families x sizes x the fig7 strategy set, the
-   program cache (miss and hit paths) and the parallel portfolio
+   program cache (miss, hit and eviction paths) and the parallel portfolio
    (compile_all at any domain count) must produce programs byte-identical
    to a fresh serial compile under the canonical hex-float serialization
    (Physical.dump prints floats with %h, so any bit difference shows).
@@ -1311,7 +1311,7 @@ let compile_smoke () =
           (fun n ->
             let circuit = Bench_circuits.by_total_qubits family n in
             List.map (fun s -> (s, circuit)) Strategy.fig7_set)
-          [ 5; 7; 9 ])
+          [ 5; 7; 9; 11; 13 ])
       Bench_circuits.all_families
   in
   let jobs_arr = Array.of_list jobs in
@@ -1337,6 +1337,33 @@ let compile_smoke () =
       check "cache-miss" i (Physical.dump (Compile.compile s c));
       check "cache-hit" i (Physical.dump (Compile.compile s c)))
     jobs_arr;
+  (* Eviction: the job list in order outgrows the ops budget, then the list
+     in reverse meets the programs the cache kept (the same program, ==)
+     and then the ones it evicted (compiled again). A second pass in the
+     same order would miss on every job, since each insert evicts the
+     oldest program, the one the pass needs next. *)
+  Compile.program_cache_clear ();
+  let first =
+    Array.mapi
+      (fun i (s, c) ->
+        let p = Compile.compile s c in
+        check "evict/fill" i (Physical.dump p);
+        p)
+      jobs_arr
+  in
+  let kept = ref 0 and evicted = ref 0 in
+  for i = Array.length jobs_arr - 1 downto 0 do
+    let s, c = jobs_arr.(i) in
+    let p = Compile.compile s c in
+    if p == first.(i) then incr kept else incr evicted;
+    check (if p == first.(i) then "evict/kept" else "evict/evicted") i (Physical.dump p)
+  done;
+  Printf.printf "  eviction pass: %d programs kept, %d evicted (%d-op budget)\n" !kept !evicted
+    Compile.program_cache_budget;
+  if !kept = 0 || !evicted = 0 then begin
+    incr failures;
+    Printf.printf "  FAIL eviction pass: it must meet both kept and evicted programs\n"
+  end;
   (* Parallel portfolio: fresh compiles on worker domains, then the same
      fan-out against the shared cache. *)
   Compile.set_program_cache false;
@@ -1352,7 +1379,7 @@ let compile_smoke () =
     (Compile.compile_all jobs);
   Compile.program_cache_clear ();
   Printf.printf
-    "  %d jobs x 5 configurations byte-compared (families x sizes x fig7 strategies)\n"
+    "  %d jobs x 7 configurations byte-compared (families x sizes x fig7 strategies)\n"
     (Array.length jobs_arr);
   if !failures > 0 then begin
     Printf.printf "compile-smoke: %d failures\n" !failures;

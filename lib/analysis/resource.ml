@@ -115,9 +115,12 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
     +! (seat_demand *! (block_workspace_bytes +! scratch_bytes))
   in
   (* Placed kernels live in their program's memo, so the program cache
-     holds them with the programs; the per-call tables are not kept. *)
+     holds them with the programs; the per-call tables are not kept. The
+     cache's ops budget holds [budget / ops] programs of this size, and
+     always at least one. *)
   let cache_bytes =
-    (Compile.program_cache_capacity * (program_bytes + plan_bytes)) + lift_bytes
+    (max 1 (Compile.program_cache_budget / max 1 nops) * (program_bytes + plan_bytes))
+    + lift_bytes
   in
   (* Modeled duration: one schedule replay takes the memoized ASAP
      makespan, the figure the executor reports as its schedule gauge. Each

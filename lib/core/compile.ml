@@ -444,22 +444,34 @@ let compile_uncached ~topo strategy circuit =
 (* MRU cache over finished programs: sweeps and repeated service requests
    compile the same (circuit, strategy, topology) over and over. Keyed by a
    cheap circuit fingerprint, confirmed by structural equality —
-   fingerprints may collide, equal values may not. Programs are immutable
+   fingerprints may collide, equal values may not. The default mesh is
+   keyed as [None]: it is fixed by the strategy and the circuit's width,
+   both in the key, so a hit builds no topology. Programs are immutable
    once built (their memos aside), so sharing one across callers (and
    domains) is safe; a hit also returns the executor's kernel memo with the
-   program. Bounded MRU list: hits move to the front, inserts evict the
-   tail. *)
+   program.
+
+   The bound is on the ops the programs hold, not on their count: hits move
+   to the front, and an insert evicts from the tail until the held ops fit
+   [program_cache_budget], always keeping the newest entry, so a program
+   over the budget is still reused on an immediate repeat. A program counts
+   as at least one op. *)
 type cache_entry = {
   key_fp : int;
   key_strategy : Strategy.t;
-  key_topo : Topology.t;
+  key_topo : Topology.t option;
   key_circuit : Circuit.t;
   program : Physical.t;
+  weight : int;
 }
 
 let program_cache : cache_entry list ref = ref []
 let program_cache_mutex = Mutex.create ()
-let program_cache_capacity = 32
+
+(* Sized from measured traffic (doc/PERF.md "Program cache"): the e2e
+   requests pool holds 56 programs and about 2,800 ops, noise 596 ops,
+   ladder 277, and sweep's largest program 1,460 ops. *)
+let program_cache_budget = 4096
 let cache_hit_cell = Telemetry.Metrics.cell "compile.program_cache.hit"
 let cache_miss_cell = Telemetry.Metrics.cell "compile.program_cache.miss"
 
@@ -467,69 +479,89 @@ let program_cache_enabled = ref true
 
 let set_program_cache on = program_cache_enabled := on
 
-let program_cache_clear () =
+(* Runs [f], which must not raise, under the cache mutex. *)
+let with_cache_lock f =
   Mutex.lock program_cache_mutex;
   Sanitize.Lock.acquire "compile.program_cache_mutex";
-  Sanitize.Shared.write "compile.program_cache";
-  program_cache := [];
+  let r = f () in
   Sanitize.Lock.release "compile.program_cache_mutex";
-  Mutex.unlock program_cache_mutex
+  Mutex.unlock program_cache_mutex;
+  r
 
-let cache_find ~fp ~strategy ~topo circuit =
+let set_entries entries =
+  Sanitize.Shared.write "compile.program_cache";
+  program_cache := entries
+
+let program_cache_clear () = with_cache_lock (fun () -> set_entries [])
+
+let program_cache_held () =
+  with_cache_lock (fun () ->
+      Sanitize.Shared.read "compile.program_cache";
+      List.map (fun e -> e.weight) !program_cache)
+
+(* Callers hold the cache mutex. *)
+let cache_find ~fp ~strategy ~topology circuit =
+  Sanitize.Shared.read "compile.program_cache";
   List.find_opt
     (fun e ->
-      e.key_fp = fp && e.key_strategy = strategy && e.key_topo = topo
+      e.key_fp = fp && e.key_strategy = strategy && e.key_topo = topology
       && e.key_circuit = circuit)
     !program_cache
 
+(* [entries] without [entry], copying only the entries before it. *)
+let[@tail_mod_cons] rec remove entry = function
+  | [] -> []
+  | e :: rest -> if e == entry then rest else e :: remove entry rest
+
+(* The longest MRU prefix whose ops fit the budget, and at least its head. *)
+let[@tail_mod_cons] rec fitting held = function
+  | e :: rest when held = 0 || held + e.weight <= program_cache_budget ->
+    e :: fitting (held + e.weight) rest
+  | _ -> []
+
 let compile ?topology strategy circuit =
-  let n = circuit.Circuit.n in
-  let topo =
-    match topology with Some t -> t | None -> Topology.mesh (device_count strategy n)
+  let devices = device_count strategy circuit.Circuit.n in
+  (match topology with
+  | Some t when Topology.device_count t < devices ->
+    invalid_arg "Compile.compile: topology too small for the circuit"
+  | _ -> ());
+  let compile_fresh () =
+    let topo = match topology with Some t -> t | None -> Topology.mesh devices in
+    compile_uncached ~topo strategy circuit
   in
-  if Topology.device_count topo < device_count strategy n then
-    invalid_arg "Compile.compile: topology too small for the circuit";
-  if not !program_cache_enabled then compile_uncached ~topo strategy circuit
+  if not !program_cache_enabled then compile_fresh ()
   else begin
     let fp = Circuit.fingerprint circuit in
-    Mutex.lock program_cache_mutex;
-    Sanitize.Lock.acquire "compile.program_cache_mutex";
-    let cached = cache_find ~fp ~strategy ~topo circuit in
+    let find () = cache_find ~fp ~strategy ~topology circuit in
+    let cached =
+      with_cache_lock (fun () ->
+          match find () with
+          | Some entry ->
+            set_entries (entry :: remove entry !program_cache);
+            Some entry.program
+          | None -> None)
+    in
     match cached with
-    | Some entry ->
-      Sanitize.Shared.write "compile.program_cache";
-      program_cache := entry :: List.filter (fun e -> not (e == entry)) !program_cache;
-      Sanitize.Lock.release "compile.program_cache_mutex";
-      Mutex.unlock program_cache_mutex;
+    | Some program ->
       Telemetry.Metrics.cell_incr cache_hit_cell;
-      entry.program
+      program
     | None ->
-      Sanitize.Lock.release "compile.program_cache_mutex";
-      Mutex.unlock program_cache_mutex;
       Telemetry.Metrics.cell_incr cache_miss_cell;
-      let program = compile_uncached ~topo strategy circuit in
-      Mutex.lock program_cache_mutex;
-      Sanitize.Lock.acquire "compile.program_cache_mutex";
+      let program = compile_fresh () in
       (* Re-check before inserting: compilation ran outside the lock, so a
          concurrent caller may have compiled and inserted the same key in
          the meantime. Adopting the winner keeps one kernel memo per key
-         and the effective capacity undiluted. *)
-      let program =
-        match cache_find ~fp ~strategy ~topo circuit with
-        | Some entry -> entry.program
-        | None ->
-          Sanitize.Shared.write "compile.program_cache";
-          program_cache :=
-            { key_fp = fp; key_strategy = strategy; key_topo = topo;
-              key_circuit = circuit; program }
-            :: (if List.length !program_cache >= program_cache_capacity then
-                  List.filteri (fun i _ -> i < program_cache_capacity - 1) !program_cache
-                else !program_cache);
-          program
-      in
-      Sanitize.Lock.release "compile.program_cache_mutex";
-      Mutex.unlock program_cache_mutex;
-      program
+         and the budget undiluted. *)
+      with_cache_lock (fun () ->
+          match find () with
+          | Some entry -> entry.program
+          | None ->
+            let entry =
+              { key_fp = fp; key_strategy = strategy; key_topo = topology;
+                key_circuit = circuit; program; weight = max 1 (Physical.op_count program) }
+            in
+            set_entries (fitting 0 (entry :: !program_cache));
+            program)
   end
 
 (* ---- Parallel strategy portfolio ---- *)

@@ -15,11 +15,11 @@ val compile : ?topology:Topology.t -> Strategy.t -> Circuit.t -> Physical.t
     separate calls on the result: [Waltz_verify.Verify.run] and
     [Waltz_analysis.Resource.certify].
 
-    Compilations go through a bounded MRU program cache keyed by (circuit,
-    strategy, topology): a hit returns the previously compiled program
-    itself, which is safe to share because programs are immutable, and
-    with it the executor's kernel memo. Disable with
-    {!set_program_cache}; hit/miss counts surface as
+    Compilations go through an MRU program cache keyed by (circuit,
+    strategy, topology) and bounded by {!program_cache_budget}: a hit
+    returns the previously compiled program itself, which is safe to share
+    because programs are immutable, and with it the executor's kernel
+    memo. Disable with {!set_program_cache}; hit/miss counts surface as
     [compile.program_cache.hit]/[.miss]. *)
 
 val compile_all :
@@ -42,6 +42,13 @@ val program_cache_clear : unit -> unit
 (** Empties the compiled-program cache (e.g. between benchmark phases that
     must measure fresh compilations). *)
 
-val program_cache_capacity : int
-(** MRU capacity of the compiled-program cache — the multiplier in the
-    resource certificates' worst-case cache-residency bound (RES03). *)
+val program_cache_budget : int
+(** The ops the compiled-program cache may hold (4096). An insert evicts
+    least-recently-used programs until the held ops fit, but always keeps
+    the newest program, so one over the budget is still reused on an
+    immediate repeat; a program counts as at least one op. The resource
+    certificates' worst-case cache residency (RES03) holds
+    [max 1 (budget / ops)] copies of a program. *)
+
+val program_cache_held : unit -> int list
+(** The ops of each program the cache holds, most recently used first. *)

@@ -116,20 +116,53 @@ type lift = { lifted : Mat.t; body : Kernel.body }
    share a label but carry different matrices (the two ENC encode
    directions, parameterized rotations) land in one bucket and are told
    apart by matrix equality, counted as [executor.lift_table.collision].
-   The mutex makes the table safe for concurrent planners; the lift and its
-   classification run outside it, so a gate that does not fit its targets
-   raises with no lock held, and the table holds no [Lazy.t] for two
-   domains to force at once. *)
+   A bucket keeps its [lift_bucket_capacity] newest gates, so a stream of
+   rotations whose angles print alike scans a short list, not every angle
+   seen; the table counts its entries and empties once they reach
+   [lift_capacity]. The mutex makes the table safe for concurrent
+   planners; the lift and its classification run outside it, so a gate
+   that does not fit its targets raises with no lock held, and the table
+   holds no [Lazy.t] for two domains to force at once. *)
 let lift_table : (int * (int * int) list * string * int, (Mat.t * lift) list) Hashtbl.t =
   Hashtbl.create 64
 
+let lift_capacity = 4096
+let lift_bucket_capacity = 16
+let lift_entry_count = ref 0
 let lift_mutex = Mutex.create ()
 let lift_bucket key = Option.value ~default:[] (Hashtbl.find_opt lift_table key)
+
+(* Runs [f], which must not raise, under [lift_mutex]. *)
+let with_lift_lock f =
+  Mutex.lock lift_mutex;
+  Sanitize.Lock.acquire "executor.lift_mutex";
+  let r = f () in
+  Sanitize.Lock.release "executor.lift_mutex";
+  Mutex.unlock lift_mutex;
+  r
 
 (* Callers hold [lift_mutex]. *)
 let lift_find key gate =
   Sanitize.Shared.read "executor.lift_table";
   List.assoc_opt gate (lift_bucket key)
+
+(* Callers hold [lift_mutex]. A full bucket drops its oldest gate. *)
+let lift_insert key gate entry =
+  Sanitize.Shared.write "executor.lift_table";
+  if !lift_entry_count >= lift_capacity then begin
+    Hashtbl.reset lift_table;
+    lift_entry_count := 0
+  end;
+  let b = lift_bucket key in
+  let kept =
+    if List.length b < lift_bucket_capacity then begin
+      incr lift_entry_count;
+      b
+    end
+    else List.filteri (fun i _ -> i < lift_bucket_capacity - 1) b
+  in
+  Hashtbl.replace lift_table key ((gate, entry) :: kept);
+  b <> []
 
 let lift ~device_dim (op : Physical.op) =
   let devices = unique_devices op.Physical.targets in
@@ -143,34 +176,21 @@ let lift ~device_dim (op : Physical.op) =
   let pattern = List.map (fun (d, s) -> (index_of d, s)) op.Physical.targets in
   let gate = op.Physical.gate in
   let key = (device_dim, pattern, op.Physical.label, gate.Mat.rows) in
-  Mutex.lock lift_mutex;
-  Sanitize.Lock.acquire "executor.lift_mutex";
-  let cached = lift_find key gate in
-  Sanitize.Lock.release "executor.lift_mutex";
-  Mutex.unlock lift_mutex;
-  match cached with
+  match with_lift_lock (fun () -> lift_find key gate) with
   | Some entry ->
     Telemetry.Metrics.cell_incr lift_hit_cell;
     (devices, entry)
   | None ->
     let _, lifted = lift_gate_uncached ~device_dim op in
     let fresh = { lifted; body = Kernel.classify lifted } in
-    Mutex.lock lift_mutex;
-    Sanitize.Lock.acquire "executor.lift_mutex";
     (* Re-check before inserting, like the program cache: a concurrent
        planner may have inserted the same lift meanwhile. *)
     let entry, collision =
-      match lift_find key gate with
-      | Some winner -> (winner, false)
-      | None ->
-        let b = lift_bucket key in
-        if b = [] && Hashtbl.length lift_table > 4096 then Hashtbl.reset lift_table;
-        Sanitize.Shared.write "executor.lift_table";
-        Hashtbl.replace lift_table key ((gate, fresh) :: b);
-        (fresh, b <> [])
+      with_lift_lock (fun () ->
+          match lift_find key gate with
+          | Some winner -> (winner, false)
+          | None -> (fresh, lift_insert key gate fresh))
     in
-    Sanitize.Lock.release "executor.lift_mutex";
-    Mutex.unlock lift_mutex;
     Telemetry.Metrics.cell_incr lift_miss_cell;
     if collision then Telemetry.Metrics.cell_incr lift_collision_cell;
     (devices, entry)
@@ -178,6 +198,11 @@ let lift ~device_dim (op : Physical.op) =
 let lift_gate ~device_dim op =
   let devices, entry = lift ~device_dim op in
   (devices, entry.lifted)
+
+let lift_entries () =
+  with_lift_lock (fun () ->
+      Sanitize.Shared.read "executor.lift_table";
+      !lift_entry_count)
 
 (* Allowed levels per device under a placement map: a device's computational
    subspace depends on how many qubits it holds and in which slots. *)

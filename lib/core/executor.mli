@@ -82,10 +82,19 @@ val lift : device_dim:int -> Physical.op -> int list * lift
     with different matrices fall back to matrix equality within the bucket
     (counted as [executor.lift_table.collision]). Ops repeating a gate on
     different devices share one entry: one Kronecker lift and one
-    classified body. *)
+    classified body. A bucket keeps its 16 newest gates, and the table
+    empties once it holds {!lift_capacity} entries, so neither a stream of
+    distinct gates nor one of same-label rotations grows it or its scans
+    without bound. *)
 
 val lift_gate : device_dim:int -> Physical.op -> int list * Waltz_linalg.Mat.t
 (** [lift]'s devices and lifted unitary. *)
+
+val lift_capacity : int
+(** The entries the lift table holds before it empties (4096). *)
+
+val lift_entries : unit -> int
+(** The entries the lift table holds now. *)
 
 val lift_gate_uncached : device_dim:int -> Physical.op -> int list * Waltz_linalg.Mat.t
 (** The raw (un-memoized) lift; exposed so tests can check the cache against

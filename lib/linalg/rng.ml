@@ -67,17 +67,23 @@ let next_slot t =
 let gaussian t = t.pair.(next_slot t)
 let gaussian_into t dst i = dst.(i) <- t.pair.(next_slot t)
 
+(* The left-to-right sum, then the first index whose running sum passes
+   the draw (the last index if none does). The float refs are local, so
+   the compiler keeps them unboxed. *)
 let weighted_choice t w =
-  let total = Array.fold_left ( +. ) 0. w in
-  if total <= 0. then invalid_arg "Rng.weighted_choice: non-positive total weight";
-  let x = Random.State.float t.state total in
-  let rec go i acc =
-    if i = Array.length w - 1 then i
-    else
-      let acc = acc +. w.(i) in
-      if x < acc then i else go (i + 1) acc
-  in
-  go 0 0.
+  let n = Array.length w in
+  let total = ref 0. in
+  for i = 0 to n - 1 do
+    total := !total +. w.(i)
+  done;
+  if !total <= 0. then invalid_arg "Rng.weighted_choice: non-positive total weight";
+  let x = Random.State.float t.state !total in
+  let acc = ref 0. and i = ref 0 in
+  while !i < n - 1 && not (x < !acc +. w.(!i)) do
+    acc := !acc +. w.(!i);
+    incr i
+  done;
+  !i
 
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do

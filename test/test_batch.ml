@@ -190,6 +190,26 @@ let test_fill_allocation () =
        per_amplitude_lane)
     true (per_amplitude_lane <= 6.)
 
+(* One damping step on a 3-ququart block at batch 8 allocates 16 minor
+   words: one boxed [Random.State.float] result (2 words) per lane's
+   weighted choice. The weights, the choice's sums and the sweeps allocate
+   nothing. Deterministic allocation counts, not timing. *)
+let test_damp_allocation () =
+  let dims = Array.make 3 4 and lanes = 8 in
+  let allowed = Array.map (fun d -> Array.make d true) dims in
+  let blk = State_block.create ~dims ~cap:lanes in
+  let rngs = Array.init lanes (fun k -> Rng.make ~seed:(700 + k)) in
+  State_block.fill_random_supported blk rngs ~allowed;
+  let lambdas = Noise.damping_lambdas Noise.default ~d:4 ~dt_ns:500. in
+  let scales = State_block.damp_scales lambdas in
+  (* The first call sizes the domain's scratch slots. *)
+  ignore (State_block.damp_with blk rngs ~wire:1 ~lambdas ~scales);
+  let before = Gc.minor_words () in
+  ignore (State_block.damp_with blk rngs ~wire:1 ~lambdas ~scales);
+  let words = Gc.minor_words () -. before in
+  check_bool (Printf.sprintf "damp_with allocated %.0f minor words (<= 16)" words) true
+    (words <= 16.)
+
 (* Oracle for [Rng]: a plain Box–Muller sampler that keeps its spare in a
    [float option], and the weighted choice, over the same seeded
    [Random.State] that [Rng.make] builds. *)
@@ -489,6 +509,7 @@ let suite =
     case "generators cover Kernel.classes" test_class_coverage;
     case "block random fill is bit-identical per lane" test_fill_bit_identity;
     case "block random fill allocates <= 6 words per amplitude-lane" test_fill_allocation;
+    case "damping step allocates 16 words at batch 8" test_damp_allocation;
     case "Rng draws match the boxed Box-Muller oracle" test_rng_matches_boxed_oracle;
     test_iter_supported;
     case "block leakage matches the per-index table sweep" test_leakage_reference;

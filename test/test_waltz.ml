@@ -27,6 +27,7 @@ let () =
       ("verify-fixtures", Test_verify_fixtures.suite);
       ("equivalence", Test_equivalence.suite);
       ("analysis", Test_analysis.suite);
+      ("cache", Test_cache.suite);
       ("runtime", Test_runtime.suite);
       ("telemetry", Test_telemetry.suite);
       ("sanitize", Test_sanitize.suite);
