@@ -496,76 +496,17 @@ let resynth () =
    report divides by the measured time to get trajectories/sec. *)
 let throughput_trajectories = 8
 
-(* A hand-built three-ququart program whose ops cover every kernel class.
-   Compiled programs dispatch only diagonal / monomial / single-wire
-   kernels, so [two_wire] and [generic] would otherwise show zero
-   dispatches in the trajectory-sim telemetry and be measured only in
-   isolation. [mix-cblock] is identity outside a block, which runs the
-   dense [two_wire] kernel. Every op is a unitary (so the state norm
-   survives bechamel's repetition loop) and all three devices carry two
-   qubits, giving full 4-level supports. *)
+(* The kernel-mix program ({!Kernel_mix}), guarded against classifier
+   drift: its placed kernels must keep covering every class, or the
+   benchmark silently stops measuring what it names. *)
 let kernel_mix_program =
   lazy
     begin
-      let hh = Mat.kron Gates.h Gates.h in
-      let ctrl16 =
-        let m = Mat.identity 16 in
-        for i = 0 to 3 do
-          for j = 0 to 3 do
-            Mat.set m (12 + i) (12 + j) (Mat.get hh i j)
-          done
-        done;
-        m
-      in
-      let part d =
-        { Physical.device = d; noise = Physical.P4; occ_before = 2; occ_after = 2 }
-      in
-      let op label devices targets gate =
-        { Physical.label;
-          parts = List.map part devices;
-          targets;
-          gate;
-          duration_ns = 50.;
-          fidelity = 0.999;
-          touches_ww = true }
-      in
-      let ops =
-        [ op "mix-single" [ 2 ] [ (2, 0); (2, 1) ] hh;
-          op "mix-diag" [ 0; 1 ]
-            [ (0, 0); (0, 1); (1, 0); (1, 1) ]
-            (Mat.diag (Array.init 16 (fun i -> Cplx.exp_i (0.1 *. float_of_int i))));
-          op "mix-dense" [ 0; 2 ] [ (0, 0); (0, 1); (2, 0); (2, 1) ] (Mat.kron hh hh);
-          op "mix-cblock" [ 1; 2 ] [ (1, 0); (1, 1); (2, 0); (2, 1) ] ctrl16;
-          op "mix-perm" [ 0; 1 ]
-            [ (0, 0); (0, 1); (1, 0); (1, 1) ]
-            (Mat.permutation 16 (fun i -> (i + 5) mod 16));
-          op "mix-gen" [ 0; 1; 2 ] [ (0, 0); (1, 0); (2, 0) ] (Mat.kron hh Gates.h) ]
-      in
-      let map = [| (0, 0); (0, 1); (1, 0); (1, 1); (2, 0); (2, 1) |] in
-      let program =
-        { Physical.strategy = Strategy.full_ququart;
-          n_logical = 6;
-          device_count = 3;
-          device_dim = 4;
-          ops;
-          initial_map = map;
-          final_map = map;
-          schedule_memo = None;
-          kernel_memo = None }
-      in
-      (* Guard against classifier drift: the mix must keep covering every
-         class, or the benchmark silently stops measuring what it names. *)
-      let classes =
-        List.map
-          (fun (o : Physical.op) ->
-            let devices, lifted = Executor.lift_gate ~device_dim:4 o in
-            Waltz_sim.Kernel.class_name
-              (Waltz_sim.Kernel.compile ~dims:[| 4; 4; 4 |] ~targets:devices lifted))
-          ops
-      in
+      let program = Kernel_mix.program () in
+      let placed = (Executor.place program).Executor.kernels in
       List.iter
         (fun cls ->
-          if not (List.mem cls classes) then
+          if not (Array.exists (fun k -> Waltz_sim.Kernel.class_name k = cls) placed) then
             failwith
               (Printf.sprintf "kernel-mix program no longer exercises class %s" cls))
         Waltz_sim.Kernel.classes;
@@ -720,8 +661,8 @@ let micro () =
                   mix_program)));
       (* A plan-only call at 9 ququarts. The program cache is off here, so
          each run compiles a new program whose kernel memo starts cold:
-         every run prices one compile, the lift lookups, the kernel
-         placement and the model's tables. *)
+         every run prices one compile, the kernel placement and the
+         model's tables. *)
       Test.make ~name:"fig9/plan-build"
         (Staged.stage (fun () ->
              plan_only Noise.default (Compile.compile Strategy.full_ququart plan_circuit)));
@@ -789,22 +730,7 @@ let micro () =
        ~config:
          { Executor.default_config with Executor.trajectories = throughput_trajectories }
        mix_program);
-  (* The lift table only runs when a program's kernels are placed, and the
-     reruns above read the programs' kernel memos — with zero lookups its
-     hit rate would read 0/0 and be reported as 0.0. A freshly recompiled
-     program starts with a cold memo, so planning it exercises the
-     process-warm lift table at steady state, which is what the reported
-     rate should reflect. *)
-  ignore
-    (Executor.simulate
-       ~config:
-         { Executor.default_config with Executor.trajectories = 2 }
-       (Compile.compile Strategy.full_ququart cnu7));
   Telemetry.disable ();
-  let lift_hit =
-    Telemetry.Metrics.hit_rate ~hit:"executor.lift_gate.hit"
-      ~miss:"executor.lift_gate.miss"
-  in
   let offered = Telemetry.Metrics.counter "pool.seats.offered" in
   let joined = Telemetry.Metrics.counter "pool.seats.joined" in
   let stolen = Telemetry.Metrics.counter "pool.items.stolen" in
@@ -1031,7 +957,6 @@ let micro () =
   Printf.fprintf oc "    \"mask_divergence_rate\": %.4f\n" mask_divergence_rate;
   Printf.fprintf oc "  },\n";
   Printf.fprintf oc "  \"telemetry\": {\n";
-  Printf.fprintf oc "    \"lift_gate_hit_rate\": %.4f,\n" lift_hit;
   Printf.fprintf oc "    \"pool_seats_offered\": %d,\n" offered;
   Printf.fprintf oc "    \"pool_seats_joined\": %d,\n" joined;
   Printf.fprintf oc "    \"pool_items_stolen\": %d,\n" stolen;
@@ -1157,9 +1082,9 @@ let micro () =
 (* ---------------- Smoke (lint-gated) ---------------- *)
 
 (* Fast correctness gate for `make bench-smoke` and the lint alias: every
-   kernel the planner would compile for a spread of benchmark programs must
-   agree with the reference generic path on a random state (one-lane and
-   multi-lane blocks, and a block laid over planes longer than it needs),
+   kernel [Executor.place] compiles for a spread of benchmark programs must
+   agree with [State.apply] of the op's lift on a random state (one-lane
+   and multi-lane blocks, and a block laid over planes longer than it needs),
    and a tiny simulate must be bit-identical across the domains x batch
    grid, run on workspace planes kept from a larger register. Exits
    non-zero on the first discrepancy, so a broken specialization fails
@@ -1181,11 +1106,12 @@ let smoke () =
   List.iter
     (fun (compiled : Physical.t) ->
       let device_dim = compiled.Physical.device_dim in
-      let dims = Array.make compiled.Physical.device_count device_dim in
-      List.iter
-        (fun (op : Physical.op) ->
+      let placement = Executor.place compiled in
+      let dims = placement.Executor.dims in
+      List.iteri
+        (fun i (op : Physical.op) ->
           let devices, lifted = Executor.lift_gate ~device_dim op in
-          let kernel = Waltz_sim.Kernel.compile ~dims ~targets:devices lifted in
+          let kernel = placement.Executor.kernels.(i) in
           let state = Waltz_sim.State.random r ~dims in
           let reference =
             Waltz_sim.State.of_vec ~dims (Waltz_sim.State.amplitudes state)
@@ -1202,7 +1128,7 @@ let smoke () =
           incr checked;
           if !diff > 1e-12 then begin
             incr failures;
-            Printf.printf "  FAIL %s (%s): kernel disagrees with generic by %g\n"
+            Printf.printf "  FAIL %s (%s): kernel disagrees with the lift by %g\n"
               op.Physical.label
               (Waltz_sim.Kernel.class_name kernel)
               !diff
@@ -1253,7 +1179,7 @@ let smoke () =
         compiled.Physical.ops)
     programs;
   Printf.printf
-    "  kernel-vs-generic: %d plan ops checked (one-lane, batched, longer planes)\n"
+    "  kernel-vs-lift: %d plan ops checked (one-lane, batched, longer planes)\n"
     !checked;
   let config = { Executor.model = Noise.default; trajectories = 4; base_seed = 5 } in
   let compiled = Compile.compile Strategy.full_ququart toffoli in

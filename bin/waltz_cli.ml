@@ -901,20 +901,18 @@ let report_cmd =
     Printf.printf
       "telemetry report: benchmark x strategy grid (n = %d, %d trajectories per cell)\n" n
       trajectories;
-    Printf.printf "%-10s %-18s %9s %9s %9s %9s %9s %9s\n" "circuit" "strategy"
-      "compile" "route" "choreo" "plan" "sim" "lift-hit";
-    Printf.printf "%-10s %-18s %9s %9s %9s %9s %9s %9s\n" "" "" "(ms)" "(ms)" "(ms)"
-      "(ms)" "(ms)" "";
+    Printf.printf "%-10s %-18s %9s %9s %9s %9s %9s\n" "circuit" "strategy" "compile"
+      "route" "choreo" "plan" "sim";
+    Printf.printf "%-10s %-18s %9s %9s %9s %9s %9s\n" "" "" "(ms)" "(ms)" "(ms)" "(ms)"
+      "(ms)";
     let cells () =
       List.iter
         (fun (family, circuit) ->
           List.iter
             (fun (strategy : Strategy.t) ->
               (* Per-cell span totals come from the cell's time window over
-                 the rings and counters are deltas against the running
-                 totals, so one enabled window serves both the table and an
-                 optional whole-grid [--trace]. *)
-              let counters_before = Telemetry.Metrics.counters () in
+                 the rings, so one enabled window serves both the table and
+                 an optional whole-grid [--trace]. *)
               let (), agg =
                 Telemetry.Span.aggregate_during (fun () ->
                     let compiled = Compile.compile strategy circuit in
@@ -934,20 +932,11 @@ let report_cmd =
                 | Some a -> a.Telemetry.Span.total_us /. 1000.
                 | None -> 0.
               in
-              let delta name =
-                Telemetry.Metrics.counter name
-                - Option.value ~default:0 (List.assoc_opt name counters_before)
-              in
-              let rate hit miss =
-                let h = delta hit and m = delta miss in
-                if h + m = 0 then 0. else 100. *. float_of_int h /. float_of_int (h + m)
-              in
-              Printf.printf "%-10s %-18s %9.2f %9.2f %9.2f %9.2f %9.2f %8.1f%%\n"
+              Printf.printf "%-10s %-18s %9.2f %9.2f %9.2f %9.2f %9.2f\n"
                 (Waltz_benchmarks.Bench_circuits.family_name family)
                 strategy.Strategy.name (total "compile") (total "compile/route")
                 (total "compile/choreograph") (total "executor/plan")
-                (total "executor/simulate")
-                (rate "executor.lift_gate.hit" "executor.lift_gate.miss"))
+                (total "executor/simulate"))
             strategies)
         circuits
     in

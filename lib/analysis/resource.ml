@@ -23,7 +23,6 @@ type t = {
   state_bytes : int;
   block_workspace_bytes : int;
   scratch_bytes : int;
-  lift_bytes : int;
   plan_bytes : int;
   plan_table_bytes : int;
   cache_bytes : int;
@@ -54,11 +53,10 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
      strides from the count, and they must not wrap either. *)
   let dim = Array.fold_left ( *! ) 1 (Array.make device_count device_dim) in
   let state_bytes = 2 * 8 *! dim in
-  (* Dispatch mix and plan-resident bytes: the executor's own placement
-     of the lift table's bodies, built fresh so the program's kernel memo
-     is neither read nor written. The mix is the exact [plan_dispatch] the
-     instrumented wrappers will flush, and the placed bytes are what a memo
-     build observes. *)
+  (* Dispatch mix and plan-resident bytes: the executor's own placement,
+     built fresh so the program's kernel memo is neither read nor written.
+     The mix is the exact [plan_dispatch] the instrumented wrappers will
+     flush, and the placed bytes are what a memo build observes. *)
   let placement = Executor.place p in
   let dims = placement.Executor.dims in
   let mix = Array.make (List.length Kernel.classes) 0 in
@@ -69,8 +67,7 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
       mix.(cls) <- mix.(cls) + 1;
       g_max := max !g_max (Kernel.dim_targets kernel))
     placement.Executor.kernels;
-  let plan_bytes = placement.Executor.placed_bytes
-  and lift_bytes = placement.Executor.lift_bytes in
+  let plan_bytes = placement.Executor.placed_bytes in
   (* Every class of Kernel's catalog, in its order, so serializations have
      a fixed shape. *)
   let dispatch_mix = List.mapi (fun i cls -> (cls, mix.(i))) Kernel.classes in
@@ -101,17 +98,20 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
     let (_ : int) = (2 *! state_bytes *! batch_eff) +! (2 * 8 *! batch_eff) in
     Executor.block_workspace_bytes ~dims ~cap:batch_eff
   in
-  (* Per-domain scratch arena: gather buffers scale with the widest kernel
-     subspace (per-lane error-injection slots) and with subspace × lanes
-     (batched slots); damping scratch scales with device_dim and lanes. The
-     flat constant absorbs the odometer/int slots. *)
+  (* Per-domain scratch arena: gather buffers scale with the widest
+     subspace gathered, per lane (error injection) and × lanes (batched
+     kernels); damping scratch scales with device_dim and lanes. Kernels act
+     on slot wires, but error injection gathers a whole device, so the
+     widest subspace is at least [device_dim]. The flat constant absorbs the
+     odometer/int slots. *)
+  let g_max = max !g_max device_dim in
   let scratch_bytes =
     8
-    *! ((2 * !g_max) +! (2 * !g_max *! batch_eff) +! (2 * device_dim) +! (2 *! batch_eff)
+    *! ((2 * g_max) +! (2 * g_max *! batch_eff) +! (2 * device_dim) +! (2 *! batch_eff)
        +! 64)
   in
   let peak_bytes =
-    program_bytes + lift_bytes + plan_bytes + plan_table_bytes
+    program_bytes + plan_bytes + plan_table_bytes
     +! (seat_demand *! (block_workspace_bytes +! scratch_bytes))
   in
   (* Placed kernels live in their program's memo, so the program cache
@@ -119,8 +119,7 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
      cache's ops budget holds [budget / ops] programs of this size, and
      always at least one. *)
   let cache_bytes =
-    (max 1 (Compile.program_cache_budget / max 1 nops) * (program_bytes + plan_bytes))
-    + lift_bytes
+    max 1 (Compile.program_cache_budget / max 1 nops) * (program_bytes + plan_bytes)
   in
   (* Modeled duration: one schedule replay takes the memoized ASAP
      makespan, the figure the executor reports as its schedule gauge. Each
@@ -142,7 +141,6 @@ let certify ?(trajectories = 1) ?(batch = 1) ?(domains = 1) (p : Physical.t) =
     state_bytes;
     block_workspace_bytes;
     scratch_bytes;
-    lift_bytes;
     plan_bytes;
     plan_table_bytes;
     cache_bytes;
@@ -266,16 +264,15 @@ let summary t =
 
 let dump t =
   let b = Buffer.create 512 in
-  Printf.bprintf b "resource-certificate v4\n";
+  Printf.bprintf b "resource-certificate v5\n";
   Printf.bprintf b "strategy %s devices %d dim %d n %d ops %d\n" t.strategy
     t.device_count t.device_dim t.dim t.ops;
   Printf.bprintf b "shape trajectories %d batch %d domains %d\n" t.shape.trajectories
     t.shape.batch t.shape.domains;
   Printf.bprintf b
-    "bytes program %d state %d block %d scratch %d lift %d plan %d tables %d caches %d \
-     peak %d\n"
-    t.program_bytes t.state_bytes t.block_workspace_bytes t.scratch_bytes t.lift_bytes
-    t.plan_bytes t.plan_table_bytes t.cache_bytes t.peak_bytes;
+    "bytes program %d state %d block %d scratch %d plan %d tables %d caches %d peak %d\n"
+    t.program_bytes t.state_bytes t.block_workspace_bytes t.scratch_bytes t.plan_bytes
+    t.plan_table_bytes t.cache_bytes t.peak_bytes;
   Printf.bprintf b "schedule_ns %h total_ns %h %h\n" t.schedule_ns t.total_ns.lo
     t.total_ns.hi;
   Printf.bprintf b "pool seats %d queue %d\n" t.seat_demand t.queue_depth;

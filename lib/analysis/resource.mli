@@ -52,16 +52,14 @@ type t = {
   state_bytes : int;  (** one state vector (two planes) *)
   block_workspace_bytes : int;  (** per participating domain, at the clamped width *)
   scratch_bytes : int;  (** per-domain scratch arena bound *)
-  lift_bytes : int;
-      (** lift-table entries the program reads: lifted matrices and
-          classified kernel bodies *)
   plan_bytes : int;
-      (** placed kernel tables (targets, offsets, iteration), the program's
-          kernel memo, observed-comparable *)
+      (** the program's kernel memo: each distinct kernel's entries and its
+          target, offset and iteration tables, observed-comparable *)
   plan_table_bytes : int;  (** per-call support/leakage/damping table bound *)
   cache_bytes : int;
-      (** worst-case residency: the program cache's programs with their
-          kernel memos, plus the lift entries *)
+      (** worst-case residency: as many copies of the program with its
+          kernel memo as the program cache's ops budget holds, at least
+          one *)
   peak_bytes : int;  (** sound single-run live peak at [shape] *)
   (* modeled time *)
   schedule_ns : float;  (** one schedule replay: the makespan *)
@@ -86,11 +84,9 @@ val certify :
 (** Certify one run configuration (defaults: 1 trajectory, batch 1, 1
     domain — fixed, environment-independent values, so the default
     certificate is deterministic under any [WALTZ_BATCH]/[WALTZ_DOMAINS]).
-    Pure apart from warming the executor's lift table (lifted gates and
-    their classified kernel bodies), which the determinism suite proves
-    observationally invisible. The kernels are placed fresh: the program's
-    kernel memo is neither read nor written. Raises {!Too_large} rather
-    than return figures that wrapped. *)
+    Pure: the kernels are placed fresh, and the program's kernel memo is
+    neither read nor written. Raises {!Too_large} rather than return
+    figures that wrapped. *)
 
 type budget = { limit_bytes : int option; limit_ms : float option }
 

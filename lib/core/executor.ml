@@ -27,9 +27,6 @@ let lane_windows_cell = Telemetry.Metrics.cell "executor.batch.lane_windows"
 let mask_divergence_cell = Telemetry.Metrics.cell "executor.batch.mask_divergence"
 let kernel_memo_hit_cell = Telemetry.Metrics.cell "executor.kernel_memo.hit"
 let kernel_memo_miss_cell = Telemetry.Metrics.cell "executor.kernel_memo.miss"
-let lift_hit_cell = Telemetry.Metrics.cell "executor.lift_gate.hit"
-let lift_miss_cell = Telemetry.Metrics.cell "executor.lift_gate.miss"
-let lift_collision_cell = Telemetry.Metrics.cell "executor.lift_table.collision"
 let block_us_series = Telemetry.Metrics.series "executor.block_us"
 
 (* Per kernel class, in [Kernel.classes] order: the dispatch counter cells. *)
@@ -86,7 +83,11 @@ let unique_devices targets =
        (fun acc (d, _) -> if List.mem d acc then acc else d :: acc)
        [] targets)
 
-let lift_gate_uncached ~device_dim (op : Physical.op) =
+(* The op's gate Kronecker-embedded in the joint space of its devices. The
+   executor never applies it: it is the independent reference that [Exact],
+   the leakage pass and the tests read, so it does not share [wire_of] with
+   the kernels. *)
+let lift_gate ~device_dim (op : Physical.op) =
   let devices = unique_devices op.Physical.targets in
   let wires_per_device = if device_dim = 4 then 2 else 1 in
   let total_wires = wires_per_device * List.length devices in
@@ -104,105 +105,6 @@ let lift_gate_uncached ~device_dim (op : Physical.op) =
       op.Physical.gate
   in
   (devices, lifted)
-
-type lift = { lifted : Mat.t; body : Kernel.body }
-
-(* The lifted unitary depends on the gate and the *pattern* of targets —
-   which of the op's devices each (device, slot) wire belongs to — not on
-   absolute device ids, so ops that repeat a gate on different devices share
-   one Kronecker lift, and one kernel body classified from it when the entry
-   is inserted. Keyed on the op's label plus dimensions rather than the
-   gate's full float arrays, so lookups never hash 256 floats; ops that
-   share a label but carry different matrices (the two ENC encode
-   directions, parameterized rotations) land in one bucket and are told
-   apart by matrix equality, counted as [executor.lift_table.collision].
-   A bucket keeps its [lift_bucket_capacity] newest gates, so a stream of
-   rotations whose angles print alike scans a short list, not every angle
-   seen; the table counts its entries and empties once they reach
-   [lift_capacity]. The mutex makes the table safe for concurrent
-   planners; the lift and its classification run outside it, so a gate
-   that does not fit its targets raises with no lock held, and the table
-   holds no [Lazy.t] for two domains to force at once. *)
-let lift_table : (int * (int * int) list * string * int, (Mat.t * lift) list) Hashtbl.t =
-  Hashtbl.create 64
-
-let lift_capacity = 4096
-let lift_bucket_capacity = 16
-let lift_entry_count = ref 0
-let lift_mutex = Mutex.create ()
-let lift_bucket key = Option.value ~default:[] (Hashtbl.find_opt lift_table key)
-
-(* Runs [f], which must not raise, under [lift_mutex]. *)
-let with_lift_lock f =
-  Mutex.lock lift_mutex;
-  Sanitize.Lock.acquire "executor.lift_mutex";
-  let r = f () in
-  Sanitize.Lock.release "executor.lift_mutex";
-  Mutex.unlock lift_mutex;
-  r
-
-(* Callers hold [lift_mutex]. *)
-let lift_find key gate =
-  Sanitize.Shared.read "executor.lift_table";
-  List.assoc_opt gate (lift_bucket key)
-
-(* Callers hold [lift_mutex]. A full bucket drops its oldest gate. *)
-let lift_insert key gate entry =
-  Sanitize.Shared.write "executor.lift_table";
-  if !lift_entry_count >= lift_capacity then begin
-    Hashtbl.reset lift_table;
-    lift_entry_count := 0
-  end;
-  let b = lift_bucket key in
-  let kept =
-    if List.length b < lift_bucket_capacity then begin
-      incr lift_entry_count;
-      b
-    end
-    else List.filteri (fun i _ -> i < lift_bucket_capacity - 1) b
-  in
-  Hashtbl.replace lift_table key ((gate, entry) :: kept);
-  b <> []
-
-let lift ~device_dim (op : Physical.op) =
-  let devices = unique_devices op.Physical.targets in
-  let index_of d =
-    let rec go i = function
-      | [] -> assert false
-      | d' :: rest -> if d' = d then i else go (i + 1) rest
-    in
-    go 0 devices
-  in
-  let pattern = List.map (fun (d, s) -> (index_of d, s)) op.Physical.targets in
-  let gate = op.Physical.gate in
-  let key = (device_dim, pattern, op.Physical.label, gate.Mat.rows) in
-  match with_lift_lock (fun () -> lift_find key gate) with
-  | Some entry ->
-    Telemetry.Metrics.cell_incr lift_hit_cell;
-    (devices, entry)
-  | None ->
-    let _, lifted = lift_gate_uncached ~device_dim op in
-    let fresh = { lifted; body = Kernel.classify lifted } in
-    (* Re-check before inserting, like the program cache: a concurrent
-       planner may have inserted the same lift meanwhile. *)
-    let entry, collision =
-      with_lift_lock (fun () ->
-          match lift_find key gate with
-          | Some winner -> (winner, false)
-          | None -> (fresh, lift_insert key gate fresh))
-    in
-    Telemetry.Metrics.cell_incr lift_miss_cell;
-    if collision then Telemetry.Metrics.cell_incr lift_collision_cell;
-    (devices, entry)
-
-let lift_gate ~device_dim op =
-  let devices, entry = lift ~device_dim op in
-  (devices, entry.lifted)
-
-let lift_entries () =
-  with_lift_lock (fun () ->
-      Sanitize.Shared.read "executor.lift_table";
-      !lift_entry_count)
 
 (* Allowed levels per device under a placement map: a device's computational
    subspace depends on how many qubits it holds and in which slots. *)
@@ -247,37 +149,39 @@ let block_lane_bytes ~cap = 2 * 8 * cap
 let block_workspace_bytes ~dims ~cap =
   block_plane_bytes ~dims ~cap + block_lane_bytes ~cap
 
-type placement = {
-  dims : int array;
-  kernels : Kernel.t array;
-  placed_bytes : int;
-  lift_bytes : int;
-}
+type placement = { dims : int array; kernels : Kernel.t array; placed_bytes : int }
 
-(* Places every op's lift-table body against the program's register. Ops
-   that repeat one lift entry on the same devices share one placement,
-   found by physical equality of the entry within a per-devices bucket. *)
+(* The register's two-level wire view: device d, slot s is wire 2d + s of
+   a ququart register (level 2·q₀ + q₁, Sec. 3.1) and wire d of a qubit
+   register, the bit order of [Equivalence.wire_bit]. It addresses the same
+   flat amplitudes as the device view. *)
+let wire_of ~device_dim (d, s) = if device_dim = 4 then (2 * d) + s else d
+
+(* Compiles every op's own gate on its wires of the register's wire view.
+   Ops that repeat one gate ([==]) on one target list share a kernel. *)
 let place (compiled : Physical.t) =
   let device_dim = compiled.Physical.device_dim in
-  let dims = Array.make compiled.Physical.device_count device_dim in
+  let device_count = compiled.Physical.device_count in
+  let wires = if device_dim = 4 then 2 * device_count else device_count in
+  let wire_dims = Array.make wires 2 in
   let placed = Hashtbl.create 16 in
-  let placed_bytes = ref 0 and lift_bytes = ref 0 in
-  let place_op op =
-    let devices, entry = lift ~device_dim op in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt placed devices) in
-    match List.assq_opt entry bucket with
+  let placed_bytes = ref 0 in
+  let place_op (op : Physical.op) =
+    let gate = op.Physical.gate in
+    let targets = List.map (wire_of ~device_dim) op.Physical.targets in
+    let bucket = Option.value ~default:[] (Hashtbl.find_opt placed targets) in
+    match List.assq_opt gate bucket with
     | Some kernel -> kernel
     | None ->
-      let kernel = Kernel.place ~dims ~targets:devices entry.body in
+      let kernel = Kernel.compile ~dims:wire_dims ~targets gate in
       placed_bytes := !placed_bytes + Kernel.footprint_bytes kernel;
-      lift_bytes :=
-        !lift_bytes + (2 * 8 * entry.lifted.Mat.rows * entry.lifted.Mat.cols)
-        + Kernel.body_bytes entry.body;
-      Hashtbl.replace placed devices ((entry, kernel) :: bucket);
+      Hashtbl.replace placed targets ((gate, kernel) :: bucket);
       kernel
   in
+  (* Bound before the record: its fields are evaluated in no fixed order,
+     and [placed_bytes] must be read after every op is placed. *)
   let kernels = Array.of_list (List.map place_op compiled.Physical.ops) in
-  { dims; kernels; placed_bytes = !placed_bytes; lift_bytes = !lift_bytes }
+  { dims = Array.make device_count device_dim; kernels; placed_bytes = !placed_bytes }
 
 (* The program's placed kernels, memoized on the program with the op list
    and register shape they were placed for, like [Physical.schedule_array]:

@@ -28,12 +28,11 @@ val simulate : ?config:config -> ?domains:int -> ?batch:int -> Physical.t -> res
     is a plan-only call: the execution plan is built, no trajectory runs,
     and the statistics are NaN.
 
-    A plan has three parts, each built once at its own level. A distinct
-    lifted gate gets its kernel body classified once, in its lift-table
-    entry ({!lift}). A program gets one placed kernel per op, memoized on
-    the program ([Physical.kernel_memo]) on its first call. Each call
-    builds only its model's error probabilities and damping tables, so a
-    sweep over noise models places every program's kernels once.
+    A plan has two parts, each built once at its own level. A program gets
+    one kernel per op ({!place}), memoized on the program
+    ([Physical.kernel_memo]) on its first call. Each call builds only its
+    model's error probabilities and damping tables, so a sweep over noise
+    models places every program's kernels once.
 
     Trajectories fan out across [domains] OCaml domains (default: the
     [WALTZ_DOMAINS] environment knob, else the machine's recommended domain
@@ -69,36 +68,13 @@ val simulate_detailed :
 
 (** {1 Internals shared with the exact (density-matrix) executor} *)
 
-type lift = {
-  lifted : Waltz_linalg.Mat.t;  (** the op's unitary over its devices' joint space *)
-  body : Waltz_sim.Kernel.body;  (** [Kernel.classify lifted], computed on insertion *)
-}
-(** A lift-table entry. *)
-
-val lift : device_dim:int -> Physical.op -> int list * lift
-(** The devices an op touches (in target order) and its lift-table entry.
-    Memoized on (device_dim, target-slot pattern, op label, gate
-    dimension), so lookups never hash the gate's float arrays; same-key ops
-    with different matrices fall back to matrix equality within the bucket
-    (counted as [executor.lift_table.collision]). Ops repeating a gate on
-    different devices share one entry: one Kronecker lift and one
-    classified body. A bucket keeps its 16 newest gates, and the table
-    empties once it holds {!lift_capacity} entries, so neither a stream of
-    distinct gates nor one of same-label rotations grows it or its scans
-    without bound. *)
-
 val lift_gate : device_dim:int -> Physical.op -> int list * Waltz_linalg.Mat.t
-(** [lift]'s devices and lifted unitary. *)
-
-val lift_capacity : int
-(** The entries the lift table holds before it empties (4096). *)
-
-val lift_entries : unit -> int
-(** The entries the lift table holds now. *)
-
-val lift_gate_uncached : device_dim:int -> Physical.op -> int list * Waltz_linalg.Mat.t
-(** The raw (un-memoized) lift; exposed so tests can check the cache against
-    freshly built matrices. *)
+(** The devices an op touches, in order of first appearance among its
+    targets, and its gate Kronecker-embedded in their joint space
+    ({!Waltz_qudit.Embed.on_qubits} over two slot wires per ququart, one
+    wire per qubit). Built afresh on every call. The executor never applies
+    it: it is the independent reference that {!Exact}, the leakage pass and
+    the tests read. *)
 
 type damp_spec = { dwire : int; lambdas : float array; scales : float array }
 (** One amplitude-damping window: the device, its
@@ -165,20 +141,19 @@ val block_workspace_bytes : dims:int array -> cap:int -> int
 type placement = {
   dims : int array;  (** the register shape, one entry per device *)
   kernels : Waltz_sim.Kernel.t array;
-      (** one per op, in op order, placed from the lift table's bodies; ops
-          that repeat one lift entry on the same devices share one *)
+      (** one per op, in op order: its own gate on its wires of the
+          register's two-level wire view. Device d, slot s is wire 2d + s
+          on a ququart register and wire d on a qubit register, the bit
+          order of [Equivalence.wire_bit]; the view addresses the same flat
+          amplitudes as [dims]. Ops that repeat one gate ([==]) on one
+          target list share a kernel. *)
   placed_bytes : int;
       (** {!Waltz_sim.Kernel.footprint_bytes} summed over the distinct
-          placements — what a memo build adds to [executor.plan.bytes] *)
-  lift_bytes : int;
-      (** lifted matrix plus {!Waltz_sim.Kernel.body_bytes} of the lift
-          entry under each distinct placement: a bound on the lift-table
-          entries the program reads (an entry placed on two device sets
-          counts twice) *)
+          kernels — what a memo build adds to [executor.plan.bytes] *)
 }
 
 val place : Physical.t -> placement
 (** A fresh placement of the program's kernels, built exactly as the
     kernel memo builds it but neither reading nor writing the memo — the
-    resource certificate's view of the plan. Classifies nothing that is
-    already in the lift table. *)
+    resource certificate's view of the plan. Raises [Invalid_argument]
+    when an op's gate does not fit its targets ({!Waltz_sim.Kernel.compile}). *)

@@ -26,25 +26,52 @@ let on_wires ~dims ~targets u =
   List.iter
     (fun t -> if t < 0 || t >= n then invalid_arg "Embed.on_wires: target out of range")
     targets;
-  let distinct = List.sort_uniq compare targets in
-  if List.length distinct <> List.length targets then
-    invalid_arg "Embed.on_wires: duplicate targets";
+  let is_target = Array.make n false in
+  List.iter
+    (fun t ->
+      if is_target.(t) then invalid_arg "Embed.on_wires: duplicate targets";
+      is_target.(t) <- true)
+    targets;
   let tgt = Array.of_list targets in
   let sub_dim = Array.fold_left (fun acc t -> acc * dims.(t)) 1 tgt in
   if u.Mat.rows <> sub_dim || u.Mat.cols <> sub_dim then
     invalid_arg "Embed.on_wires: unitary dimension mismatch";
   let total = Array.fold_left ( * ) 1 dims in
-  let is_target = Array.make n false in
-  Array.iter (fun t -> is_target.(t) <- true) tgt;
-  let sub_index digits =
-    Array.fold_left (fun acc t -> (acc * dims.(t)) + digits.(t)) 0 tgt
+  let stride = Array.make n 1 in
+  for w = n - 2 downto 0 do
+    stride.(w) <- stride.(w + 1) * dims.(w + 1)
+  done;
+  (* The offset of each digit combination of [wires], first wire most
+     significant. *)
+  let offsets_of wires =
+    Array.init
+      (Array.fold_left (fun acc w -> acc * dims.(w)) 1 wires)
+      (fun k ->
+        let rem = ref k and off = ref 0 in
+        for i = Array.length wires - 1 downto 0 do
+          let w = wires.(i) in
+          off := !off + (!rem mod dims.(w) * stride.(w));
+          rem := !rem / dims.(w)
+        done;
+        !off)
   in
-  Mat.init total total (fun i j ->
-      let di = digits_of_index ~dims i and dj = digits_of_index ~dims j in
-      let spectators_match = ref true in
-      for w = 0 to n - 1 do
-        if (not is_target.(w)) && di.(w) <> dj.(w) then spectators_match := false
-      done;
-      if not !spectators_match then Cplx.zero else Mat.get u (sub_index di) (sub_index dj))
+  (* A base index has every target digit zero: the offsets of the
+     spectator wires' digits. The lift holds u's entry (i, j) at
+     (base + offset i, base + offset j) and zeros elsewhere. *)
+  let offsets = offsets_of tgt in
+  let spectators = List.filter (fun w -> not is_target.(w)) (List.init n Fun.id) in
+  let bases = offsets_of (Array.of_list spectators) in
+  let m = Mat.zeros total total in
+  Array.iter
+    (fun base ->
+      for i = 0 to sub_dim - 1 do
+        let row = ((base + offsets.(i)) * total) + base in
+        for j = 0 to sub_dim - 1 do
+          m.Mat.re.(row + offsets.(j)) <- u.Mat.re.((i * sub_dim) + j);
+          m.Mat.im.(row + offsets.(j)) <- u.Mat.im.((i * sub_dim) + j)
+        done
+      done)
+    bases;
+  m
 
 let on_qubits ~n ~targets u = on_wires ~dims:(Array.make n 2) ~targets u

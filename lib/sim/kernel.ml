@@ -1,8 +1,7 @@
 open Waltz_linalg
 module Scratch = Waltz_runtime.Scratch
 
-(* A classified matrix: the entries the apply loops read, independent of
-   the register it is placed in, so placements at any shape share it. *)
+(* A classified matrix: the entries the apply loops read. *)
 type body =
   | Diagonal of { dre : float array; dim : float array }
   | Monomial of { src : int array; pre : float array; pim : float array }
@@ -61,7 +60,6 @@ let offsets_of ~dims ~strides tgt g =
    (zero-tolerance) tests, so only true diagonals and true permutations with
    phases take the specialized bodies. *)
 let classify m =
-  if m.Mat.rows <> m.Mat.cols then invalid_arg "Kernel.compile: matrix dimension mismatch";
   match Mat.diagonal_entries m with
   | Some (dre, dim) -> Diagonal { dre; dim }
   | None -> begin
@@ -70,13 +68,7 @@ let classify m =
     | None -> Dense { mre = Array.copy m.Mat.re; mim = Array.copy m.Mat.im }
   end
 
-let body_fits body g =
-  match body with
-  | Diagonal { dre; _ } -> Array.length dre = g
-  | Monomial { src; _ } -> Array.length src = g
-  | Dense { mre; _ } -> Array.length mre = g * g
-
-let place ~dims ~targets body =
+let compile ~dims ~targets m =
   let nw = Array.length dims in
   List.iter
     (fun w -> if w < 0 || w >= nw then invalid_arg "Kernel.compile: wire out of range")
@@ -88,7 +80,9 @@ let place ~dims ~targets body =
     invalid_arg "Kernel.compile: duplicate targets";
   let strides = strides_of dims in
   let g = Array.fold_left (fun acc w -> acc * dims.(w)) 1 tgt in
-  if not (body_fits body g) then invalid_arg "Kernel.compile: matrix dimension mismatch";
+  if m.Mat.rows <> g || m.Mat.cols <> g then
+    invalid_arg "Kernel.compile: matrix dimension mismatch";
+  let body = classify m in
   let n = Array.fold_left ( * ) 1 dims in
   let offsets = offsets_of ~dims ~strides tgt g in
   let iter =
@@ -130,35 +124,29 @@ let place ~dims ~targets body =
   in
   { tgt; g; n; offsets; iter; body; cls }
 
-let compile ~dims ~targets m = place ~dims ~targets (classify m)
-
 let class_index t = t.cls
 let class_name t = class_table.(t.cls)
 let targets t = Array.to_list t.tgt
 let dim_total t = t.n
 let dim_targets t = t.g
 
-let body_bytes body =
-  let ints len = 8 * len and floats len = 8 * len in
-  match body with
-  | Diagonal { dre; dim } -> floats (Array.length dre) + floats (Array.length dim)
-  | Monomial { src; pre; pim } ->
-    ints (Array.length src) + floats (Array.length pre) + floats (Array.length pim)
-  | Dense { mre; mim } -> floats (Array.length mre) + floats (Array.length mim)
-
-(* Payload bytes a placement adds over its shared body (int array contents,
-   excluding OCaml block headers). Must track the fields allocated by
-   [place] exactly: an undercount here voids the certificate soundness
-   argument. *)
+(* Payload bytes of a kernel (array contents, excluding OCaml block
+   headers). Must track the arrays [compile] allocates exactly: an
+   undercount here voids the certificate soundness argument. *)
 let footprint_bytes t =
-  let ints len = 8 * len in
-  let iter_bytes =
+  let words = Array.length in
+  let body =
+    match t.body with
+    | Diagonal { dre; dim } -> words dre + words dim
+    | Monomial { src; pre; pim } -> words src + words pre + words pim
+    | Dense { mre; mim } -> words mre + words mim
+  in
+  let iter =
     match t.iter with
     | Single _ | Pair _ -> 0
-    | Odometer { odims; ostrides; _ } ->
-      ints (Array.length odims) + ints (Array.length ostrides)
+    | Odometer { odims; ostrides; _ } -> words odims + words ostrides
   in
-  ints (Array.length t.tgt) + ints (Array.length t.offsets) + iter_bytes
+  8 * (words t.tgt + words t.offsets + iter + body)
 
 (* Enumerate bases in ascending order; [f] must not re-enter the same
    scratch slots. The closure is allocated once per [apply_block], not per
@@ -296,54 +284,24 @@ let apply_block t bre' bim' ~cap ~live =
             bim'.(p + k) <- (a *. im) +. (b *. re)
           done
         done)
-  | Dense { mre; mim } when g = 4 ->
-    (* The dominant dense shape on four-level devices — one ququart (or a
-       qubit pair) — fully unrolled: per base, the four plane positions are
-       computed once and every lane runs the same straight-line matvec on
-       locals, no scratch traffic at all. The accumulation chains are the
-       generic branch's j-ascending order written out, so results are
-       bit-identical to it. *)
-    let o0 = offsets.(0) and o1 = offsets.(1) and o2 = offsets.(2) and o3 = offsets.(3) in
+  | Dense { mre; mim } when g = 2 ->
+    (* The dominant dense shape: one slot of a ququart, or one qubit, on
+       the executor's two-level wire view. Per base, both plane positions
+       are computed once and every lane runs the same straight-line matvec
+       on locals, with no scratch traffic. The sums are the generic
+       branch's, in ascending j, so results are bit-identical to it. *)
+    let o0 = offsets.(0) and o1 = offsets.(1) in
     let a00 = mre.(0) and b00 = mim.(0) and a01 = mre.(1) and b01 = mim.(1)
-    and a02 = mre.(2) and b02 = mim.(2) and a03 = mre.(3) and b03 = mim.(3)
-    and a10 = mre.(4) and b10 = mim.(4) and a11 = mre.(5) and b11 = mim.(5)
-    and a12 = mre.(6) and b12 = mim.(6) and a13 = mre.(7) and b13 = mim.(7)
-    and a20 = mre.(8) and b20 = mim.(8) and a21 = mre.(9) and b21 = mim.(9)
-    and a22 = mre.(10) and b22 = mim.(10) and a23 = mre.(11) and b23 = mim.(11)
-    and a30 = mre.(12) and b30 = mim.(12) and a31 = mre.(13) and b31 = mim.(13)
-    and a32 = mre.(14) and b32 = mim.(14) and a33 = mre.(15) and b33 = mim.(15) in
+    and a10 = mre.(2) and b10 = mim.(2) and a11 = mre.(3) and b11 = mim.(3) in
     iterate t (fun base ->
-        let p0 = (base + o0) * cap and p1 = (base + o1) * cap
-        and p2 = (base + o2) * cap and p3 = (base + o3) * cap in
+        let p0 = (base + o0) * cap and p1 = (base + o1) * cap in
         for k = 0 to live - 1 do
           let r0 = bre'.(p0 + k) and m0 = bim'.(p0 + k)
-          and r1 = bre'.(p1 + k) and m1 = bim'.(p1 + k)
-          and r2 = bre'.(p2 + k) and m2 = bim'.(p2 + k)
-          and r3 = bre'.(p3 + k) and m3 = bim'.(p3 + k) in
-          bre'.(p0 + k) <-
-            0. +. (a00 *. r0) -. (b00 *. m0) +. (a01 *. r1) -. (b01 *. m1)
-            +. (a02 *. r2) -. (b02 *. m2) +. (a03 *. r3) -. (b03 *. m3);
-          bim'.(p0 + k) <-
-            0. +. (a00 *. m0) +. (b00 *. r0) +. (a01 *. m1) +. (b01 *. r1)
-            +. (a02 *. m2) +. (b02 *. r2) +. (a03 *. m3) +. (b03 *. r3);
-          bre'.(p1 + k) <-
-            0. +. (a10 *. r0) -. (b10 *. m0) +. (a11 *. r1) -. (b11 *. m1)
-            +. (a12 *. r2) -. (b12 *. m2) +. (a13 *. r3) -. (b13 *. m3);
-          bim'.(p1 + k) <-
-            0. +. (a10 *. m0) +. (b10 *. r0) +. (a11 *. m1) +. (b11 *. r1)
-            +. (a12 *. m2) +. (b12 *. r2) +. (a13 *. m3) +. (b13 *. r3);
-          bre'.(p2 + k) <-
-            0. +. (a20 *. r0) -. (b20 *. m0) +. (a21 *. r1) -. (b21 *. m1)
-            +. (a22 *. r2) -. (b22 *. m2) +. (a23 *. r3) -. (b23 *. m3);
-          bim'.(p2 + k) <-
-            0. +. (a20 *. m0) +. (b20 *. r0) +. (a21 *. m1) +. (b21 *. r1)
-            +. (a22 *. m2) +. (b22 *. r2) +. (a23 *. m3) +. (b23 *. r3);
-          bre'.(p3 + k) <-
-            0. +. (a30 *. r0) -. (b30 *. m0) +. (a31 *. r1) -. (b31 *. m1)
-            +. (a32 *. r2) -. (b32 *. m2) +. (a33 *. r3) -. (b33 *. m3);
-          bim'.(p3 + k) <-
-            0. +. (a30 *. m0) +. (b30 *. r0) +. (a31 *. m1) +. (b31 *. r1)
-            +. (a32 *. m2) +. (b32 *. r2) +. (a33 *. m3) +. (b33 *. r3)
+          and r1 = bre'.(p1 + k) and m1 = bim'.(p1 + k) in
+          bre'.(p0 + k) <- 0. +. (a00 *. r0) -. (b00 *. m0) +. (a01 *. r1) -. (b01 *. m1);
+          bim'.(p0 + k) <- 0. +. (a00 *. m0) +. (b00 *. r0) +. (a01 *. m1) +. (b01 *. r1);
+          bre'.(p1 + k) <- 0. +. (a10 *. r0) -. (b10 *. m0) +. (a11 *. r1) -. (b11 *. m1);
+          bim'.(p1 + k) <- 0. +. (a10 *. m0) +. (b10 *. r0) +. (a11 *. m1) +. (b11 *. r1)
         done)
   | Dense { mre; mim } ->
     let scratch = Scratch.get () in

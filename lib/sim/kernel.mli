@@ -1,18 +1,16 @@
 (** Plan-time compiled gate kernels.
 
-    The trajectory executor applies the same lifted unitaries thousands of
-    times (trajectories × shots × noise points), and most gates the Waltz
-    emits are *structured*: Z-type diagonals (CZ/CCZ/Rz) and permutations
-    with phases (X(+m), controlled-X, SWAP, ENC). Compiling a kernel has two
-    steps. [classify] reads a lifted unitary once and keeps its structure as
-    a {!body}: a phase table, a permutation with phases, or the dense
-    entries. [place] fixes a body on target wires of a register shape and
-    precomputes every index the per-trajectory application needs (subspace
-    offsets, spectator iteration structure), so the per-block cost is one
-    dispatch and zero allocation — gather buffers come from the per-domain
-    {!Waltz_runtime.Scratch} arena. A body is independent of the register,
-    so one body serves every placement of its gate. {!apply_block} is the
-    only apply path: a single state vector is a one-lane block.
+    The trajectory executor applies the same gates thousands of times
+    (trajectories × shots × noise points), and most gates the Waltz emits
+    are *structured*: Z-type diagonals (CZ/CCZ/Rz) and permutations with
+    phases (X(+m), controlled-X, SWAP, ENC). [compile] reads a unitary once,
+    keeps its structure (a phase table, a permutation with phases, or the
+    dense entries) and precomputes every index the per-trajectory
+    application needs on its target wires (subspace offsets, spectator
+    iteration structure), so the per-block cost is one dispatch and zero
+    allocation — gather buffers come from the per-domain
+    {!Waltz_runtime.Scratch} arena. {!apply_block} is the only apply path:
+    a single state vector is a one-lane block.
 
     Classes, in classification order:
 
@@ -24,9 +22,12 @@
     - [generic] — dense on three or more wires, spectator-wire odometer
       (the reference gather/multiply/scatter).
 
-    Compiled programs dispatch only the first three (every pulse spanning
-    devices is a permutation with phases); the dense multi-wire classes
-    serve [Gate.Custom] matrices built through the OCaml API.
+    The executor compiles each op's own gate on the register's two-level
+    wire view (one wire per ququart slot), so compiled programs dispatch
+    only the first three: every pulse spanning devices is a permutation
+    with phases, and every dense pulse acts on one slot. The dense
+    multi-wire classes serve [Gate.Custom] matrices built through the OCaml
+    API.
 
     Classification uses exact (zero-tolerance) structure tests on the
     matrix entries, so a near-diagonal or near-monomial matrix can never be
@@ -34,33 +35,21 @@
     products as the generic path (terms that are exactly zero excepted) —
     results agree with {!State.apply} to the last bit in practice.
 
-    Bodies and placed kernels are immutable and safe to share read-only
-    across domains; [apply_block] is safe to call concurrently on distinct
-    blocks. *)
+    Kernels are immutable and safe to share read-only across domains;
+    [apply_block] is safe to call concurrently on distinct blocks. *)
 
 open Waltz_linalg
 
-type body
-(** A classified unitary: its structure and entries, with no register
-    shape. Placements share it; none copies it. *)
-
 type t
-(** A body placed on target wires of a register shape. *)
-
-val classify : Mat.t -> body
-(** [classify m] tests [m] for diagonal, then monomial structure, and keeps
-    the entries the matching apply loop reads (a dense body copies [m]).
-    Raises [Invalid_argument] if [m] is not square. *)
-
-val place : dims:int array -> targets:int list -> body -> t
-(** [place ~dims ~targets b] fixes [b] on the listed wires of a register
-    with wire dimensions [dims] (first target most significant) and
-    precomputes the application plan. The result reads [b]'s entries in
-    place. Raises [Invalid_argument] on out-of-range/duplicate targets or
-    a dimension mismatch, mirroring [State.apply]. *)
+(** A classified unitary on target wires of a register shape. *)
 
 val compile : dims:int array -> targets:int list -> Mat.t -> t
-(** [compile ~dims ~targets m] is [place ~dims ~targets (classify m)]. *)
+(** [compile ~dims ~targets m] fixes [m] on the listed wires of a register
+    with wire dimensions [dims] (first target most significant). It tests
+    [m] for diagonal, then monomial structure, keeps the entries the
+    matching apply loop reads (a dense kernel copies [m]) and precomputes
+    the application plan. Raises [Invalid_argument] on out-of-range or
+    duplicate targets or a dimension mismatch, mirroring [State.apply]. *)
 
 val apply_block : t -> float array -> float array -> cap:int -> live:int -> unit
 (** [apply_block t re im ~cap ~live] applies the kernel in lockstep to the
@@ -102,13 +91,9 @@ val dim_targets : t -> int
 (** Dimension of the subspace the kernel acts on (the product of its
     targets' [dims]). *)
 
-val body_bytes : body -> int
-(** Payload bytes of a body's phase/permutation/matrix entries (OCaml
-    block headers excluded). *)
-
 val footprint_bytes : t -> int
-(** Payload bytes a placement adds over its shared body: the target,
-    offset and iteration tables (OCaml block headers excluded). Exact for
-    every class, so the placed-kernel memory the executor observes equals
-    the sum its resource certificate computes (doc/ANALYSIS.md, RES
-    family). *)
+(** Payload bytes of the whole kernel: its phase, permutation or matrix
+    entries and its target, offset and iteration tables (OCaml block
+    headers excluded). Exact for every class, so the kernel memory the
+    executor observes equals the sum its resource certificate computes
+    (doc/ANALYSIS.md, RES family). *)

@@ -56,7 +56,10 @@ let transfer ~device_dim:dim (op : Physical.op) (masks : int array) =
       done;
       if !admissible then
         for r = 0 to dim_total - 1 do
-          if Cplx.norm2 (Mat.get u r j) > threshold then
+          (* |u_rj|², read in place: [Mat.get] would allocate per entry. *)
+          let e = (r * dim_total) + j in
+          let re = u.Mat.re.(e) and im = u.Mat.im.(e) in
+          if (re *. re) +. (im *. im) > threshold then
             for k = 0 to m - 1 do
               out.(k) <- out.(k) lor (1 lsl level_of r k)
             done

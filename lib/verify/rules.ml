@@ -118,8 +118,8 @@ let all =
       "certificates are sound by construction; telemetry observing more \
        memory, work or time than certified is an analysis bug";
     r "RES03" Diagnostic.Warning "cache residency dominates the working set"
-      "worst-case lift/plan/program cache residency exceeds the live \
-       working set by the configured ratio: eviction pressure, not the \
+      "worst-case program and kernel-memo cache residency exceeds the \
+       live working set by the configured ratio: eviction pressure, not the \
        program, will drive peak memory";
     (* concurrency sanitizer (waltz_sanitize) *)
     r "RACE00" Diagnostic.Info "sanitizer run summary"

@@ -380,7 +380,7 @@ let golden_report =
     passes_run = [ "stabilizer"; "leakage"; "cost"; "liveness"; "res" ] }
 
 let golden_sarif =
-  {sarif|{"$schema":"https://json.schemastore.org/sarif-2.1.0.json","version":"2.1.0","runs":[{"tool":{"driver":{"name":"waltz_verify","informationUri":"doc/VERIFIER.md","rules":[{"id":"WF00","shortDescription":{"text":"program header sanity"},"help":{"text":"Sec. 3: devices are qubits (d=2) or ququarts (d=4); encoding mode fixes d"},"defaultConfiguration":{"level":"error"}},{"id":"WF01","shortDescription":{"text":"duplicate device in parts"},"help":{"text":"a pulse touches each device once"},"defaultConfiguration":{"level":"error"}},{"id":"WF02","shortDescription":{"text":"gate dimension mismatch"},"help":{"text":"an op's unitary acts on its virtual wires: dim = 2^|targets|"},"defaultConfiguration":{"level":"error"}},{"id":"WF03","shortDescription":{"text":"target device missing from parts"},"help":{"text":"every virtual wire an op acts on belongs to a touched device"},"defaultConfiguration":{"level":"error"}},{"id":"WF04","shortDescription":{"text":"duplicate target wire"},"help":{"text":"virtual wires of one op are distinct"},"defaultConfiguration":{"level":"error"}},{"id":"WF05","shortDescription":{"text":"placement map not injective"},"help":{"text":"Sec. 5.2: the mapping assigns each logical qubit its own (device, slot)"},"defaultConfiguration":{"level":"error"}},{"id":"WF06","shortDescription":{"text":"device or slot out of range"},"help":{"text":"slots are {0} on qubits, {0, 1} on ququarts (Sec. 3 encoding)"},"defaultConfiguration":{"level":"error"}},{"id":"WF07","shortDescription":{"text":"occupancy annotation out of range"},"help":{"text":"a device holds 0, 1 or 2 qubits (Sec. 3)"},"defaultConfiguration":{"level":"error"}},{"id":"WF08","shortDescription":{"text":"op touches nothing"},"help":{"text":"empty parts or targets"},"defaultConfiguration":{"level":"warning"}},{"id":"WF09","shortDescription":{"text":"gate matrix not unitary"},"help":{"text":"ops are calibrated unitary pulses"},"defaultConfiguration":{"level":"error"}},{"id":"CIR01","shortDescription":{"text":"gate operand out of range"},"help":{"text":"gates act on declared qubits"},"defaultConfiguration":{"level":"error"}},{"id":"CIR02","shortDescription":{"text":"duplicate gate operands"},"help":{"text":"gate operands are distinct"},"defaultConfiguration":{"level":"error"}},{"id":"CIR03","shortDescription":{"text":"malformed gate"},"help":{"text":"a gate takes as many operands as its arity; a Custom gate's matrix must be a square unitary of dimension 2^arity"},"defaultConfiguration":{"level":"error"}},{"id":"CIR04","shortDescription":{"text":"logical qubit count mismatch"},"help":{"text":"the compiled program must cover the source circuit's register"},"defaultConfiguration":{"level":"error"}},{"id":"OCC01","shortDescription":{"text":"occ_before disagrees with dataflow"},"help":{"text":"per-op bookkeeping must replay from initial_map (Sec. 5)"},"defaultConfiguration":{"level":"error"}},{"id":"OCC02","shortDescription":{"text":"gate on an empty slot"},"help":{"text":"pulses act on stored qubits (Sec. 3.2 partially-occupied ququarts)"},"defaultConfiguration":{"level":"error"}},{"id":"OCC03","shortDescription":{"text":"malformed ENC"},"help":{"text":"Sec. 4.1: ENC merges two lone qubits into one ququart"},"defaultConfiguration":{"level":"error"}},{"id":"OCC04","shortDescription":{"text":"malformed DEC"},"help":{"text":"Sec. 4.1: ENC-dagger splits a full ququart into two lone qubits"},"defaultConfiguration":{"level":"error"}},{"id":"OCC05","shortDescription":{"text":"noise_role inconsistent with occupancy"},"help":{"text":"Sec. 6.3: error channels are drawn per stored-qubit subspace"},"defaultConfiguration":{"level":"error"}},{"id":"OCC06","shortDescription":{"text":"final_map disagrees with dataflow"},"help":{"text":"the final placement must match the replayed slot occupancy"},"defaultConfiguration":{"level":"error"}},{"id":"OCC07","shortDescription":{"text":"occ_after disagrees with dataflow"},"help":{"text":"per-op bookkeeping must replay from initial_map (Sec. 5)"},"defaultConfiguration":{"level":"error"}},{"id":"TOP01","shortDescription":{"text":"op on non-adjacent devices"},"help":{"text":"Sec. 5.3: multi-device pulses need coupled (neighbouring) devices"},"defaultConfiguration":{"level":"error"}},{"id":"TOP02","shortDescription":{"text":"topology too small"},"help":{"text":"the device count must fit the topology (Sec. 6.2 mesh)"},"defaultConfiguration":{"level":"error"}},{"id":"TOP03","shortDescription":{"text":"too many devices in one pulse"},"help":{"text":"pulses span at most 2 devices on ququarts, 3 (iToffoli) on qubits"},"defaultConfiguration":{"level":"error"}},{"id":"SCHED01","shortDescription":{"text":"ops overlap on a device"},"help":{"text":"Sec. 5.5: ASAP scheduling serializes each device"},"defaultConfiguration":{"level":"error"}},{"id":"SCHED02","shortDescription":{"text":"total_duration off the critical path"},"help":{"text":"Sec. 5.5: duration = longest device-dependency chain of the ASAP schedule"},"defaultConfiguration":{"level":"error"}},{"id":"SCHED03","shortDescription":{"text":"invalid duration"},"help":{"text":"durations are finite and non-negative"},"defaultConfiguration":{"level":"error"}},{"id":"CAL01","shortDescription":{"text":"no calibration entry matches"},"help":{"text":"Tables 1-2: every pulse carries a calibrated duration and fidelity"},"defaultConfiguration":{"level":"error"}},{"id":"CAL02","shortDescription":{"text":"calibration illegal for strategy"},"help":{"text":"Sec. 6.2: each environment exposes its own gate set"},"defaultConfiguration":{"level":"error"}},{"id":"CAL03","shortDescription":{"text":"ww pulse on two-level devices"},"help":{"text":"levels |2>/|3> do not exist on bare qubits (Fig. 9b)"},"defaultConfiguration":{"level":"error"}},{"id":"CAL04","shortDescription":{"text":"touches_ww inconsistent with occupancy"},"help":{"text":"Fig. 9b: pulses touching levels |2>/|3> scale with the ww error knob"},"defaultConfiguration":{"level":"warning"}},{"id":"EQ00","shortDescription":{"text":"equivalence check skipped"},"help":{"text":"sparse replay: skipped past 4096 amplitudes, 62 register bits or the caller's bound"},"defaultConfiguration":{"level":"note"}},{"id":"EQ01","shortDescription":{"text":"physical program is not equivalent to the circuit"},"help":{"text":"compilation preserves the circuit unitary up to global phase (Sec. 5)"},"defaultConfiguration":{"level":"error"}},{"id":"EQ02","shortDescription":{"text":"state leaks out of the computational subspace"},"help":{"text":"Sec. 6.4: ideal execution keeps support on the encoded subspace"},"defaultConfiguration":{"level":"error"}},{"id":"STAB00","shortDescription":{"text":"stabilizer analysis partial or skipped"},"help":{"text":"Clifford tableaux only track H/S/X/Y/Z/CX/CZ/SWAP segments exactly"},"defaultConfiguration":{"level":"note"}},{"id":"STAB01","shortDescription":{"text":"optimizer output certified equivalent"},"help":{"text":"tableau equality proves unitary equality up to global phase at any width"},"defaultConfiguration":{"level":"note"}},{"id":"STAB02","shortDescription":{"text":"identity-composing gate run"},"help":{"text":"a Clifford run conjugating every Pauli to itself is removable dead code"},"defaultConfiguration":{"level":"warning"}},{"id":"STAB03","shortDescription":{"text":"optimizer output not equivalent"},"help":{"text":"stabilizer images diverge: simplification changed the circuit unitary"},"defaultConfiguration":{"level":"error"}},{"id":"LEAK01","shortDescription":{"text":"two-qubit-only pulse reachable in an encoded state"},"help":{"text":"Fig. 9b: a pulse not calibrated for |2>/|3> sees a device that can hold them"},"defaultConfiguration":{"level":"warning"}},{"id":"LEAK02","shortDescription":{"text":"provably dead ENC/DEC pair"},"help":{"text":"Sec. 4.1: an encode immediately undone by its decode wastes two ww pulses"},"defaultConfiguration":{"level":"warning"}},{"id":"LEAK03","shortDescription":{"text":"reachable-level summary"},"help":{"text":"Sec. 3: the reachable level sets bound every state the schedule can prepare"},"defaultConfiguration":{"level":"note"}},{"id":"COST01","shortDescription":{"text":"op fold disagrees with the EPS oracle"},"help":{"text":"Tables 1-2: the per-op success product, pulse time and error budget must reproduce Eps.estimate and Eps.label_breakdown exactly"},"defaultConfiguration":{"level":"error"}},{"id":"COST03","shortDescription":{"text":"duration and EPS summary"},"help":{"text":"Sec. 6: critical path, serialized pulse time, gate EPS and error budget"},"defaultConfiguration":{"level":"note"}},{"id":"LIVE00","shortDescription":{"text":"liveness analysis skipped"},"help":{"text":"needs the source circuit"},"defaultConfiguration":{"level":"note"}},{"id":"LIVE01","shortDescription":{"text":"cancellable gate pair separated by commuting gates"},"help":{"text":"gates commuting with everything between them cancel; peephole only sees neighbours"},"defaultConfiguration":{"level":"warning"}},{"id":"LIVE02","shortDescription":{"text":"gate is an identity rotation"},"help":{"text":"rotations by multiples of 2*pi are removable dead code"},"defaultConfiguration":{"level":"warning"}},{"id":"LIVE03","shortDescription":{"text":"fuseable rotation pair separated by commuting gates"},"help":{"text":"same-axis rotations merge once commuting gates are moved aside"},"defaultConfiguration":{"level":"note"}},{"id":"RES00","shortDescription":{"text":"resource certificate"},"help":{"text":"sound static bounds on peak bytes, modeled duration and pool seats for one (program x model x batch x domains) configuration"},"defaultConfiguration":{"level":"note"}},{"id":"RES01","shortDescription":{"text":"certified demand exceeds the admission budget"},"help":{"text":"the certificate's peak-byte or worst-case-duration bound is over the user limit, so an admission controller must reject the job unrun"},"defaultConfiguration":{"level":"error"}},{"id":"RES02","shortDescription":{"text":"certificate diverges from the observed run"},"help":{"text":"certificates are sound by construction; telemetry observing more memory, work or time than certified is an analysis bug"},"defaultConfiguration":{"level":"error"}},{"id":"RES03","shortDescription":{"text":"cache residency dominates the working set"},"help":{"text":"worst-case lift/plan/program cache residency exceeds the live working set by the configured ratio: eviction pressure, not the program, will drive peak memory"},"defaultConfiguration":{"level":"warning"}}]}},"columnKind":"utf16CodeUnits","properties":{"opsChecked":6,"passes":["stabilizer","leakage","cost","liveness","res"]},"results":[{"ruleId":"STAB03","ruleIndex":37,"level":"error","message":{"text":"optimizer output NOT equivalent: stabilizer images diverge on the 4-qubit circuit"}},{"ruleId":"LEAK02","ruleIndex":39,"level":"warning","message":{"text":"ENC at op 2 is decoded at op 5 with no pulse in between: the pair is dead"},"locations":[{"logicalLocations":[{"fullyQualifiedName":"op[2]","kind":"instruction"}]}],"properties":{"fix":"drop ops 2 and 5"}},{"ruleId":"COST03","ruleIndex":42,"level":"note","message":{"text":"critical path 120.0 ns (serialized 240.0 ns, 2.00x parallelism); gate EPS 0.010000; error budget 0.010000"}}]}]}|sarif}
+  {sarif|{"$schema":"https://json.schemastore.org/sarif-2.1.0.json","version":"2.1.0","runs":[{"tool":{"driver":{"name":"waltz_verify","informationUri":"doc/VERIFIER.md","rules":[{"id":"WF00","shortDescription":{"text":"program header sanity"},"help":{"text":"Sec. 3: devices are qubits (d=2) or ququarts (d=4); encoding mode fixes d"},"defaultConfiguration":{"level":"error"}},{"id":"WF01","shortDescription":{"text":"duplicate device in parts"},"help":{"text":"a pulse touches each device once"},"defaultConfiguration":{"level":"error"}},{"id":"WF02","shortDescription":{"text":"gate dimension mismatch"},"help":{"text":"an op's unitary acts on its virtual wires: dim = 2^|targets|"},"defaultConfiguration":{"level":"error"}},{"id":"WF03","shortDescription":{"text":"target device missing from parts"},"help":{"text":"every virtual wire an op acts on belongs to a touched device"},"defaultConfiguration":{"level":"error"}},{"id":"WF04","shortDescription":{"text":"duplicate target wire"},"help":{"text":"virtual wires of one op are distinct"},"defaultConfiguration":{"level":"error"}},{"id":"WF05","shortDescription":{"text":"placement map not injective"},"help":{"text":"Sec. 5.2: the mapping assigns each logical qubit its own (device, slot)"},"defaultConfiguration":{"level":"error"}},{"id":"WF06","shortDescription":{"text":"device or slot out of range"},"help":{"text":"slots are {0} on qubits, {0, 1} on ququarts (Sec. 3 encoding)"},"defaultConfiguration":{"level":"error"}},{"id":"WF07","shortDescription":{"text":"occupancy annotation out of range"},"help":{"text":"a device holds 0, 1 or 2 qubits (Sec. 3)"},"defaultConfiguration":{"level":"error"}},{"id":"WF08","shortDescription":{"text":"op touches nothing"},"help":{"text":"empty parts or targets"},"defaultConfiguration":{"level":"warning"}},{"id":"WF09","shortDescription":{"text":"gate matrix not unitary"},"help":{"text":"ops are calibrated unitary pulses"},"defaultConfiguration":{"level":"error"}},{"id":"CIR01","shortDescription":{"text":"gate operand out of range"},"help":{"text":"gates act on declared qubits"},"defaultConfiguration":{"level":"error"}},{"id":"CIR02","shortDescription":{"text":"duplicate gate operands"},"help":{"text":"gate operands are distinct"},"defaultConfiguration":{"level":"error"}},{"id":"CIR03","shortDescription":{"text":"malformed gate"},"help":{"text":"a gate takes as many operands as its arity; a Custom gate's matrix must be a square unitary of dimension 2^arity"},"defaultConfiguration":{"level":"error"}},{"id":"CIR04","shortDescription":{"text":"logical qubit count mismatch"},"help":{"text":"the compiled program must cover the source circuit's register"},"defaultConfiguration":{"level":"error"}},{"id":"OCC01","shortDescription":{"text":"occ_before disagrees with dataflow"},"help":{"text":"per-op bookkeeping must replay from initial_map (Sec. 5)"},"defaultConfiguration":{"level":"error"}},{"id":"OCC02","shortDescription":{"text":"gate on an empty slot"},"help":{"text":"pulses act on stored qubits (Sec. 3.2 partially-occupied ququarts)"},"defaultConfiguration":{"level":"error"}},{"id":"OCC03","shortDescription":{"text":"malformed ENC"},"help":{"text":"Sec. 4.1: ENC merges two lone qubits into one ququart"},"defaultConfiguration":{"level":"error"}},{"id":"OCC04","shortDescription":{"text":"malformed DEC"},"help":{"text":"Sec. 4.1: ENC-dagger splits a full ququart into two lone qubits"},"defaultConfiguration":{"level":"error"}},{"id":"OCC05","shortDescription":{"text":"noise_role inconsistent with occupancy"},"help":{"text":"Sec. 6.3: error channels are drawn per stored-qubit subspace"},"defaultConfiguration":{"level":"error"}},{"id":"OCC06","shortDescription":{"text":"final_map disagrees with dataflow"},"help":{"text":"the final placement must match the replayed slot occupancy"},"defaultConfiguration":{"level":"error"}},{"id":"OCC07","shortDescription":{"text":"occ_after disagrees with dataflow"},"help":{"text":"per-op bookkeeping must replay from initial_map (Sec. 5)"},"defaultConfiguration":{"level":"error"}},{"id":"TOP01","shortDescription":{"text":"op on non-adjacent devices"},"help":{"text":"Sec. 5.3: multi-device pulses need coupled (neighbouring) devices"},"defaultConfiguration":{"level":"error"}},{"id":"TOP02","shortDescription":{"text":"topology too small"},"help":{"text":"the device count must fit the topology (Sec. 6.2 mesh)"},"defaultConfiguration":{"level":"error"}},{"id":"TOP03","shortDescription":{"text":"too many devices in one pulse"},"help":{"text":"pulses span at most 2 devices on ququarts, 3 (iToffoli) on qubits"},"defaultConfiguration":{"level":"error"}},{"id":"SCHED01","shortDescription":{"text":"ops overlap on a device"},"help":{"text":"Sec. 5.5: ASAP scheduling serializes each device"},"defaultConfiguration":{"level":"error"}},{"id":"SCHED02","shortDescription":{"text":"total_duration off the critical path"},"help":{"text":"Sec. 5.5: duration = longest device-dependency chain of the ASAP schedule"},"defaultConfiguration":{"level":"error"}},{"id":"SCHED03","shortDescription":{"text":"invalid duration"},"help":{"text":"durations are finite and non-negative"},"defaultConfiguration":{"level":"error"}},{"id":"CAL01","shortDescription":{"text":"no calibration entry matches"},"help":{"text":"Tables 1-2: every pulse carries a calibrated duration and fidelity"},"defaultConfiguration":{"level":"error"}},{"id":"CAL02","shortDescription":{"text":"calibration illegal for strategy"},"help":{"text":"Sec. 6.2: each environment exposes its own gate set"},"defaultConfiguration":{"level":"error"}},{"id":"CAL03","shortDescription":{"text":"ww pulse on two-level devices"},"help":{"text":"levels |2>/|3> do not exist on bare qubits (Fig. 9b)"},"defaultConfiguration":{"level":"error"}},{"id":"CAL04","shortDescription":{"text":"touches_ww inconsistent with occupancy"},"help":{"text":"Fig. 9b: pulses touching levels |2>/|3> scale with the ww error knob"},"defaultConfiguration":{"level":"warning"}},{"id":"EQ00","shortDescription":{"text":"equivalence check skipped"},"help":{"text":"sparse replay: skipped past 4096 amplitudes, 62 register bits or the caller's bound"},"defaultConfiguration":{"level":"note"}},{"id":"EQ01","shortDescription":{"text":"physical program is not equivalent to the circuit"},"help":{"text":"compilation preserves the circuit unitary up to global phase (Sec. 5)"},"defaultConfiguration":{"level":"error"}},{"id":"EQ02","shortDescription":{"text":"state leaks out of the computational subspace"},"help":{"text":"Sec. 6.4: ideal execution keeps support on the encoded subspace"},"defaultConfiguration":{"level":"error"}},{"id":"STAB00","shortDescription":{"text":"stabilizer analysis partial or skipped"},"help":{"text":"Clifford tableaux only track H/S/X/Y/Z/CX/CZ/SWAP segments exactly"},"defaultConfiguration":{"level":"note"}},{"id":"STAB01","shortDescription":{"text":"optimizer output certified equivalent"},"help":{"text":"tableau equality proves unitary equality up to global phase at any width"},"defaultConfiguration":{"level":"note"}},{"id":"STAB02","shortDescription":{"text":"identity-composing gate run"},"help":{"text":"a Clifford run conjugating every Pauli to itself is removable dead code"},"defaultConfiguration":{"level":"warning"}},{"id":"STAB03","shortDescription":{"text":"optimizer output not equivalent"},"help":{"text":"stabilizer images diverge: simplification changed the circuit unitary"},"defaultConfiguration":{"level":"error"}},{"id":"LEAK01","shortDescription":{"text":"two-qubit-only pulse reachable in an encoded state"},"help":{"text":"Fig. 9b: a pulse not calibrated for |2>/|3> sees a device that can hold them"},"defaultConfiguration":{"level":"warning"}},{"id":"LEAK02","shortDescription":{"text":"provably dead ENC/DEC pair"},"help":{"text":"Sec. 4.1: an encode immediately undone by its decode wastes two ww pulses"},"defaultConfiguration":{"level":"warning"}},{"id":"LEAK03","shortDescription":{"text":"reachable-level summary"},"help":{"text":"Sec. 3: the reachable level sets bound every state the schedule can prepare"},"defaultConfiguration":{"level":"note"}},{"id":"COST01","shortDescription":{"text":"op fold disagrees with the EPS oracle"},"help":{"text":"Tables 1-2: the per-op success product, pulse time and error budget must reproduce Eps.estimate and Eps.label_breakdown exactly"},"defaultConfiguration":{"level":"error"}},{"id":"COST03","shortDescription":{"text":"duration and EPS summary"},"help":{"text":"Sec. 6: critical path, serialized pulse time, gate EPS and error budget"},"defaultConfiguration":{"level":"note"}},{"id":"LIVE00","shortDescription":{"text":"liveness analysis skipped"},"help":{"text":"needs the source circuit"},"defaultConfiguration":{"level":"note"}},{"id":"LIVE01","shortDescription":{"text":"cancellable gate pair separated by commuting gates"},"help":{"text":"gates commuting with everything between them cancel; peephole only sees neighbours"},"defaultConfiguration":{"level":"warning"}},{"id":"LIVE02","shortDescription":{"text":"gate is an identity rotation"},"help":{"text":"rotations by multiples of 2*pi are removable dead code"},"defaultConfiguration":{"level":"warning"}},{"id":"LIVE03","shortDescription":{"text":"fuseable rotation pair separated by commuting gates"},"help":{"text":"same-axis rotations merge once commuting gates are moved aside"},"defaultConfiguration":{"level":"note"}},{"id":"RES00","shortDescription":{"text":"resource certificate"},"help":{"text":"sound static bounds on peak bytes, modeled duration and pool seats for one (program x model x batch x domains) configuration"},"defaultConfiguration":{"level":"note"}},{"id":"RES01","shortDescription":{"text":"certified demand exceeds the admission budget"},"help":{"text":"the certificate's peak-byte or worst-case-duration bound is over the user limit, so an admission controller must reject the job unrun"},"defaultConfiguration":{"level":"error"}},{"id":"RES02","shortDescription":{"text":"certificate diverges from the observed run"},"help":{"text":"certificates are sound by construction; telemetry observing more memory, work or time than certified is an analysis bug"},"defaultConfiguration":{"level":"error"}},{"id":"RES03","shortDescription":{"text":"cache residency dominates the working set"},"help":{"text":"worst-case program and kernel-memo cache residency exceeds the live working set by the configured ratio: eviction pressure, not the program, will drive peak memory"},"defaultConfiguration":{"level":"warning"}}]}},"columnKind":"utf16CodeUnits","properties":{"opsChecked":6,"passes":["stabilizer","leakage","cost","liveness","res"]},"results":[{"ruleId":"STAB03","ruleIndex":37,"level":"error","message":{"text":"optimizer output NOT equivalent: stabilizer images diverge on the 4-qubit circuit"}},{"ruleId":"LEAK02","ruleIndex":39,"level":"warning","message":{"text":"ENC at op 2 is decoded at op 5 with no pulse in between: the pair is dead"},"locations":[{"logicalLocations":[{"fullyQualifiedName":"op[2]","kind":"instruction"}]}],"properties":{"fix":"drop ops 2 and 5"}},{"ruleId":"COST03","ruleIndex":42,"level":"note","message":{"text":"critical path 120.0 ns (serialized 240.0 ns, 2.00x parallelism); gate EPS 0.010000; error budget 0.010000"}}]}]}|sarif}
 
 let test_sarif_golden () =
   let s = Sarif.to_sarif golden_report in
@@ -608,7 +608,7 @@ let test_resource_budget_res01 () =
    ququarts) still counts, and its 5.8e17-byte peak trips RES01. cnu-30
    (29 ququarts) has 4^29 amplitudes, whose state bytes pass max_int;
    cnu-33 (33 ququarts) has an amplitude count past max_int, which must
-   not reach Kernel.place. *)
+   not reach Kernel.compile. *)
 let test_resource_too_large () =
   let compile n = Compile.compile Strategy.mixed_radix_ccz (Bench.by_total_qubits Cnu n) in
   let certify = Resource.certify ~trajectories:1 ~batch:8 ~domains:2 in
@@ -663,8 +663,8 @@ let test_resource_dump_roundtrip_determinism () =
   let d1 = Resource.dump (Resource.certify ~trajectories:7 ~batch:3 ~domains:2 compiled) in
   let d2 = Resource.dump (Resource.certify ~trajectories:7 ~batch:3 ~domains:2 compiled) in
   Alcotest.(check string) "certificates are bit-stable" d1 d2;
-  check_bool "dump carries the v4 header" true
-    (String.length d1 > 24 && String.sub d1 0 24 = "resource-certificate v4\n");
+  check_bool "dump carries the v5 header" true
+    (String.length d1 > 24 && String.sub d1 0 24 = "resource-certificate v5\n");
   (* Every kernel class appears in the dispatch mix, catalogue order. *)
   let cert = Resource.certify compiled in
   check_int "dispatch mix lists every class" (List.length Waltz_sim.Kernel.classes)

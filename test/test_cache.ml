@@ -1,5 +1,5 @@
 (* The compiled-program cache (bounded by the ops it holds), the
-   certificate's cache-residency figure, and the executor's lift table. *)
+   certificate's cache-residency figure, and the cost of placing kernels. *)
 open Waltz_circuit
 open Waltz_core
 open Test_util
@@ -160,7 +160,7 @@ let test_hit_places_nothing () =
   check_int "one cache hit" 1 hits
 
 (* RES03's residency: as many copies of the program as the ops budget
-   holds, at least one, plus the lift entries. *)
+   holds, at least one. *)
 let test_cache_bytes_formula () =
   List.iter
     (fun (s, circuit) ->
@@ -169,22 +169,21 @@ let test_cache_bytes_formula () =
       let copies = max 1 (Compile.program_cache_budget / max 1 c.Resource.ops) in
       check_int
         (Printf.sprintf "%s, %d ops: cache bytes" s.Strategy.name c.Resource.ops)
-        ((copies * (c.Resource.program_bytes + c.Resource.plan_bytes)) + c.Resource.lift_bytes)
+        (copies * (c.Resource.program_bytes + c.Resource.plan_bytes))
         c.Resource.cache_bytes;
       if c.Resource.ops > Compile.program_cache_budget then
         check_int "a program over the budget is one copy"
-          (c.Resource.program_bytes + c.Resource.plan_bytes + c.Resource.lift_bytes)
+          (c.Resource.program_bytes + c.Resource.plan_bytes)
           c.Resource.cache_bytes)
     [ (Strategy.full_ququart, Bench.by_total_qubits Bench.Cnu 5);
       (Strategy.mixed_radix_ccz, Bench.by_total_qubits Bench.Cuccaro 9);
       (Strategy.qubit_only, Bench.synthetic ~n:6 ~gates:3000 ~cx_fraction:0.5 ~seed:17) ]
 
-(* Rotations whose angles print alike share one lift-table key. A stream
-   of 40 programs of 500 such new angles (and 500 Hadamards) each places
-   at a flat cost per op: the median of the last ten batches stays within
-   2x of the first batch, and the table stays within its bound. With an
-   unbounded bucket every new angle scans all the earlier ones. *)
-let test_lift_stream_bounded () =
+(* A stream of 40 programs of 500 new rotation angles (and 500 Hadamards)
+   each places at a flat cost per op: the median of the last ten batches
+   stays within 2x of the first batch. Nothing placed for one program may
+   be scanned again for the next. *)
+let test_rotation_stream_flat () =
   let batches = 40 and angles = 500 in
   Compile.set_program_cache false;
   let per_op =
@@ -201,11 +200,7 @@ let test_lift_stream_bounded () =
             let p = Compile.compile Strategy.qubit_only (Circuit.of_gates ~n:2 gates) in
             let start = Unix.gettimeofday () in
             ignore (Executor.place p);
-            let us = (Unix.gettimeofday () -. start) *. 1e6 /. float_of_int (Physical.op_count p) in
-            if Executor.lift_entries () > Executor.lift_capacity then
-              Alcotest.failf "batch %d: %d lift entries over the %d bound" b
-                (Executor.lift_entries ()) Executor.lift_capacity;
-            us))
+            (Unix.gettimeofday () -. start) *. 1e6 /. float_of_int (Physical.op_count p)))
   in
   let last = Array.sub per_op (batches - 10) 10 in
   Array.sort compare last;
@@ -221,4 +216,4 @@ let suite =
     case "a program over the budget is kept alone" test_over_budget_kept;
     case "a hit places no kernels" test_hit_places_nothing;
     case "cache bytes follow the budget" test_cache_bytes_formula;
-    case "same-label rotations place at a flat cost" test_lift_stream_bounded ]
+    case "same-label rotations place at a flat cost" test_rotation_stream_flat ]

@@ -263,11 +263,10 @@ let test_workspace_bytes_certified () =
     cert.Resource.block_workspace_bytes (observe big);
   check_int "a smaller register reuses the planes" 0 (observe small)
 
-(* A gate that does not fit its targets makes the lift raise while a
-   kernel memo is built. The raise must leave the executor usable: a later
-   simulate on the same domain has to place its own kernels, lifts
-   included. *)
-let test_failed_lift_leaves_executor_usable () =
+(* A gate that does not fit its targets makes [Kernel.compile] raise while
+   a kernel memo is built. The raise must leave the executor usable: a
+   later simulate on the same domain has to place its own kernels. *)
+let test_failed_placement_leaves_executor_usable () =
   let module Mat = Waltz_linalg.Mat in
   let good = compile_fresh Strategy.mixed_radix_ccz toffoli in
   let bad =
@@ -285,6 +284,72 @@ let test_failed_lift_leaves_executor_usable () =
   let r = Executor.simulate ~config ~domains:1 good in
   check_int "later simulate runs" 4 r.Executor.trajectories
 
+(* Every kernel [Executor.place] compiles acts on the register's two-level
+   wire view. Applied to a Haar-random one-lane state, it must agree with
+   [State.apply] of the op's lift, the Kronecker reference on the device
+   register, over the families at 5-7 qubits x every strategy and the
+   kernel-mix program, which covers all five kernel classes. The placed
+   bytes must count each distinct kernel once. *)
+let test_placed_kernels_match_lift () =
+  let module Bench = Waltz_benchmarks.Bench_circuits in
+  let module Kernel = Waltz_sim.Kernel in
+  let module State = Waltz_sim.State in
+  let module Vec = Waltz_linalg.Vec in
+  let r = rng 29 in
+  let check name (p : Physical.t) =
+    let device_dim = p.Physical.device_dim in
+    let placement = Executor.place p in
+    let dims = placement.Executor.dims in
+    let input = State.amplitudes (State.random r ~dims) in
+    List.iteri
+      (fun i (op : Physical.op) ->
+        let kernel = placement.Executor.kernels.(i) in
+        let v = Vec.copy input in
+        Kernel.apply_block kernel v.Vec.re v.Vec.im ~cap:1 ~live:1;
+        let devices, lifted = Executor.lift_gate ~device_dim op in
+        let reference = State.of_vec ~dims (Vec.copy input) in
+        State.apply reference ~targets:devices lifted;
+        let w = State.amplitudes reference in
+        let diff = ref 0. in
+        for k = 0 to Vec.dim v - 1 do
+          diff := Float.max !diff (Float.abs (v.Vec.re.(k) -. w.Vec.re.(k)));
+          diff := Float.max !diff (Float.abs (v.Vec.im.(k) -. w.Vec.im.(k)))
+        done;
+        if not (!diff <= 1e-12) then
+          Alcotest.failf "%s, op %d (%s, %s): kernel differs from the lift by %g" name i
+            op.Physical.label (Kernel.class_name kernel) !diff)
+      p.Physical.ops;
+    let distinct =
+      Array.fold_left
+        (fun acc k -> if List.memq k acc then acc else k :: acc)
+        [] placement.Executor.kernels
+    in
+    check_int (name ^ ": placed bytes are the distinct kernels' footprints")
+      (List.fold_left (fun acc k -> acc + Kernel.footprint_bytes k) 0 distinct)
+      placement.Executor.placed_bytes
+  in
+  List.iter
+    (fun family ->
+      List.iter
+        (fun n ->
+          let circuit = Bench.by_total_qubits family n in
+          List.iter
+            (fun (s : Strategy.t) ->
+              check
+                (Printf.sprintf "%s-%d %s" (Bench.family_name family) n s.Strategy.name)
+                (Compile.compile s circuit))
+            Strategy.all)
+        [ 5; 6; 7 ])
+    Bench.all_families;
+  let mix = Waltz_benchmarks.Kernel_mix.program () in
+  let classes =
+    Array.to_list (Array.map Kernel.class_name (Executor.place mix).Executor.kernels)
+  in
+  List.iter
+    (fun cls -> check_bool ("kernel mix covers " ^ cls) true (List.mem cls classes))
+    Kernel.classes;
+  check "kernel mix" mix
+
 let suite =
   [ case "fidelity in range" test_fidelity_in_range;
     case "deterministic" test_deterministic;
@@ -301,5 +366,6 @@ let suite =
     case "alternating shapes allocate no planes" test_workspace_alternating_shapes;
     case "workspace bytes match the certificate, then 0 on reuse"
       test_workspace_bytes_certified;
-    case "failed lift leaves the executor usable"
-      test_failed_lift_leaves_executor_usable ]
+    case "failed placement leaves the executor usable"
+      test_failed_placement_leaves_executor_usable;
+    case "placed kernels match the lift" test_placed_kernels_match_lift ]

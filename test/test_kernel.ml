@@ -64,18 +64,12 @@ let check_agrees ?expect_class r ~dims ~targets m =
   | None -> ());
   check_placed r ~dims ~targets kernel m
 
-(* One classified body placed at two register shapes, as given and behind
-   an extra leading qubit wire: both placements read the same entries and
-   must both agree with State.apply. *)
-let check_shared_body r ~dims ~targets m =
-  let body = Kernel.classify m in
-  let wider = Array.append [| 2 |] dims and shifted = List.map succ targets in
-  let here = Kernel.place ~dims ~targets body
-  and there = Kernel.place ~dims:wider ~targets:shifted body in
-  Alcotest.(check string) "class at both shapes" (Kernel.class_name here)
-    (Kernel.class_name there);
-  check_placed r ~dims ~targets here m;
-  check_placed r ~dims:wider ~targets:shifted there m
+(* The same matrix behind an extra leading qubit wire must take the same
+   class and agree with State.apply there too. *)
+let check_wider r ~dims ~targets m =
+  let expect_class = Kernel.class_name (Kernel.compile ~dims ~targets m) in
+  check_agrees r ~expect_class ~dims:(Array.append [| 2 |] dims)
+    ~targets:(List.map succ targets) m
 
 (* Every (dims, targets) shape the executor produces: 1 to 3 targets over
    qubit, ququart and mixed registers, including reordered target lists
@@ -103,7 +97,7 @@ let test_random_agreement () =
       let g = gate_dim dims targets in
       let both ?expect_class m =
         check_agrees r ~dims ~targets ?expect_class m;
-        check_shared_body r ~dims ~targets m
+        check_wider r ~dims ~targets m
       in
       for _ = 1 to 5 do
         both ~expect_class:"diagonal" (random_diag r g);
@@ -212,6 +206,28 @@ let test_targets_accessor () =
   let kernel = Kernel.compile ~dims:[| 2; 4; 2 |] ~targets:[ 2; 0 ] (Mat.identity 4) in
   Alcotest.(check (list int)) "targets round-trip" [ 2; 0 ] (Kernel.targets kernel)
 
+(* The footprint is the whole kernel's payload: the target and offset
+   tables, the odometer tables of a spectator walk, and the entries — two
+   floats per diagonal entry, an int and two floats per permuted entry,
+   two floats per dense matrix entry. *)
+let test_footprint_counts_entries () =
+  let r = rng 408 in
+  List.iter
+    (fun (dims, targets) ->
+      let g = gate_dim dims targets and nt = List.length targets in
+      let odometer = if nt >= 3 then 2 * (Array.length dims - nt) else 0 in
+      let tables = nt + g + odometer in
+      List.iter
+        (fun (what, m, entries) ->
+          check_int
+            (Printf.sprintf "%s on %d target(s), g = %d" what nt g)
+            (8 * (tables + entries))
+            (Kernel.footprint_bytes (Kernel.compile ~dims ~targets m)))
+        [ ("diagonal", random_diag r g, 2 * g);
+          ("monomial", Mat.permutation g (fun i -> (i + 1) mod g), 3 * g);
+          ("dense", random_dense r g, 2 * g * g) ])
+    shapes
+
 let suite =
   [ case "random agreement, all shapes and classes" test_random_agreement;
     case "fixed-point-free permutation is monomial" test_monomial_classified;
@@ -221,4 +237,5 @@ let suite =
     case "near-monomial never takes the permutation path" test_near_monomial_not_misclassified;
     case "non-bijective one-per-row matrix rejected" test_non_bijective_rejected;
     case "compile validates targets" test_compile_validation;
-    case "targets accessor preserves order" test_targets_accessor ]
+    case "targets accessor preserves order" test_targets_accessor;
+    case "footprint counts the whole kernel" test_footprint_counts_entries ]

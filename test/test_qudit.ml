@@ -66,6 +66,48 @@ let test_embed () =
       (Embed.index_of_digits ~dims (Embed.digits_of_index ~dims idx))
   done
 
+(* The digit-by-digit lift: each matrix entry decodes both indices into
+   mixed-radix digits and reads u where the spectator digits agree. The
+   reference for [Embed.on_wires]'s offset fill. *)
+let on_wires_by_digits ~dims ~targets u =
+  let n = Array.length dims in
+  let tgt = Array.of_list targets in
+  let is_target = Array.make n false in
+  Array.iter (fun t -> is_target.(t) <- true) tgt;
+  let sub_index digits = Array.fold_left (fun acc t -> (acc * dims.(t)) + digits.(t)) 0 tgt in
+  let total = Array.fold_left ( * ) 1 dims in
+  Mat.init total total (fun i j ->
+      let di = Embed.digits_of_index ~dims i and dj = Embed.digits_of_index ~dims j in
+      let spectators_match = ref true in
+      for w = 0 to n - 1 do
+        if (not is_target.(w)) && di.(w) <> dj.(w) then spectators_match := false
+      done;
+      if not !spectators_match then Cplx.zero else Mat.get u (sub_index di) (sub_index dj))
+
+(* Random registers of 1-4 wires of dimension 2-4, a random ordered subset
+   of 1-3 targets and a random complex matrix (unitarity is not needed):
+   the offset fill must equal the digit-by-digit lift to the last bit. *)
+let test_embed_matches_digits () =
+  let r = rng 331 in
+  for case = 1 to 300 do
+    let n = 1 + Rng.int r 4 in
+    let dims = Array.init n (fun _ -> 2 + Rng.int r 3) in
+    let wires = Array.init n Fun.id in
+    Rng.shuffle_in_place r wires;
+    let targets = Array.to_list (Array.sub wires 0 (1 + Rng.int r (min n 3))) in
+    let g = List.fold_left (fun acc t -> acc * dims.(t)) 1 targets in
+    let u = Mat.init g g (fun _ _ -> Cplx.c (Rng.gaussian r) (Rng.gaussian r)) in
+    let fast = Embed.on_wires ~dims ~targets u
+    and slow = on_wires_by_digits ~dims ~targets u in
+    let same a b =
+      Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+    in
+    if not (same fast.Mat.re slow.Mat.re && same fast.Mat.im slow.Mat.im) then
+      Alcotest.failf "case %d: dims [%s], targets [%s]: the lifts differ" case
+        (String.concat "; " (Array.to_list (Array.map string_of_int dims)))
+        (String.concat "; " (List.map string_of_int targets))
+  done
+
 let test_qudit_ops () =
   let x4 = Qudit_ops.x_plus ~d:4 1 in
   assert_unitary "X+1" x4;
@@ -221,6 +263,7 @@ let suite =
     case "gate semantics" test_gate_semantics;
     case "itoffoli identity" test_itoffoli_identity;
     case "embed" test_embed;
+    case "embed matches the digit-by-digit lift" test_embed_matches_digits;
     case "qudit ops" test_qudit_ops;
     case "encoding" test_encoding;
     case "ququart gates" test_ququart_gates;

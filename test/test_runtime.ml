@@ -74,67 +74,10 @@ let test_determinism_grid () =
         [ Strategy.qubit_only; Strategy.mixed_radix_ccz; Strategy.full_ququart ])
     [ toffoli; cnu5 ]
 
-(* ---------------- plan-level caches ---------------- *)
-
-let test_lift_cache_matches_uncached () =
-  List.iter
-    (fun family ->
-      let circuit = Waltz_benchmarks.Bench_circuits.by_total_qubits family 5 in
-      List.iter
-        (fun (strategy : Strategy.t) ->
-          let compiled = Compile.compile strategy circuit in
-          let device_dim = compiled.Physical.device_dim in
-          List.iter
-            (fun (op : Physical.op) ->
-              let devices, cached = Executor.lift ~device_dim op in
-              let devices', fresh = Executor.lift_gate_uncached ~device_dim op in
-              let what = Printf.sprintf "%s (%s)" op.Physical.label strategy.Strategy.name in
-              check_bool "same devices" true (devices = devices');
-              mat_equal ~tol:0. ("lift of " ^ what) fresh cached.Executor.lifted;
-              check_bool ("body of " ^ what) true
-                (cached.Executor.body = Waltz_sim.Kernel.classify fresh))
-            compiled.Physical.ops)
-        [ Strategy.qubit_only; Strategy.mixed_radix_ccz; Strategy.full_ququart ])
-    Waltz_benchmarks.Bench_circuits.all_families
-
-(* Two ops sharing a lift-table key (label, target pattern, dims) but
-   carrying different matrices — e.g. same-named parameterized rotations —
-   must be told apart by the bucket's matrix-equality fallback and counted
-   as a collision. *)
-let test_lift_collision_fallback () =
-  let module Telemetry = Waltz_telemetry.Telemetry in
-  let op_with label gate =
-    { Physical.label;
-      parts =
-        [ { Physical.device = 0; noise = Physical.P2 0; occ_before = 1; occ_after = 1 } ];
-      targets = [ (0, 0) ];
-      gate;
-      duration_ns = 10.;
-      fidelity = 0.999;
-      touches_ww = false }
-  in
-  let a = op_with "ROT" (Waltz_qudit.Gates.rz 0.3) in
-  let b = op_with "ROT" (Waltz_qudit.Gates.rz 0.7) in
-  Telemetry.reset ();
-  Telemetry.enable ();
-  let _, la = Executor.lift_gate ~device_dim:2 a in
-  let _, lb = Executor.lift_gate ~device_dim:2 b in
-  let _, la' = Executor.lift_gate ~device_dim:2 a in
-  Telemetry.disable ();
-  mat_equal ~tol:0. "collision op a lifts correctly"
-    (snd (Executor.lift_gate_uncached ~device_dim:2 a)) la;
-  mat_equal ~tol:0. "collision op b lifts correctly"
-    (snd (Executor.lift_gate_uncached ~device_dim:2 b)) lb;
-  mat_equal ~tol:0. "op a still served after the collision" la la';
-  check_bool "collision counted" true
-    (Telemetry.Metrics.counter "executor.lift_table.collision" >= 1)
-
 let suite =
   [ case "pool map_array" test_pool_map_array;
     case "pool matches sequential" test_pool_matches_sequential;
     case "pool edge cases" test_pool_edges;
     case "pool exception propagates" test_pool_exception_propagates;
     case "default domains sane" test_default_domains_positive;
-    case "determinism across domains" test_determinism_grid;
-    case "lift cache matches uncached" test_lift_cache_matches_uncached;
-    case "lift collision falls back to matrix equality" test_lift_collision_fallback ]
+    case "determinism across domains" test_determinism_grid ]

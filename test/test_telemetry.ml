@@ -127,9 +127,9 @@ let executor_counters () =
   with_telemetry (fun () ->
       ignore (simulate ~domains:1 toffoli);
       check_int "trajectory count" 6 (Telemetry.Metrics.counter "executor.trajectories");
-      check_bool "lift_gate cache metered" true
-        (Telemetry.Metrics.counter "executor.lift_gate.hit"
-         + Telemetry.Metrics.counter "executor.lift_gate.miss"
+      check_bool "kernel memo metered" true
+        (Telemetry.Metrics.counter "executor.kernel_memo.hit"
+         + Telemetry.Metrics.counter "executor.kernel_memo.miss"
          > 0);
       check_int "one lockstep block" 1 (Telemetry.Metrics.counter "executor.batch.blocks");
       check_bool "lane windows counted" true
